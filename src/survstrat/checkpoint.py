@@ -11,9 +11,7 @@ from .clustering import ClusterModel
 from .config import ExperimentConfig
 from .errors import ConfigurationError
 from .metrics import TimeGrid
-from .networks import Model
-from .tensor import Adam
-from .trainer import TrainState
+from .trainer import TrainState, _new_state
 
 FORMAT_VERSION = 1
 
@@ -38,7 +36,6 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
                 "algorithm": cm.algorithm,
                 "nu": cm.nu,
                 "centers": cm.centers.tolist(),
-                "assignments": np.asarray(cm.assignments).tolist(),
             }
             for cm in state.cluster_models
         ],
@@ -73,21 +70,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ConfigurationError(f"checkpoint is missing keys: {', '.join(missing)}")
     config = ExperimentConfig.from_dict(payload["config"])
     config.validate()
-
-    from .trainer import _model_config
-
-    input_dim = _infer_input_dim(payload["state"], config)
-    model = Model(_model_config(config, input_dim))
-    model.load_state_dict(payload["state"])
     grid = TimeGrid(np.asarray(payload["grid_edges"], dtype=np.float64))
-    state = TrainState(
-        model=model,
-        optimizer=Adam([t for _, t in model.parameters()], lr=config.learning_rate),
-        config=config,
-        grid=grid,
-        stage=int(payload.get("stage", 0)),
-    )
-    for entry in payload.get("clusters", []):
+    state = _new_state(config, _infer_input_dim(payload["state"], config), grid)
+    state.model.load_state_dict(payload["state"])
+    state.stage = int(payload.get("stage", 0))
+    # format 1 also wrote a per-cluster "assignments" copy; it is ignored
+    state.assignments = [
+        np.asarray(a, dtype=np.int64) for a in payload.get("assignments", [])
+    ]
+    clusters = payload.get("clusters", [])
+    if len(clusters) != len(state.assignments):
+        raise ConfigurationError("checkpoint needs one assignment list per cluster entry")
+    for entry, assignments in zip(clusters, state.assignments):
         centers = np.asarray(entry["centers"], dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != config.latent_dim:
             raise ConfigurationError(
@@ -97,14 +91,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         state.cluster_models.append(
             ClusterModel(
                 centers=centers,
-                assignments=np.asarray(entry["assignments"], dtype=np.int64),
+                assignments=assignments.copy(),
                 nu=float(entry.get("nu", 1.0)),
                 algorithm=entry.get("algorithm", "kmeans"),
             )
         )
-    state.assignments = [
-        np.asarray(a, dtype=np.int64) for a in payload.get("assignments", [])
-    ]
     if payload.get("train_times") is not None:
         state.train_times = np.asarray(payload["train_times"], dtype=np.float64)
         state.train_events = np.asarray(payload["train_events"], dtype=np.int64)

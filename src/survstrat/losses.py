@@ -169,11 +169,10 @@ def loss_nll(dist, bins, events) -> Tensor:
     n, t_plus_1 = dist.probs.values.shape
     event_mask = np.zeros((n, t_plus_1))
     surv_mask = np.zeros((n, t_plus_1 - 1))
-    for i in range(n):
-        if events[i] == 1:
-            event_mask[i, bins[i]] = 1.0
-        else:
-            surv_mask[i, bins[i]] = 1.0
+    rows = np.arange(n)
+    died = events == 1
+    event_mask[rows[died], bins[died]] = 1.0
+    surv_mask[rows[~died], bins[~died]] = 1.0
     log_p = dist.probs.clamp_min(_CLAMP).log()
     log_s = dist.survival.clamp_min(_CLAMP).log()
     picked = (Tensor(event_mask) * log_p).sum() + (Tensor(surv_mask) * log_s).sum()

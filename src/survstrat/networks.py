@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, softmax_rows
+from .tensor import Tensor, concat_cols, concat_rows, softmax_rows, take_rows
 
 
 @dataclass
@@ -168,10 +168,7 @@ class Model:
             Mlp(head_widths, rngs[4 + k], f"head{k}") for k in range(n_heads)
         ]
         # constant cumulative-sum matrix: survival_t = 1 - sum_{s<=t} prob_s
-        cum = np.zeros((config.n_bins + 1, config.n_bins))
-        for s in range(config.n_bins):
-            cum[s, s:] = 1.0
-        self._cum = Tensor(cum)
+        self._cum = Tensor(np.triu(np.ones((config.n_bins + 1, config.n_bins))))
 
     def encode(self, x: Tensor, view: int = 1, train: bool = False,
                rng: np.random.Generator | None = None,
@@ -194,23 +191,31 @@ class Model:
         return concat_cols(zbar, x)
 
     def survival_forward(self, h: Tensor, cluster_ids=None) -> "SurvivalDistribution":
+        """One head for all rows, or (ensemble) each row through its cluster's head."""
         if self.config.head_mode == "shared":
-            logits = self.heads[0](h)
-        else:
-            if cluster_ids is None:
-                raise UsageError("ensemble heads need cluster ids for routing")
-            ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
-            if ids.size != h.values.shape[0]:
-                raise UsageError("one cluster id per row is required")
-            if ids.min() < 0 or ids.max() >= len(self.heads):
-                raise UsageError(
-                    f"cluster ids must lie in [0, {len(self.heads) - 1}]"
-                )
-            logits = None
-            for k, head in enumerate(self.heads):
-                mask = Tensor((ids == k).astype(np.float64)[:, None])
-                routed = mask * head(h)
-                logits = routed if logits is None else logits + routed
+            return self._distribution(self.heads[0](h))
+        if cluster_ids is None:
+            raise UsageError("ensemble heads need cluster ids for routing")
+        ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
+        if ids.size != h.values.shape[0]:
+            raise UsageError("one cluster id per row is required")
+        if ids.min() < 0 or ids.max() >= len(self.heads):
+            raise UsageError(
+                f"cluster ids must lie in [0, {len(self.heads) - 1}]"
+            )
+        groups = [np.flatnonzero(ids == k) for k in range(len(self.heads))]
+        stacked = concat_rows(
+            [head(take_rows(h, rows)) for head, rows in zip(self.heads, groups) if rows.size]
+        )
+        # stacked row j holds original row order[j]; argsort inverts that
+        order = np.concatenate(groups)
+        return self._distribution(take_rows(stacked, np.argsort(order)))
+
+    def head_distributions(self, h: Tensor) -> list:
+        """Every head's distribution over every row of ``h``."""
+        return [self._distribution(head(h)) for head in self.heads]
+
+    def _distribution(self, logits: Tensor) -> "SurvivalDistribution":
         probs = softmax_rows(logits)
         survival = Tensor(np.ones((1, 1))) - probs @ self._cum
         return SurvivalDistribution(probs=probs, survival=survival)

@@ -75,14 +75,9 @@ class Tensor:
         needs = any(p.requires_grad for p in parents)
         out.requires_grad = needs
         out.grad = None
-        if needs:
-            out._parents = parents
-            out._backward_fn = backward_fn
-            out._op = op
-        else:
-            out._parents = ()
-            out._backward_fn = None
-            out._op = op
+        out._parents = parents if needs else ()
+        out._backward_fn = backward_fn if needs else None
+        out._op = op
         return out
 
     # -- introspection -------------------------------------------------------
@@ -343,6 +338,32 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(grad[:, na:])
 
     return Tensor._from_op(values, (a, b), "concat_cols", backward_fn)
+
+
+def take_rows(a: Tensor, rows) -> Tensor:
+    """Rows ``a[rows]`` for an integer index vector; repeated rows are allowed."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    values = a.values[rows]
+
+    def backward_fn(grad):
+        delta = np.zeros_like(a.values)
+        np.add.at(delta, rows, grad)
+        a._accumulate(delta)
+
+    return Tensor._from_op(values, (a,), "take_rows", backward_fn)
+
+
+def concat_rows(parts: list) -> Tensor:
+    """Row-wise stack of tensors with equal column counts, in list order."""
+    values = np.concatenate([p.values for p in parts], axis=0)
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def backward_fn(grad):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            if p.requires_grad or p._parents:
+                p._accumulate(grad[lo:hi])
+
+    return Tensor._from_op(values, tuple(parts), "concat_rows", backward_fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import clustering, losses
 from .config import ExperimentConfig
-from .errors import NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .metrics import TimeGrid, build_time_grid, concordance_index, expected_event_time
 from .networks import Model, ModelConfig
 from .tensor import Adam, Tensor
@@ -27,6 +27,7 @@ LOG_COLUMNS = (
     "loss_spl", "loss_cl", "loss_surv", "lambda_spl", "admitted_frac",
     "val_c_index",
 )
+_STAGE_NAMES = {1: "pretraining", 3: "stage 3"}
 
 
 @dataclass
@@ -108,11 +109,13 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def _model_config(config: ExperimentConfig, input_dim: int) -> ModelConfig:
+def _model_config(config: ExperimentConfig, input_dim: int,
+                  n_bins: int | None = None) -> ModelConfig:
+    """``n_bins`` is the fitted grid's count; tied times can make it < config.n_bins."""
     return ModelConfig(
         input_dim=input_dim,
         latent_dim=config.latent_dim,
-        n_bins=config.n_bins,
+        n_bins=config.n_bins if n_bins is None else n_bins,
         variational=config.variational,
         siamese=config.siamese,
         head_mode="ensemble" if config.heads == "per-cluster" else "shared",
@@ -123,6 +126,13 @@ def _model_config(config: ExperimentConfig, input_dim: int) -> ModelConfig:
     )
 
 
+def _new_state(config: ExperimentConfig, input_dim: int, grid: TimeGrid) -> TrainState:
+    """Untrained state: a model sized from the fitted grid and a fresh optimizer."""
+    model = Model(_model_config(config, input_dim, grid.n_bins))
+    optimizer = Adam([t for _, t in model.parameters()], lr=config.learning_rate)
+    return TrainState(model=model, optimizer=optimizer, config=config, grid=grid)
+
+
 def _encode_views(model: Model, x: Tensor, train: bool, rng):
     outs = [model.encode(x, view=1, train=train, rng=rng)]
     if model.config.siamese:
@@ -130,103 +140,101 @@ def _encode_views(model: Model, x: Tensor, train: bool, rng):
     return outs
 
 
-def _scalar(t: Tensor) -> float:
-    return float(t.values[0, 0])
+def _scalar(v) -> float:
+    """A logged term (1x1 tensor, number, or None when absent) as a float."""
+    return float(v.values[0, 0]) if isinstance(v, Tensor) else float(v or 0.0)
+
+
+def _run_epoch(state: TrainState, data: TrainData, rng, epoch: int, stage: int, step) -> dict:
+    """One optimizer pass over shuffled batches; appends and returns the log row.
+
+    ``step(idx, x, outs)`` gets the batch rows, features and train-mode
+    encodings and returns the loss and a dict of terms the row averages.
+    """
+    sums = {}
+    n_batches = 0
+    for idx in _batches(data.X.shape[0], state.config.batch_size, rng):
+        try:
+            x = Tensor(data.X[idx])
+            outs = _encode_views(state.model, x, train=True, rng=rng)
+            total, terms = step(idx, x, outs)
+            state.optimizer.zero_grad()
+            total.backward()
+            state.optimizer.step()
+        except NumericError as exc:
+            raise NumericError(f"{_STAGE_NAMES[stage]} aborted at epoch {epoch}: {exc}")
+        terms["loss_total"] = total
+        for k in terms:
+            sums[k] = sums.get(k, 0.0) + _scalar(terms[k])
+        n_batches += 1
+    row = {c: "" for c in LOG_COLUMNS}
+    row.update(epoch=epoch, stage=stage)
+    row.update({k: v / n_batches for k, v in sums.items()})
+    state.logs.append(row)
+    return row
+
+
+def _view_mean(pairs):
+    """Average (scalar, per-instance) loss pairs over the views."""
+    return tuple(losses.average_views(list(parts)) for parts in zip(*pairs))
 
 
 def _rec_and_kld(model: Model, x: Tensor, outs):
-    rec_parts, rec_inst_parts = [], []
-    kld_parts, kld_inst_parts = [], []
-    for v, out in enumerate(outs):
-        x_hat = model.decode(out.z, view=v + 1)
-        rec, rec_i = losses.loss_rec(x, x_hat)
-        rec_parts.append(rec)
-        rec_inst_parts.append(rec_i)
-        if model.config.variational:
-            kld, kld_i = losses.loss_kld(out.mu, out.log_var)
-            kld_parts.append(kld)
-            kld_inst_parts.append(kld_i)
-    rec = losses.average_views(rec_parts)
-    rec_i = losses.average_views(rec_inst_parts)
-    if kld_parts:
-        return rec, rec_i, losses.average_views(kld_parts), losses.average_views(kld_inst_parts)
-    return rec, rec_i, None, None
+    rec, rec_i = _view_mean(
+        [losses.loss_rec(x, model.decode(out.z, view=v + 1)) for v, out in enumerate(outs)]
+    )
+    if not model.config.variational:
+        return rec, rec_i, None, None
+    kld, kld_i = _view_mean([losses.loss_kld(out.mu, out.log_var) for out in outs])
+    return rec, rec_i, kld, kld_i
 
 
-def _pretrain_survival(model: Model, h: Tensor, bins, events, weights):
-    """Pretraining survival loss; ensemble mode trains every head on the batch."""
-    from .networks import SurvivalDistribution
-    from .tensor import softmax_rows
-
-    parts = []
-    for head in model.heads:
-        probs = softmax_rows(head(h))
-        survival = Tensor(np.ones((1, 1))) - probs @ model._cum
-        dist = SurvivalDistribution(probs=probs, survival=survival)
-        nll = losses.loss_nll(dist, bins, events)
-        rank = losses.loss_rank(dist, bins, events, weights.sigma_rank)
-        parts.append(losses.combine_surv(weights, nll, rank))
-    return losses.average_views(parts)
+def _survival_loss(dist, bins, events, weights) -> Tensor:
+    nll = losses.loss_nll(dist, bins, events)
+    rank = losses.loss_rank(dist, bins, events, weights.sigma_rank)
+    return losses.combine_surv(weights, nll, rank)
 
 
 def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
-    """Stage 1: minimize rec + KL + survival for pretrain_epochs epochs."""
+    """Stage 1: minimize rec + KL + survival for pretrain_epochs epochs;
+    every ensemble head trains on the whole batch and their losses are averaged."""
     config.validate()
-    model = Model(_model_config(config, data.X.shape[1]))
-    optimizer = Adam([t for _, t in model.parameters()], lr=config.learning_rate)
-    state = TrainState(
-        model=model, optimizer=optimizer, config=config, grid=data.grid,
-        train_times=data.t.copy(), train_events=data.e.copy(),
-    )
+    state = _new_state(config, data.X.shape[1], data.grid)
+    state.train_times, state.train_events = data.t.copy(), data.e.copy()
+    model = state.model
     rng = _training_rng(config.seed)
     w = config.weights
-    n = data.X.shape[0]
+
+    def step(idx, x, outs):
+        rec, _, kld, _ = _rec_and_kld(model, x, outs)
+        dists = model.head_distributions(model.survival_input(x, outs))
+        surv = losses.average_views(
+            [_survival_loss(d, data.bins[idx], data.e[idx], w) for d in dists]
+        )
+        total = rec * w.alpha_rec + surv * w.alpha_surv
+        if kld is not None:
+            total = total + kld * w.alpha_kld
+        return total, {"loss_rec": rec, "loss_kld": kld, "loss_surv": surv}
+
     for epoch in range(1, config.pretrain_epochs + 1):
-        sums = {"loss_rec": 0.0, "loss_kld": 0.0, "loss_surv": 0.0, "loss_total": 0.0}
-        n_batches = 0
-        for idx in _batches(n, config.batch_size, rng):
-            try:
-                x = Tensor(data.X[idx])
-                outs = _encode_views(model, x, train=True, rng=rng)
-                rec, _, kld, _ = _rec_and_kld(model, x, outs)
-                h = model.survival_input(x, outs)
-                surv = _pretrain_survival(model, h, data.bins[idx], data.e[idx], w)
-                total = rec * w.alpha_rec + surv * w.alpha_surv
-                if kld is not None:
-                    total = total + kld * w.alpha_kld
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step()
-            except NumericError as exc:
-                raise NumericError(f"pretraining aborted at epoch {epoch}: {exc}")
-            sums["loss_rec"] += _scalar(rec)
-            sums["loss_kld"] += _scalar(kld) if kld is not None else 0.0
-            sums["loss_surv"] += _scalar(surv)
-            sums["loss_total"] += _scalar(total)
-            n_batches += 1
-        row = {c: "" for c in LOG_COLUMNS}
-        row.update(epoch=epoch, stage=1)
-        row.update({k: v / n_batches for k, v in sums.items()})
-        state.logs.append(row)
+        _run_epoch(state, data, rng, epoch, 1, step)
     state.stage = 1
     return state
 
 
-def init_clusters(state: TrainState, data: TrainData, algorithm: str | None = None,
-                  n_clusters: int | None = None, seed: int | None = None) -> TrainState:
+def init_clusters(state: TrainState, data: TrainData) -> TrainState:
     """Stage 2: cluster eval-mode latents per view and freeze the centers."""
     if state.stage < 1:
         raise UsageError("init_clusters requires a pretrained state")
     config = state.config
-    algorithm = algorithm or config.clustering
-    n_clusters = n_clusters or config.n_clusters
-    seed = config.seed if seed is None else seed
     state.cluster_models = []
     state.assignments = []
     n_views = 2 if config.siamese else 1
     for view in range(1, n_views + 1):
         latents = state.model.latents(data.X, view=view)
-        cm = clustering.fit(latents, algorithm, n_clusters, seed=seed, nu=config.nu)
+        cm = clustering.fit(
+            latents, config.clustering, config.n_clusters, seed=config.seed, nu=config.nu
+        )
         state.cluster_models.append(cm)
         state.assignments.append(cm.assignments.copy())
     state.stage = 2
@@ -241,9 +249,7 @@ def _contrastive_loss(model, outs, events, batch_assignments, centers, config):
             losses.loss_ivcg(out.z, events, batch_assignments[v], w.tau)
             for v, out in enumerate(outs)
         ]
-        l_ivcg = parts[0]
-        for p in parts[1:]:
-            l_ivcg = l_ivcg + p
+        l_ivcg = sum(parts[1:], parts[0])
     l_iviw = None
     l_ivcw = None
     if len(outs) == 2:
@@ -256,27 +262,43 @@ def _contrastive_loss(model, outs, events, batch_assignments, centers, config):
     return losses.combine_cl(w, config.siamese, l_ivcg, l_iviw, l_ivcw)
 
 
+def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weights):
+    """Scalar rec, KL and cluster terms plus the per-instance curriculum loss."""
+    rec, rec_i, kld, kld_i = _rec_and_kld(model, x, outs)
+    clus, clus_i = _view_mean(
+        [losses.loss_clus(out.z, centers[v], assignments[v]) for v, out in enumerate(outs)]
+    )
+    return rec, kld, clus, losses.combine_instance(weights, rec_i, kld_i, clus_i)
+
+
 def _dataset_spl_threshold(state, data, epoch, max_epochs):
     """Full-dataset eval-mode per-instance loss statistics, for spl_scope=dataset."""
-    model = state.model
     x = Tensor(data.X)
-    outs = _encode_views(model, x, train=False, rng=None)
-    _, rec_i, _, kld_i = _rec_and_kld(model, x, outs)
-    clus_parts = [
-        losses.loss_clus(out.z, state.cluster_models[v].centers, state.assignments[v])[1]
-        for v, out in enumerate(outs)
-    ]
-    per = losses.combine_instance(
-        state.config.weights, rec_i, kld_i, losses.average_views(clus_parts)
+    outs = _encode_views(state.model, x, train=False, rng=None)
+    centers = [cm.centers for cm in state.cluster_models]
+    *_, per = _curriculum_losses(
+        state.model, x, outs, state.assignments, centers, state.config.weights
     )
     return spl_threshold(per.values, epoch, max_epochs)
 
 
+def _reassign(state: TrainState, data: TrainData, centers) -> None:
+    """Nearest-center assignments of the full training set, per view."""
+    for v, c in enumerate(centers):
+        state.assignments[v] = clustering.assign_nearest(
+            state.model.latents(data.X, view=v + 1), c
+        )
+
+
 def validation_c_index(state: TrainState, data: TrainData) -> float | None:
+    """Validation C-index; None (no signal) without rows or comparable pairs."""
     if data.X_val is None or data.X_val.shape[0] == 0:
         return None
     pred = predict(state, data.X_val)
-    return concordance_index(pred["risk"], data.t_val, data.e_val)
+    try:
+        return concordance_index(pred["risk"], data.t_val, data.e_val)
+    except DataError:
+        return None
 
 
 def train_stage3(state: TrainState, data: TrainData) -> TrainState:
@@ -286,90 +308,53 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     config = state.config
     w = config.weights
     model = state.model
-    optimizer = state.optimizer
     rng = _training_rng(config.seed + 1)
-    n = data.X.shape[0]
-    centers = [cm.centers for cm in state.cluster_models]
-    frozen = [c.copy() for c in centers]
+    frozen = [cm.centers.copy() for cm in state.cluster_models]
     ensemble = model.config.head_mode == "ensemble"
     best_c = -np.inf
     best_params = None
     stale = 0
+
+    # step reads the current `epoch` and `lam_dataset` of the loop below
+    def step(idx, x, outs):
+        batch_assign = [a[idx] for a in state.assignments]
+        rec, kld, clus, per_instance = _curriculum_losses(
+            model, x, outs, batch_assign, frozen, w
+        )
+        lam = lam_dataset if lam_dataset is not None else spl_threshold(
+            per_instance.values, epoch, config.max_epochs
+        )
+        mask, _ = spl_filter(per_instance.values, lam)
+        admitted = Tensor(mask.astype(np.float64)[:, None])
+        l_spl = (per_instance * admitted).sum() * (1.0 / mask.sum())
+        l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, frozen, config)
+        ids = batch_assign[config.routing_view - 1]
+        dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=ids)
+        l_surv = _survival_loss(dist, data.bins[idx], data.e[idx], w)
+        total = l_spl * w.alpha_spl + l_cl * w.alpha_cl + l_surv * w.alpha_surv
+        return total, {
+            "loss_rec": rec, "loss_kld": kld, "loss_clus": clus, "loss_spl": l_spl,
+            "loss_cl": l_cl, "loss_surv": l_surv, "lambda_spl": lam,
+            "admitted_frac": float(mask.mean()),
+        }
+
     for epoch in range(1, config.max_epochs + 1):
         if ensemble:
             counts = np.bincount(
                 state.assignments[config.routing_view - 1], minlength=config.n_clusters
             )
-            for k, c in enumerate(counts):
-                if c == 0:
-                    warnings.warn(
-                        f"cluster {k} has no training instances in epoch {epoch}; "
-                        "its head receives no updates"
-                    )
+            for k in np.flatnonzero(counts == 0):
+                warnings.warn(
+                    f"cluster {k} has no training instances in epoch {epoch}; "
+                    "its head receives no updates"
+                )
         lam_dataset = None
         if config.spl_scope == "dataset":
             lam_dataset = _dataset_spl_threshold(state, data, epoch, config.max_epochs)
-        sums = {k: 0.0 for k in ("loss_total", "loss_rec", "loss_kld", "loss_clus",
-                                 "loss_spl", "loss_cl", "loss_surv")}
-        lam_sum = 0.0
-        admitted_sum = 0.0
-        n_batches = 0
-        for idx in _batches(n, config.batch_size, rng):
-            try:
-                x = Tensor(data.X[idx])
-                outs = _encode_views(model, x, train=True, rng=rng)
-                rec, rec_i, kld, kld_i = _rec_and_kld(model, x, outs)
-                clus_scalar_parts, clus_inst_parts = [], []
-                batch_assign = [a[idx] for a in state.assignments]
-                for v, out in enumerate(outs):
-                    cs, ci = losses.loss_clus(out.z, frozen[v], batch_assign[v])
-                    clus_scalar_parts.append(cs)
-                    clus_inst_parts.append(ci)
-                clus = losses.average_views(clus_scalar_parts)
-                clus_i = losses.average_views(clus_inst_parts)
-                per_instance = losses.combine_instance(w, rec_i, kld_i, clus_i)
-                lam = lam_dataset if lam_dataset is not None else spl_threshold(
-                    per_instance.values, epoch, config.max_epochs
-                )
-                mask, _ = spl_filter(per_instance.values, lam)
-                admitted = Tensor(mask.astype(np.float64)[:, None])
-                l_spl = (per_instance * admitted).sum() * (1.0 / mask.sum())
-                l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign,
-                                         frozen, config)
-                h = model.survival_input(x, outs)
-                ids = batch_assign[config.routing_view - 1] if ensemble else None
-                dist = model.survival_forward(h, cluster_ids=ids)
-                nll = losses.loss_nll(dist, data.bins[idx], data.e[idx])
-                rank = losses.loss_rank(dist, data.bins[idx], data.e[idx], w.sigma_rank)
-                l_surv = losses.combine_surv(w, nll, rank)
-                total = l_spl * w.alpha_spl + l_cl * w.alpha_cl + l_surv * w.alpha_surv
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step()
-            except NumericError as exc:
-                raise NumericError(f"stage 3 aborted at epoch {epoch}: {exc}")
-            sums["loss_total"] += _scalar(total)
-            sums["loss_rec"] += _scalar(rec)
-            sums["loss_kld"] += _scalar(kld) if kld is not None else 0.0
-            sums["loss_clus"] += _scalar(clus)
-            sums["loss_spl"] += _scalar(l_spl)
-            sums["loss_cl"] += _scalar(l_cl)
-            sums["loss_surv"] += _scalar(l_surv)
-            lam_sum += lam
-            admitted_sum += float(mask.mean())
-            n_batches += 1
-        # refresh assignments from the full training set against frozen centers
-        for v in range(len(state.cluster_models)):
-            latents = model.latents(data.X, view=v + 1)
-            state.assignments[v] = clustering.assign_nearest(latents, frozen[v])
+        row = _run_epoch(state, data, rng, epoch, 3, step)
+        _reassign(state, data, frozen)
         val_c = validation_c_index(state, data)
-        row = {c: "" for c in LOG_COLUMNS}
-        row.update(epoch=epoch, stage=3)
-        row.update({k: v / n_batches for k, v in sums.items()})
-        row["lambda_spl"] = lam_sum / n_batches
-        row["admitted_frac"] = admitted_sum / n_batches
         row["val_c_index"] = "" if val_c is None else val_c
-        state.logs.append(row)
         if config.early_stopping and val_c is not None:
             if val_c > best_c:
                 best_c = val_c
@@ -382,9 +367,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     if best_params is not None:
         for name, t in model.parameters():
             t.values = best_params[name]
-        for v in range(len(state.cluster_models)):
-            latents = model.latents(data.X, view=v + 1)
-            state.assignments[v] = clustering.assign_nearest(latents, frozen[v])
+        _reassign(state, data, frozen)
     state.stage = 3
     return state
 
@@ -403,15 +386,12 @@ def predict(state: TrainState, X) -> dict:
     x = Tensor(np.asarray(X, dtype=np.float64))
     outs = _encode_views(model, x, train=False, rng=None)
     labels = None
-    ids = None
     if state.cluster_models:
         view = state.config.routing_view
         latents = outs[view - 1].mu.values
         labels = clustering.assign_nearest(latents, state.cluster_models[view - 1].centers)
-        if model.config.head_mode == "ensemble":
-            ids = labels
-    h = model.survival_input(x, outs)
-    dist = model.survival_forward(h, cluster_ids=ids)
+    # shared heads ignore the labels; ensemble heads route by them
+    dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=labels)
     probs = dist.probs.values.copy()
     survival = dist.survival.values.copy()
     risk = -expected_event_time(probs, state.grid)

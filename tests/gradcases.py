@@ -24,7 +24,7 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor, softmax_rows
+from survstrat.tensor import Tensor, concat_rows, softmax_rows, take_rows
 
 
 def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
@@ -168,6 +168,39 @@ def case_combined_instance(seed):
     return build, [x_hat, mu, log_var, z]
 
 
+def case_take_rows(seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    rows = np.array([3, 0, 3, 1])  # row 3 twice: its gradient must add up
+    w = Tensor(rng.standard_normal((4, 3)))
+    return lambda: (take_rows(a, rows) * w).sum(), [a]
+
+
+def case_concat_rows(seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)))
+    return lambda: (concat_rows([a, b]) * w).sum(), [a, b]
+
+
+def case_routed_nll(seed):
+    """Rows split between two linear heads, stacked, and put back in order."""
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    heads = [Tensor(rng.standard_normal((3, 5)), requires_grad=True) for _ in range(2)]
+    ids = np.array([1, 0, 1, 1, 0, 1])
+    groups = [np.flatnonzero(ids == k) for k in range(2)]
+    back = np.argsort(np.concatenate(groups))
+    _, bins, events = _survival_batch(rng, 6, 4)
+
+    def build():
+        stacked = concat_rows([take_rows(h, g) @ w for g, w in zip(groups, heads)])
+        return loss_nll(dist_from_logits(take_rows(stacked, back)), bins, events)
+
+    return build, [h, *heads]
+
+
 ALL_CASES = [
     ("rec", case_rec),
     ("kld", case_kld),
@@ -180,4 +213,7 @@ ALL_CASES = [
     ("combined_cl", case_combined_cl),
     ("combined_surv", case_combined_surv),
     ("combined_instance", case_combined_instance),
+    ("take_rows", case_take_rows),
+    ("concat_rows", case_concat_rows),
+    ("routed_nll", case_routed_nll),
 ]

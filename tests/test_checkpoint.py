@@ -79,6 +79,50 @@ class TestRoundTrip:
         assert np.array_equal(restored.train_events, state.train_events)
 
 
+    def test_assignments_written_once(self, tmp_path):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        assert all("assignments" not in entry for entry in payload["clusters"])
+        restored = load_checkpoint(str(path)).state
+        assert np.array_equal(restored.assignments[0], state.assignments[0])
+
+    def test_loads_format_one_per_cluster_assignments(self, tmp_path):
+        state, X = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        for entry, cm in zip(payload["clusters"], state.cluster_models):
+            entry["assignments"] = cm.assignments.tolist()
+        path.write_text(json.dumps(payload))
+        restored = load_checkpoint(str(path)).state
+        for got, want in zip(restored.assignments, state.assignments):
+            assert np.array_equal(got, want)
+        a = trainer.predict(state, X[:10])
+        b = trainer.predict(restored, X[:10])
+        assert np.array_equal(a["survival"], b["survival"])
+
+    def test_tied_times_grid_sizes_restored_heads(self, tmp_path):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(100, 5))
+        t = np.ceil((rng.exponential(5.0, size=100) + 0.1) / 4)
+        e = (rng.random(100) < 0.7).astype(int)
+        config = ExperimentConfig(
+            latent_dim=4, n_bins=20, encoder_hidden=(16,), head_hidden=(8,),
+            pretrain_epochs=1, max_epochs=1, batch_size=64, seed=3,
+        )
+        with pytest.warns(UserWarning, match="time grid collapsed"):
+            data = trainer.prepare_training_data(X, t, e, config.n_bins)
+        state = trainer.fit(data, config)
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        restored = load_checkpoint(str(path)).state
+        a = trainer.predict(state, X[:10])
+        b = trainer.predict(restored, X[:10])
+        assert np.array_equal(a["survival"], b["survival"])
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):

@@ -287,6 +287,21 @@ class TestCombine:
             LossWeights(alpha_rec=-0.1).validate(False)
 
 
+class TestNllReference:
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(8)
+        logits = Tensor(rng.standard_normal((9, 5)))
+        bins = rng.integers(0, 4, size=9)
+        events = rng.integers(0, 2, size=9)
+        dist = dist_from_logits(logits)
+        p, s = dist.probs.values, dist.survival.values
+        want = -np.mean([
+            np.log(p[i, b]) if ev == 1 else np.log(s[i, b])
+            for i, (b, ev) in enumerate(zip(bins, events))
+        ])
+        assert scalar(loss_nll(dist, bins, events)) == pytest.approx(want, rel=1e-12)
+
+
 class TestNonNegativity:
     def test_losses_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(6)

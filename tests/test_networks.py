@@ -5,7 +5,7 @@ import pytest
 
 from conftest import check_gradients
 from survstrat.errors import ConfigurationError, UsageError
-from survstrat.networks import Model, ModelConfig, reparameterize
+from survstrat.networks import Mlp, Model, ModelConfig, reparameterize
 from survstrat.tensor import Tensor
 
 
@@ -181,6 +181,43 @@ class TestSurvivalForward:
             model.survival_forward(h)
         with pytest.raises(UsageError):
             model.survival_forward(h, cluster_ids=[0, 5])
+
+
+class TestEnsembleRouting:
+    def test_each_head_sees_only_its_rows(self, monkeypatch):
+        model = Model(small_config(head_mode="ensemble", n_clusters=3))
+        h = Tensor(np.random.default_rng(14).standard_normal((7, 8)))
+        ids = np.array([2, 0, 2, 1, 0, 2, 1])
+        seen = {}
+        call = Mlp.__call__
+
+        def recording_call(mlp, x):
+            seen[mlp.layers[0].name.split(".")[0]] = x.values.copy()
+            return call(mlp, x)
+
+        monkeypatch.setattr(Mlp, "__call__", recording_call)
+        model.survival_forward(h, cluster_ids=ids)
+        assert sorted(seen) == ["head0", "head1", "head2"]
+        for k in range(3):
+            np.testing.assert_array_equal(seen[f"head{k}"], h.values[ids == k])
+
+    def test_empty_cluster_is_skipped(self):
+        model = Model(small_config(head_mode="ensemble", n_clusters=3))
+        rng = np.random.default_rng(15)
+        h = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        ids = np.array([0, 2, 2, 0, 0])
+        dist = model.survival_forward(h, cluster_ids=ids)
+        assert dist.probs.values.shape == (5, 5)
+        assert dist.survival.values.shape == (5, 4)
+        dist.survival.sum().backward()
+        assert all(np.all(t.grad == 0) for _, t in model.heads[1].parameters())
+        w0 = model.heads[0].layers[0].W
+        w2 = model.heads[2].layers[-1].W
+
+        def loss():
+            return model.survival_forward(h, cluster_ids=ids).survival.sum()
+
+        check_gradients(loss, [h, w0, w2])
 
 
 class TestStatePersistence:

@@ -141,6 +141,15 @@ class TestPretrain:
         state = trainer.pretrain(make_data(), small_config(variational=False))
         assert all(r["loss_kld"] == 0.0 for r in state.logs)
 
+    def test_ensemble_epoch_updates_every_head(self):
+        config = small_config(heads="per-cluster", n_clusters=3, pretrain_epochs=1)
+        data = make_data()
+        state = trainer.pretrain(data, config)
+        fresh = dict(Model(trainer._model_config(config, data.X.shape[1])).parameters())
+        for name, t in state.model.parameters():
+            if name.startswith("head"):
+                assert not np.array_equal(t.values, fresh[name].values), name
+
 
 class TestInitClusters:
     def test_requires_pretrained_state(self):
@@ -304,6 +313,34 @@ class TestFit:
         pred = trainer.predict(state, make_data().X[:10])
         assert pred["labels"] is not None
         assert pred["probs"].shape == (10, config.n_bins + 1)
+
+
+class TestDegenerateData:
+    def test_tied_integer_times_size_heads_from_grid(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(160, 5))
+        t = np.ceil((rng.exponential(5.0, size=160) + 0.1) / 4)
+        e = (rng.random(160) < 0.7).astype(int)
+        config = small_config(n_bins=20, heads="per-cluster")
+        with pytest.warns(UserWarning, match="time grid collapsed"):
+            data = trainer.prepare_training_data(
+                X[:120], t[:120], e[:120], config.n_bins, X[120:], t[120:], e[120:]
+            )
+        assert data.grid.n_bins < config.n_bins
+        state = trainer.fit(data, config)
+        pred = trainer.predict(state, X[120:])
+        assert pred["probs"].shape == (40, data.grid.n_bins + 1)
+        assert pred["survival"].shape == (40, data.grid.n_bins)
+
+    def test_all_censored_validation_gives_no_signal(self):
+        data = make_data(val=True)
+        data.e_val[:] = 0
+        config = small_config(max_epochs=4, early_stopping=True, patience=1)
+        state = trainer.fit(data, config)
+        assert trainer.validation_c_index(state, data) is None
+        rows = [r for r in state.logs if r["stage"] == 3]
+        assert len(rows) == 4
+        assert all(r["val_c_index"] == "" for r in rows)
 
 
 class TestPredictEvaluate:
