@@ -144,10 +144,11 @@ def cmd_train(args) -> int:
         )
     split = _split_for(split_set, args.split)
     state, dataset = _fit_one_split(table, config, split)
-    te = split["test"]
+    te, va = split["test"], split["val"]
     test = trainer.evaluate(state, dataset.X[te], dataset.t[te], dataset.e[te])
-    va = split["val"]
-    val = trainer.evaluate(state, dataset.X[va], dataset.t[va], dataset.e[va])
+    # a validation split without comparable pairs reports val_c_index: nan
+    val = trainer.score(state, trainer.predict(state, dataset.X[va]),
+                        dataset.t[va], dataset.e[va], require_pairs=False)
     report = format_report({
         "dataset": _dataset_name(config, data_path),
         "split": args.split,
@@ -187,14 +188,13 @@ def _load_for_checkpoint(ck, data_path: str):
 
 
 def _write_group_curves(path: str, state, survival: np.ndarray, labels) -> None:
+    """Mean interpolated survival per group; interpolation is linear in the
+    knots, so the mean curve is interpolated once."""
     ts = np.linspace(0.0, state.grid.horizon, 101)
     with open(path, "w") as fh:
         fh.write("time,survival,group\n")
         for g in np.unique(labels):
-            rows = survival[labels == g]
-            mean = np.mean(
-                [interpolate_curve(row, state.grid, ts) for row in rows], axis=0
-            )
+            mean = interpolate_curve(survival[labels == g].mean(axis=0), state.grid, ts)
             for t, s in zip(ts, mean):
                 fh.write(f"{float(t)!r},{float(s)!r},{int(g)}\n")
 
@@ -212,7 +212,8 @@ def cmd_evaluate(args) -> int:
             split_set = data_mod.make_splits(table.n_rows, ck.state.config.seed)
         idx = _split_for(split_set, args.split)[args.role]
         X, t, e = X[idx], t[idx], e[idx]
-    metrics = trainer.evaluate(ck.state, X, t, e)
+    pred = trainer.predict(ck.state, X)
+    metrics = trainer.score(ck.state, pred, t, e)
     report = format_report({
         "dataset": _dataset_name(ck.state.config, args.data),
         "split": "all" if args.split is None else args.split,
@@ -222,7 +223,6 @@ def cmd_evaluate(args) -> int:
         "config_hash": ck.state.config.config_hash(),
     })
     if args.curves:
-        pred = trainer.predict(ck.state, X)
         labels = pred["labels"]
         if labels is None:
             labels = np.zeros(X.shape[0], dtype=np.int64)
@@ -304,7 +304,8 @@ def sample_trials(space: dict, budget: int, seed: int) -> list:
 
 def _run_trial(payload):
     """One trial: fit on every split, return per-split validation and test
-    metrics. Runs in a worker process, so failures come back as data."""
+    metrics. Runs in a worker process, so a SurvstratError comes back as a
+    failed trial; any other exception is a bug and propagates."""
     index, config_dict, table, splits = payload
     try:
         config = ExperimentConfig.from_dict(config_dict)
@@ -322,7 +323,7 @@ def _run_trial(payload):
             result["test_c"].append(test["c_index"])
             result["test_ibs"].append(test["ibs"])
         return result
-    except Exception as exc:
+    except SurvstratError as exc:
         return {"trial": index, "config": config_dict, "error": f"{type(exc).__name__}: {exc}"}
 
 

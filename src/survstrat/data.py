@@ -160,12 +160,14 @@ def load_csv(path: str, schema: Schema) -> RawTable:
 
     times, events = [], []
     features = {c: [] for c in feature_order}
-    dropped = 0
+    dropped = []
     for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {r} has {len(row)} fields, the header has {len(header)}")
         t_tok = row[col_index[schema.time]].strip()
         e_tok = row[col_index[schema.event]].strip()
         if t_tok.lower() in _MISSING_TOKENS or e_tok.lower() in _MISSING_TOKENS:
-            dropped += 1
+            dropped.append(r)
             continue
         t = _parse_float(t_tok, r, schema.time)
         if t <= 0:
@@ -197,15 +199,28 @@ def load_csv(path: str, schema: Schema) -> RawTable:
         if not vals:
             kinds[col] = "numeric"
 
+    # finiteness is checked on whole columns; a missing numeric (None) is nan
+    # here and allowed, a parsed nan or +-inf is not
+    time = np.asarray(times, dtype=np.float64)
+    numeric = [c for c in feature_order if kinds[c] == "numeric"]
+    for col, vals in [(schema.time, time)] + [
+        (c, np.asarray(features[c], dtype=np.float64)) for c in numeric
+    ]:
+        bad = [i for i in np.flatnonzero(~np.isfinite(vals))
+               if col == schema.time or features[col][i] is not None]
+        if bad:
+            line = np.setdiff1d(np.arange(2, len(rows) + 2), dropped)[bad[0]]
+            raise DataError(f"row {line}, column '{col}': value {vals[bad[0]]} is not finite")
+
     if dropped:
-        warnings.warn(f"dropped {dropped} rows with missing time or event")
+        warnings.warn(f"dropped {len(dropped)} rows with missing time or event")
     return RawTable(
-        time=np.asarray(times, dtype=np.float64),
+        time=time,
         event=np.asarray(events, dtype=np.int64),
         features=features,
         kinds=kinds,
         feature_order=feature_order,
-        n_dropped=dropped,
+        n_dropped=len(dropped),
     )
 
 

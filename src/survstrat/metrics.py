@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,6 @@ def interpolate_curve(surv, grid: TimeGrid, t):
     return np.interp(t, x, y)
 
 
-def _interp_matrix(surv: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
-    """Linear interpolation of every row of an (N, T) curve matrix at scalar t."""
-    x = np.concatenate(([0.0], grid.edges))
-    y = np.hstack([np.ones((surv.shape[0], 1)), surv])
-    k = int(np.searchsorted(x, t, side="right")) - 1
-    if k >= x.size - 1:
-        return y[:, -1]
-    if k < 0:
-        return y[:, 0]
-    w = (t - x[k]) / (x[k + 1] - x[k])
-    return y[:, k] * (1.0 - w) + y[:, k + 1] * w
-
-
 def expected_event_time(probs, grid: TimeGrid) -> np.ndarray:
     """E[T] under a discrete distribution of T bin masses plus a tail mass.
 
@@ -145,43 +133,48 @@ def expected_event_time(probs, grid: TimeGrid) -> np.ndarray:
 def concordance_index(risk, times, events) -> float:
     """Harrell's C over pairs (i, j) with e_i = 1 and t_i < t_j.
 
-    Concordant when risk_i > risk_j; risk ties score half.
+    Concordant when risk_i > risk_j; risk ties score half. A sweep over the
+    distinct times, latest first, bisects the sorted risks of the rows that
+    outlived each tied-time block before inserting the block.
     """
     risk = np.asarray(risk, dtype=np.float64).ravel()
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
-    order = np.argsort(times, kind="stable")
-    risk, times, events = risk[order], times[order], events[order]
-    n = times.size
-    pairs = 0.0
-    score = 0.0
-    for i in range(n):
-        if events[i] != 1:
-            continue
-        later = times > times[i]
-        pairs += later.sum()
-        score += (risk[i] > risk[later]).sum() + 0.5 * (risk[i] == risk[later]).sum()
+    order = np.argsort(-times, kind="stable")
+    bounds = np.unique(-times[order], return_index=True)[1].tolist() + [times.size]
+    r = risk[order].tolist()
+    dead = (events[order] == 1).tolist()
+    outlived = []
+    less = ties = pairs = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for i in range(lo, hi):
+            if dead[i]:
+                below = bisect_left(outlived, r[i])
+                less += below
+                ties += bisect_right(outlived, r[i]) - below
+                pairs += lo
+        for x in r[lo:hi]:
+            insort(outlived, x)
     if pairs == 0:
         raise DataError("concordance undefined: no comparable pairs")
-    return float(score / pairs)
+    return float((less + 0.5 * ties) / pairs)
+
+
+def _risk_sets(inv: np.ndarray, size: int, dead: np.ndarray):
+    """Per distinct time t (``inv`` indexes them): rows with time >= t, deaths at t."""
+    at_risk = np.cumsum(np.bincount(inv, minlength=size)[::-1])[::-1]
+    return at_risk, np.bincount(inv[dead], minlength=size)
 
 
 def kaplan_meier(times, events) -> StepCurve:
-    """Product-limit estimator under right censoring."""
+    """Product-limit estimator under right censoring, from cumulative counts."""
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
     if times.size == 0:
         raise UsageError("kaplan_meier needs at least one observation")
-    uniq = np.unique(times)
-    surv = 1.0
-    knots = np.empty_like(uniq)
-    for i, t in enumerate(uniq):
-        at_risk = int((times >= t).sum())
-        d = int(((times == t) & (events == 1)).sum())
-        if d > 0:
-            surv *= (at_risk - d) / at_risk
-        knots[i] = surv
-    return StepCurve(uniq, knots)
+    uniq, inv = np.unique(times, return_inverse=True)
+    at_risk, d = _risk_sets(inv, uniq.size, events == 1)
+    return StepCurve(uniq, np.cumprod((at_risk - d) / at_risk))
 
 
 def integrated_brier_score(surv, grid: TimeGrid, times, events,
@@ -219,23 +212,29 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
         )
         pts, Gt = pts[: last + 1], Gt[: last + 1]
 
-    G_before = np.asarray(G.evaluate_before(times))
+    # interpolate between knots k and k + 1 by w; the horizon is k = T - 1, w = 1
+    x = np.concatenate(([0.0], grid.edges))
+    k = np.minimum(np.searchsorted(x, pts, side="right") - 1, grid.n_bins - 1)
+    w = ((pts - x[k]) / (x[k + 1] - x[k]))[:, None]
+    knots = np.vstack([np.ones(times.size), surv.T])
+    dead = events == 1
+    g_event = np.maximum(np.asarray(G.evaluate_before(times)), 1e-300)
     bs = np.empty(pts.size)
-    for k, t in enumerate(pts):
-        s_t = _interp_matrix(surv, grid, float(t))
-        past_event = (times <= t) & (events == 1)
-        still_alive = times > t
-        contrib = np.zeros(times.size)
-        safe_g = np.where(past_event, np.maximum(G_before, 1e-300), 1.0)
-        contrib[past_event] = (s_t[past_event] ** 2) / safe_g[past_event]
-        contrib[still_alive] = ((1.0 - s_t[still_alive]) ** 2) / Gt[k]
-        bs[k] = contrib.mean()
+    for lo in range(0, pts.size, 16):  # temporaries stay n_patients x 16
+        b = slice(lo, lo + 16)
+        s_t = knots[k[b]] * (1.0 - w[b]) + knots[k[b] + 1] * w[b]
+        t = pts[b, None]
+        bs[b] = np.where(
+            (times <= t) & dead, s_t ** 2 / g_event,
+            np.where(times > t, (1.0 - s_t) ** 2 / Gt[b, None], 0.0),
+        ).mean(axis=1)
     return float(_trapezoid(bs, pts) / pts[-1])
 
 
 def log_rank_test(labels, times, events) -> tuple[float, float]:
     """Two-sample log-rank test: chi-square statistic (1 df) and p-value.
 
+    Terms come from cumulative at-risk and death counts, summed in time order.
     The p-value is the regularized upper incomplete gamma Q(1/2, x/2),
     which for one degree of freedom equals erfc(sqrt(x/2)).
     """
@@ -246,19 +245,16 @@ def log_rank_test(labels, times, events) -> tuple[float, float]:
     if groups.size != 2:
         raise UsageError(f"log-rank test needs exactly 2 nonempty groups, got {groups.size}")
     in_a = labels == groups[0]
-    observed = 0.0
-    expected = 0.0
-    variance = 0.0
-    for t in np.unique(times[events == 1]):
-        at_risk = times >= t
-        n = int(at_risk.sum())
-        n_a = int((at_risk & in_a).sum())
-        dying = (times == t) & (events == 1)
-        d = int(dying.sum())
-        observed += int((dying & in_a).sum())
-        expected += d * n_a / n
-        if n > 1:
-            variance += d * (n_a / n) * (1.0 - n_a / n) * (n - d) / (n - 1)
+    dead = events == 1
+    uniq, inv = np.unique(times, return_inverse=True)
+    n, d = _risk_sets(inv, uniq.size, dead)
+    n_a = _risk_sets(inv[in_a], uniq.size, dead[in_a])[0]
+    observed = float(np.count_nonzero(dead & in_a))
+    # cumsum adds in time order, as a scalar loop would; times without deaths
+    # and a lone row at risk (n - d = 0) add exact zeros
+    q = n_a / n
+    expected = np.cumsum(d * n_a / n)[-1]
+    variance = np.cumsum(d * q * (1.0 - q) * (n - d) / np.maximum(n - 1, 1))[-1]
     if variance <= 0.0:
         return 0.0, 1.0
     stat = (observed - expected) ** 2 / variance

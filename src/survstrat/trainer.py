@@ -404,17 +404,28 @@ def predict(state: TrainState, X) -> dict:
     }
 
 
-def evaluate(state: TrainState, X, t, e) -> dict:
-    """Test-time metrics with censoring weights from the training data."""
+def score(state: TrainState, pred: dict, t, e, require_pairs: bool = True) -> dict:
+    """C-index and IBS of one ``predict`` output, with censoring weights from
+    the training data. Without comparable pairs the C-index is undefined: a
+    DataError, or nan when ``require_pairs`` is off."""
     from .metrics import integrated_brier_score
 
-    pred = predict(state, X)
-    c = concordance_index(pred["risk"], t, e)
+    try:
+        c = concordance_index(pred["risk"], t, e)
+    except DataError:
+        if require_pairs:
+            raise
+        c = float("nan")
     ibs = integrated_brier_score(
         pred["survival"], state.grid, np.asarray(t, dtype=np.float64),
         np.asarray(e), state.train_times, state.train_events,
     )
     return {"c_index": c, "ibs": ibs}
+
+
+def evaluate(state: TrainState, X, t, e) -> dict:
+    """Test-time metrics: ``score`` of ``predict``."""
+    return score(state, predict(state, X), t, e)
 
 
 def format_epoch_log(logs) -> str:

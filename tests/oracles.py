@@ -90,3 +90,26 @@ def ibs_direct(surv, grid, times, events, censor_times, censor_events):
         bs.append(total / n)
     area = sum((bs[k] + bs[k + 1]) / 2.0 * (pts[k + 1] - pts[k]) for k in range(99))
     return area / horizon
+
+
+def logrank_direct(labels, times, events):
+    """Two-group log-rank statistic and p-value by a scalar loop over the
+    distinct event times; the first group is the smallest label."""
+    first = min(labels)
+    observed = expected = variance = 0.0
+    for t in sorted({x for x, e in zip(times, events) if e == 1}):
+        n = n_a = d = 0
+        for lab, x, e in zip(labels, times, events):
+            if x >= t:
+                n += 1
+                n_a += lab == first
+            if x == t and e == 1:
+                d += 1
+                observed += lab == first
+        expected += d * n_a / n
+        if n > 1:
+            variance += d * (n_a / n) * (1.0 - n_a / n) * (n - d) / (n - 1)
+    if variance <= 0.0:
+        return 0.0, 1.0
+    stat = (observed - expected) ** 2 / variance
+    return stat, reg_upper_gamma_half(stat / 2.0)

@@ -15,7 +15,11 @@ from survstrat.cli import (
     sample_trials,
     standardized_mean_differences,
 )
-from survstrat.errors import ConfigurationError
+from survstrat import trainer
+from survstrat.checkpoint import load_checkpoint
+from survstrat.data import Schema, apply_transforms, load_csv
+from survstrat.errors import ConfigurationError, NumericError
+from survstrat.metrics import interpolate_curve
 
 
 def write_toy_dataset(path, n=150, seed=42, informative=True):
@@ -282,6 +286,43 @@ class TestTrainCommand:
         ])
         assert rc == 1
 
+    def test_all_censored_validation_reports_nan(self, workspace, tmp_path):
+        events = np.loadtxt(workspace / "toy.csv", delimiter=",", skiprows=1)[:, 1]
+        censored = np.flatnonzero(events == 0)
+        val = censored[:20]
+        rest = np.setdiff1d(np.arange(events.size), val)
+        train, test = rest[:90], rest[90:]
+        splits = tmp_path / "splits.txt"
+        splits.write_text(" ".join(
+            f"{role}:" + ",".join(str(i) for i in idx)
+            for role, idx in (("train", train), ("val", val), ("test", test))
+        ) + "\n")
+        rc = main([
+            "train", "--config", str(workspace / "config.json"),
+            "--data", str(workspace / "toy.csv"), "--splits-file", str(splits),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        report = dict(
+            line.split(": ")
+            for line in (tmp_path / "o" / "metrics.txt").read_text().strip().split("\n")
+        )
+        assert report["val_c_index"] == "nan"
+        assert np.isfinite(float(report["val_ibs"]))
+        assert np.isfinite(float(report["c_index"]))
+
+    def test_ragged_csv_exit_2(self, workspace, tmp_path, capsys):
+        lines = (workspace / "toy.csv").read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "train", "--config", str(workspace / "config.json"),
+            "--data", str(ragged), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "row 6 has 4 fields" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_idempotent(self, workspace, tmp_path):
@@ -370,6 +411,28 @@ class TestEvaluateCommand:
             assert 0.0 <= s <= 1.0
             float(row["time"])
             int(row["group"])
+
+    def test_curves_are_mean_of_row_interpolations(self, workspace, tmp_path):
+        curves = tmp_path / "curves.csv"
+        checkpoint = workspace / "run" / "checkpoint.json"
+        rc = main([
+            "evaluate", "--checkpoint", str(checkpoint),
+            "--data", str(workspace / "toy.csv"), "--curves", str(curves),
+        ])
+        assert rc == 0
+        ck = load_checkpoint(str(checkpoint))
+        table = load_csv(str(workspace / "toy.csv"), Schema.from_file(str(workspace / "schema.json")))
+        pred = trainer.predict(ck.state, apply_transforms(table, ck.transforms)[0])
+        with open(curves) as fh:
+            rows = list(csv.DictReader(fh))
+        ts = np.linspace(0.0, ck.state.grid.horizon, 101)
+        for g in np.unique(pred["labels"]):
+            got = [float(r["survival"]) for r in rows if int(r["group"]) == g]
+            want = np.mean([
+                interpolate_curve(row, ck.state.grid, ts)
+                for row in pred["survival"][pred["labels"] == g]
+            ], axis=0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_overfit_train_beats_test(self, tmp_path, capsys):
         # noise-only hazard: a memorizing run must score better on its own
@@ -475,6 +538,39 @@ class TestHpoCommand:
         assert all("spectral" in r["error"] for r in failed)
         summary = (tmp_path / "hpo" / "summary.txt").read_text()
         assert f"n_failed: {len(failed)}" in summary
+
+    def test_unexpected_exception_propagates(self, workspace, tmp_path, monkeypatch):
+        def broken_fit(data, config):
+            raise RuntimeError("bug in fit")
+
+        monkeypatch.setattr(trainer, "fit", broken_fit)
+        with pytest.raises(RuntimeError, match="bug in fit"):
+            main([
+                "hpo", "--space", str(self.space_file(tmp_path, workspace)),
+                "--budget", "2", "--jobs", "1", "--seed", "5",
+                "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
+            ])
+
+    def test_package_error_recorded_as_failed_trial(self, workspace, tmp_path, monkeypatch):
+        real_fit = trainer.fit
+        calls = []
+
+        def first_fit_diverges(data, config):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericError("loss diverged")
+            return real_fit(data, config)
+
+        monkeypatch.setattr(trainer, "fit", first_fit_diverges)
+        rc = main([
+            "hpo", "--space", str(self.space_file(tmp_path, workspace)),
+            "--budget", "2", "--jobs", "1", "--seed", "5",
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
+        ])
+        assert rc == 0
+        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        assert trials[0]["error"] == "NumericError: loss diverged"
+        assert "error" not in trials[1]
 
     def test_all_trials_failed_is_an_error(self, workspace, tmp_path):
         space = self.space_file(

@@ -79,6 +79,49 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv", BASIC_SCHEMA)
 
 
+
+class TestLoadCsvRobustness:
+    HEADER = ["t", "e", "age", "grade"]
+
+    def test_short_row_named(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II"], [3, 1, 41]])
+        with pytest.raises(DataError, match="row 3 has 3 fields, the header has 4"):
+            load_csv(p, BASIC_SCHEMA)
+
+    def test_long_row_named(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II", 7]])
+        with pytest.raises(DataError, match="row 2 has 5 fields"):
+            load_csv(p, BASIC_SCHEMA)
+
+    @pytest.mark.parametrize("token", ["inf", "1e999", "-nan"])
+    def test_nonfinite_time_named(self, tmp_path, token):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II"], [token, 1, 41, "I"]])
+        with pytest.raises(DataError, match="row 3, column 't'.*not finite"):
+            load_csv(p, BASIC_SCHEMA)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999", "-1e999"])
+    def test_nonfinite_feature_named(self, tmp_path, token):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II"], [3, 1, token, "I"]])
+        with pytest.raises(DataError, match="row 3, column 'age'.*not finite"):
+            load_csv(p, BASIC_SCHEMA)
+
+    def test_row_number_counts_dropped_rows(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", self.HEADER,
+                      [["", 1, 60, "II"], [4, "NA", 1, "I"], [5, 1, 2, "I"], [6, 0, "inf", "I"]])
+        with pytest.raises(DataError, match="row 5, column 'age'"):
+            load_csv(p, BASIC_SCHEMA)
+
+    def test_inferred_numeric_column_checked(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II"], [3, 0, "-inf", "I"]])
+        with pytest.raises(DataError, match="row 3, column 'age'"):
+            load_csv(p, Schema(time="t", event="e", features=None))
+
+    def test_missing_numeric_still_allowed(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, "NA", "II"], [3, 0, 41, "I"]])
+        table = load_csv(p, BASIC_SCHEMA)
+        assert table.features["age"] == [None, 41.0]
+
+
 class TestSchema:
     def test_presets_available(self):
         for name in ("gbsg", "metabric", "whas", "tcga_brca"):

@@ -1,0 +1,91 @@
+"""Property tests: the sorted-sweep metrics against the scalar-loop oracles
+on small cohorts with heavy ties in times and risks."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from survstrat.errors import DataError
+from survstrat.metrics import (
+    build_time_grid,
+    concordance_index,
+    integrated_brier_score,
+    kaplan_meier,
+    log_rank_test,
+)
+
+from oracles import cindex_bruteforce, ibs_direct, km_scan, logrank_direct
+
+
+@st.composite
+def cohorts(draw):
+    """n <= 40 rows; times from a few integers, tied integer risks, mixed
+    events, two labelled groups, and a seed for survival curves."""
+    n = draw(st.integers(2, 40))
+    n_times = draw(st.integers(1, 5))
+
+    def column(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    times = np.asarray(column(1, n_times), dtype=np.float64)
+    events = np.asarray(column(0, 1))
+    risk = np.asarray(column(-2, 2), dtype=np.float64)
+    labels = np.asarray([0, 1] + column(0, 1)[2:])
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    return times, events, risk, labels, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohorts())
+def test_concordance_matches_bruteforce(cohort):
+    times, events, risk, _, _ = cohort
+    comparable = any(
+        events[i] == 1 and times[i] < times[j]
+        for i in range(times.size) for j in range(times.size)
+    )
+    if not comparable:
+        with pytest.raises(DataError):
+            concordance_index(risk, times, events)
+        return
+    got = concordance_index(risk, times, events)
+    assert got == pytest.approx(cindex_bruteforce(risk, times, events), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohorts())
+def test_kaplan_meier_matches_scan_at_every_knot(cohort):
+    times, events, _, _, _ = cohort
+    curve = kaplan_meier(times, events)
+    np.testing.assert_array_equal(curve.times, np.unique(times))
+    for q in np.concatenate([[0.5], curve.times]):
+        want = km_scan(list(times), list(events), q)
+        assert curve.evaluate(q) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohorts())
+def test_integrated_brier_score_matches_direct(cohort):
+    times, events, _, _, seed = cohort
+    # an event at the last time keeps the censoring survival above zero
+    events[times.argmax()] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tied times collapse the grid
+        grid = build_time_grid(times, events, 4)
+    rng = np.random.default_rng(seed)
+    surv = np.sort(rng.uniform(0, 1, size=(times.size, grid.n_bins)), axis=1)[:, ::-1]
+    got = integrated_brier_score(surv, grid, times, events)
+    want = ibs_direct(surv, grid, times, events, times, events)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohorts())
+def test_log_rank_matches_direct(cohort):
+    times, events, _, labels, _ = cohort
+    stat, p = log_rank_test(labels, times, events)
+    want_stat, want_p = logrank_direct(list(labels), list(times), list(events))
+    assert stat == pytest.approx(want_stat, rel=1e-12, abs=1e-12)
+    assert p == pytest.approx(want_p, abs=1e-10)
