@@ -4,13 +4,58 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .clustering import SUPPORTED_ALGORITHMS
 from .errors import ConfigurationError
 from .losses import LossWeights
 
 HEAD_MODES = ("shared", "per-cluster")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _is_widths(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v)
+
+
+# what a field accepts, by its annotation; bool is never an int or a number,
+# and the only tuple fields are the hidden-layer widths
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple": ("a list of positive integers", _is_widths),
+}
+
+
+def _typed(obj, prefix: str, problems: list):
+    """``obj`` with each field whose value does not fit its annotation reset
+    to its default; one message per such field is appended to ``problems``.
+    Fields of other annotations (nested objects) are left to the caller."""
+    defaults = type(obj)()
+    bad = {}
+    for f in fields(obj):
+        if f.type not in _KINDS:
+            continue
+        kind, accepts = _KINDS[f.type]
+        value = getattr(obj, f.name)
+        if not accepts(value):
+            problems.append(
+                f"{prefix}{f.name} must be {kind}, got {type(value).__name__} {value!r}"
+            )
+            bad[f.name] = getattr(defaults, f.name)
+    return replace(obj, **bad) if bad else obj
 
 
 @dataclass
@@ -45,50 +90,61 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Collect every violation and raise one error naming them all."""
+        """Collect every violation and raise one single-line error naming them
+        all. A field of the wrong type is reported as such and its value
+        checks see the default instead."""
         problems = []
-        if self.clustering == "spectral":
+        checked = _typed(self, "", problems)
+        if isinstance(self.weights, LossWeights):
+            weights = _typed(self.weights, "weights.", problems)
+        else:
+            problems.append(
+                f"weights must be an object of loss weights, got {type(self.weights).__name__}"
+            )
+            weights = LossWeights()
+        checked = replace(checked, weights=weights)
+        if checked.clustering == "spectral":
             problems.append(
                 "clustering 'spectral' is excluded from this toolkit; "
                 f"choose from {list(SUPPORTED_ALGORITHMS)}"
             )
-        elif self.clustering not in SUPPORTED_ALGORITHMS:
+        elif checked.clustering not in SUPPORTED_ALGORITHMS:
             problems.append(
-                f"unknown clustering '{self.clustering}'; choose from {list(SUPPORTED_ALGORITHMS)}"
+                f"unknown clustering '{checked.clustering}'; choose from {list(SUPPORTED_ALGORITHMS)}"
             )
-        if self.heads not in HEAD_MODES:
-            problems.append(f"heads must be one of {HEAD_MODES}, got '{self.heads}'")
-        if self.n_clusters < 1:
-            problems.append(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if self.latent_dim < 1:
-            problems.append(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.n_bins < 1:
-            problems.append(f"n_bins must be >= 1, got {self.n_bins}")
-        if self.nu <= 0:
-            problems.append(f"nu must be positive, got {self.nu}")
-        if self.routing_view not in (1, 2):
-            problems.append(f"routing_view must be 1 or 2, got {self.routing_view}")
-        if self.routing_view == 2 and not self.siamese:
+        if checked.heads not in HEAD_MODES:
+            problems.append(f"heads must be one of {HEAD_MODES}, got '{checked.heads}'")
+        if checked.n_clusters < 1:
+            problems.append(f"n_clusters must be >= 1, got {checked.n_clusters}")
+        if checked.latent_dim < 1:
+            problems.append(f"latent_dim must be >= 1, got {checked.latent_dim}")
+        if checked.n_bins < 1:
+            problems.append(f"n_bins must be >= 1, got {checked.n_bins}")
+        if checked.nu <= 0:
+            problems.append(f"nu must be positive, got {checked.nu}")
+        if checked.routing_view not in (1, 2):
+            problems.append(f"routing_view must be 1 or 2, got {checked.routing_view}")
+        if checked.routing_view == 2 and not checked.siamese:
             problems.append("routing_view=2 requires siamese=true")
-        if not self.encoder_hidden or not self.head_hidden:
+        if not checked.encoder_hidden or not checked.head_hidden:
             problems.append("encoder_hidden and head_hidden each need at least one layer")
-        if self.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.pretrain_epochs < 0 or self.max_epochs < 0:
+        if checked.learning_rate <= 0:
+            problems.append(f"learning_rate must be positive, got {checked.learning_rate}")
+        if checked.batch_size < 1:
+            problems.append(f"batch_size must be >= 1, got {checked.batch_size}")
+        if checked.pretrain_epochs < 0 or checked.max_epochs < 0:
             problems.append("epoch counts cannot be negative")
-        if self.patience < 1:
-            problems.append(f"patience must be >= 1, got {self.patience}")
-        if self.spl_scope not in ("batch", "dataset"):
-            problems.append(f"spl_scope must be 'batch' or 'dataset', got '{self.spl_scope}'")
+        if checked.patience < 1:
+            problems.append(f"patience must be >= 1, got {checked.patience}")
+        if checked.spl_scope not in ("batch", "dataset"):
+            problems.append(f"spl_scope must be 'batch' or 'dataset', got '{checked.spl_scope}'")
         try:
-            self.weights.validate(self.siamese)
+            checked.weights.validate(checked.siamese)
         except ConfigurationError as exc:
             problems.append(str(exc))
         if problems:
             raise ConfigurationError(
-                "invalid configuration:\n  - " + "\n  - ".join(problems)
+                "invalid configuration: " + "; ".join(problems)
             )
 
     def to_dict(self) -> dict:
@@ -99,6 +155,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build from parsed JSON; types are checked later by ``validate``."""
+        if not isinstance(d, dict):
+            raise ConfigurationError(
+                f"a configuration must be a JSON object, got {type(d).__name__}"
+            )
         d = dict(d)
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(d) - known)
@@ -113,8 +174,8 @@ class ExperimentConfig:
                 )
             d["weights"] = LossWeights(**w)
         for key in ("encoder_hidden", "head_hidden"):
-            if key in d:
-                d[key] = tuple(int(x) for x in d[key])
+            if isinstance(d.get(key), list):
+                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod

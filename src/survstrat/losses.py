@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .tensor import (
     Tensor,
-    cosine_similarity,
     logsumexp_rows,
     squared_distances,
+    unit_rows,
 )
 
 _CLAMP = 1e-12
@@ -73,7 +73,7 @@ def loss_rec(x, x_hat: Tensor) -> tuple[Tensor, Tensor]:
 def loss_kld(mu: Tensor, log_var: Tensor) -> tuple[Tensor, Tensor]:
     """KL(q || N(0, I)) per instance: 0.5 * sum(mu^2 + sigma^2 - 1 - log sigma^2)."""
     var = log_var.exp()
-    inner = mu * mu + var - Tensor(np.ones((1, 1))) - log_var
+    inner = mu * mu + var - 1.0 - log_var
     per_instance = inner.sum(axis=1) * 0.5
     return per_instance.mean(), per_instance
 
@@ -100,6 +100,11 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     Every censored patient i is pulled toward each uncensored patient of its
     own cluster against a denominator over the whole batch (anchor included);
     the summed terms are divided by the number of censored anchors.
+
+    With unit rows u, anchor i's terms sum to n_pos(i) * lse_i minus the
+    similarities to its positives, and those similarities summed over all
+    anchors are sum_k (censored u of cluster k) . (uncensored u of cluster k)
+    / tau, so only the denominators need the n x n similarity matrix.
     """
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
@@ -107,33 +112,45 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     assignments = np.asarray(assignments).ravel()
     n = events.size
     censored = events == 0
+    uncensored = events == 1
     n_cens = int(censored.sum())
-    pos_mask = (
-        censored[:, None]
-        & (events == 1)[None, :]
-        & (assignments[:, None] == assignments[None, :])
-    ).astype(np.float64)
-    if n_cens == 0 or pos_mask.sum() == 0:
+    _, cluster = np.unique(assignments, return_inverse=True)
+    n_pos = censored * np.bincount(cluster, weights=uncensored)[cluster]
+    if n_cens == 0 or n_pos.sum() == 0:
         return Tensor(np.zeros((1, 1)))
-    sims = cosine_similarity(z, z) * (1.0 / tau)
-    lse = logsumexp_rows(sims)
-    terms = Tensor(pos_mask) * (lse - sims)
-    return terms.sum() * (1.0 / n_cens)
+    n_clusters = cluster.max() + 1
+    anchor_groups = np.zeros((n_clusters, n))
+    anchor_groups[cluster[censored], np.flatnonzero(censored)] = 1.0
+    positive_groups = np.zeros((n_clusters, n))
+    positive_groups[cluster[uncensored], np.flatnonzero(uncensored)] = 1.0
+    u = unit_rows(z)
+    lse = logsumexp_rows(u.matmul(u.T) * (1.0 / tau))
+    positives = ((Tensor(anchor_groups) @ u) * (Tensor(positive_groups) @ u)).sum()
+    total = (lse * Tensor(n_pos[:, None])).sum() - positives * (1.0 / tau)
+    return total * (1.0 / n_cens)
+
+
+def _paired_nce(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """Symmetric InfoNCE pairing row i of ``a`` with row i of ``b``.
+
+    The positive similarities are the row-wise products of the unit rows,
+    O(n*d), instead of the diagonal of the n x n similarity matrix.
+    """
+    an, bn = unit_rows(a), unit_rows(b)
+    sims = an.matmul(bn.transpose()) * (1.0 / tau)
+    diag = (an * bn).sum(axis=1) * (1.0 / tau)
+    forward = logsumexp_rows(sims) - diag
+    backward = logsumexp_rows(sims.T) - diag
+    return (forward + backward).sum() * (1.0 / a.values.shape[0])
 
 
 def loss_iviw(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     """Symmetric cross-view InfoNCE pairing each patient with itself."""
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    n = z1.values.shape[0]
-    if z2.values.shape[0] != n:
+    if z1.values.shape[0] != z2.values.shape[0]:
         raise ConfigurationError("both views must contain the same patients")
-    sims = cosine_similarity(z1, z2) * (1.0 / tau)
-    eye = Tensor(np.eye(n))
-    diag = (sims * eye).sum(axis=1)
-    forward = logsumexp_rows(sims) - diag
-    backward = logsumexp_rows(sims.T) - diag
-    return (forward + backward).sum() * (1.0 / n)
+    return _paired_nce(z1, z2, tau)
 
 
 def loss_ivcw(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
@@ -143,12 +160,7 @@ def loss_ivcw(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
     k1, k2 = q1.values.shape[1], q2.values.shape[1]
     if k1 != k2:
         raise ConfigurationError(f"views disagree on cluster count: {k1} vs {k2}")
-    sims = cosine_similarity(q1.T, q2.T) * (1.0 / tau)
-    eye = Tensor(np.eye(k1))
-    diag = (sims * eye).sum(axis=1)
-    forward = logsumexp_rows(sims) - diag
-    backward = logsumexp_rows(sims.T) - diag
-    return (forward + backward).sum() * (1.0 / k1)
+    return _paired_nce(q1.T, q2.T, tau)
 
 
 def soft_assign_tensor(z: Tensor, centers: np.ndarray, nu: float = 1.0) -> Tensor:
@@ -156,7 +168,7 @@ def soft_assign_tensor(z: Tensor, centers: np.ndarray, nu: float = 1.0) -> Tenso
     if nu <= 0:
         raise ConfigurationError(f"nu must be positive, got {nu}")
     d2 = squared_distances(z, Tensor(np.asarray(centers, dtype=np.float64)))
-    base = d2 * (1.0 / nu) + Tensor(np.ones((1, 1)))
+    base = d2 * (1.0 / nu) + 1.0
     unnorm = (base.log() * (-(nu + 1.0) / 2.0)).exp()
     return unnorm / unnorm.sum(axis=1)
 
@@ -185,23 +197,42 @@ def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
     For pairs with e_i = 1 and bin_i < bin_j, penalize the anchor's own
     survival at its event bin exceeding the later patient's survival at the
     same bin. Normalized by the number of comparable pairs.
+
+    The pair sum factorises per anchor bin b = bin_i:
+    sum_j exp((S_i(b) - S_j(b)) / sigma) = exp(S_i(b) / sigma) * R(b) with
+    R(b) = sum_{j: bin_j > b} exp(-S_j(b) / sigma), so the loss is O(n*T).
+    log R is taken per bin over the later rows only, shifted by their max.
     """
     if sigma_rank <= 0:
         raise ConfigurationError(f"sigma_rank must be positive, got {sigma_rank}")
     bins = np.asarray(bins, dtype=np.int64).ravel()
     events = np.asarray(events).ravel()
-    n = bins.size
-    pair_mask = ((events == 1)[:, None] & (bins[:, None] < bins[None, :])).astype(np.float64)
-    n_pairs = pair_mask.sum()
-    if n_pairs == 0:
+    n, n_bins = dist.survival.values.shape
+    # later[b] = number of rows whose bin is after b
+    later = n - np.cumsum(np.bincount(bins, minlength=n_bins))
+    anchors = np.flatnonzero((events == 1) & (later[bins] > 0))
+    if anchors.size == 0:
         return Tensor(np.zeros((1, 1)))
-    onehot = np.zeros((n, dist.survival.values.shape[1]))
-    onehot[np.arange(n), bins] = 1.0
-    # at_anchor_bin[j, i] = survival of patient j evaluated at patient i's bin
-    at_anchor_bin = dist.survival @ Tensor(onehot.T)
-    own = (at_anchor_bin * Tensor(np.eye(n))).sum(axis=1)
-    diffs = (own - at_anchor_bin.T) * (1.0 / sigma_rank)
-    return (Tensor(pair_mask) * diffs.exp()).sum() * (1.0 / n_pairs)
+    n_pairs = float(later[bins[anchors]].sum())
+    is_later = bins[:, None] > np.arange(n_bins)[None, :]
+    x = dist.survival * (-1.0 / sigma_rank)
+    # per-bin shift: the max over the later rows (0 for bins without any)
+    shift = np.where(is_later, x.values, -np.inf).max(axis=0, keepdims=True)
+    shift[:, later == 0] = 0.0
+    y = x - Tensor(shift)
+    mask = Tensor(is_later.astype(np.float64))
+    # masked entries enter exp as 0 and leave it multiplied by 0
+    terms = (y * mask).exp() * mask
+    # log R(b) - shift(b); a bin without later rows sums to 0 and gets 1 added
+    # so that its (unused) log stays finite
+    log_r = (terms.sum(axis=0) + Tensor((later == 0)[None, :].astype(np.float64))).log()
+    at_bin = np.zeros((n, n_bins))
+    at_bin[anchors, bins[anchors]] = 1.0
+    # exponent of anchor i: log R(b_i) + S_i(b_i) / sigma; 0 for other rows
+    exponent = ((log_r - y) * Tensor(at_bin)).sum(axis=1)
+    is_anchor = np.zeros((n, 1))
+    is_anchor[anchors] = 1.0
+    return (exponent.exp() * Tensor(is_anchor)).sum() * (1.0 / n_pairs)
 
 
 def combine_cl(weights: LossWeights, siamese: bool, l_ivcg=None, l_iviw=None,

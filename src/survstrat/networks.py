@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, softmax_rows, take_rows
+from .tensor import Tensor, concat_cols, concat_rows, linear, softmax_rows, take_rows
 
 
 @dataclass
@@ -51,7 +51,8 @@ class EncoderOutput:
 
 
 class Linear:
-    """Affine layer with He-initialized weights and zero biases."""
+    """Affine layer with He-initialized weights and zero biases; ``relu=True``
+    applies relu in the same tape node."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
         scale = np.sqrt(2.0 / n_in)
@@ -59,8 +60,8 @@ class Linear:
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
         self.name = name
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return linear(x, self.W, self.b, relu)
 
     def parameters(self):
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
@@ -84,7 +85,7 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         h = x
         for layer in self.layers[:-1]:
-            h = layer(h).relu()
+            h = layer(h, relu=True)
         return self.layers[-1](h)
 
     def parameters(self):
@@ -128,7 +129,7 @@ class Encoder:
             return EncoderOutput(mu=z, log_var=None, z=z)
         h = x
         for layer in self.trunk:
-            h = layer(h).relu()
+            h = layer(h, relu=True)
         mu = self.mu_head(h)
         log_var = self.logvar_head(h)
         if train:
@@ -217,7 +218,7 @@ class Model:
 
     def _distribution(self, logits: Tensor) -> "SurvivalDistribution":
         probs = softmax_rows(logits)
-        survival = Tensor(np.ones((1, 1))) - probs @ self._cum
+        survival = 1.0 - probs @ self._cum
         return SurvivalDistribution(probs=probs, survival=survival)
 
     def latents(self, X: np.ndarray, view: int = 1) -> np.ndarray:

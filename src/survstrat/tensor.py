@@ -12,6 +12,8 @@ reported as a :class:`NumericError` naming the op.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, UsageError
@@ -29,7 +31,9 @@ def _as_matrix(values) -> np.ndarray:
 
 
 def _check_finite(values: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(values)):
+    # one reduction first; the elementwise scan runs only when the sum is not
+    # finite, which finite values can also produce by overflowing
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
         raise NumericError(f"non-finite output in op '{op}'")
 
 
@@ -102,9 +106,11 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
 
     def _accumulate(self, delta: np.ndarray) -> None:
+        # out of place: a backward may hand one array to several parents
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += delta
+            self.grad = delta
+        else:
+            self.grad = self.grad + delta
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -128,8 +134,9 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
+            # leaves have no backward to run; they only receive gradients
             for p in node._parents:
-                if id(p) not in visited and (p.requires_grad or p._parents):
+                if p._parents and id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones((1, 1)))
         for node in reversed(topo):
@@ -139,6 +146,13 @@ class Tensor:
     # -- elementwise arithmetic (numpy broadcasting, 2-D only) ---------------
 
     def __add__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            a = self
+
+            def backward_fn(grad):
+                a._accumulate(grad)
+
+            return Tensor._from_op(a.values + other, (a,), "add", backward_fn)
         other = Tensor._lift(other)
         a, b = self, other
         try:
@@ -147,14 +161,16 @@ class Tensor:
             raise ConfigurationError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
         def backward_fn(grad):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(grad, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(grad, b.shape))
 
         return Tensor._from_op(values, (a, b), "add", backward_fn)
 
     def __radd__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            return self + other
         return Tensor._lift(other) + self
 
     def __sub__(self, other) -> "Tensor":
@@ -166,17 +182,31 @@ class Tensor:
             raise ConfigurationError(f"sub: incompatible shapes {a.shape} and {b.shape}")
 
         def backward_fn(grad):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(grad, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(-grad, b.shape))
 
         return Tensor._from_op(values, (a, b), "sub", backward_fn)
 
     def __rsub__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            a = self
+
+            def backward_fn(grad):
+                a._accumulate(-grad)
+
+            return Tensor._from_op(other - a.values, (a,), "sub", backward_fn)
         return Tensor._lift(other) - self
 
     def __mul__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            a = self
+
+            def backward_fn(grad):
+                a._accumulate(grad * other)
+
+            return Tensor._from_op(a.values * other, (a,), "mul", backward_fn)
         other = Tensor._lift(other)
         a, b = self, other
         try:
@@ -185,14 +215,16 @@ class Tensor:
             raise ConfigurationError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
         def backward_fn(grad):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(grad * b.values, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(grad * a.values, b.shape))
 
         return Tensor._from_op(values, (a, b), "mul", backward_fn)
 
     def __rmul__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            return self * other
         return Tensor._lift(other) * self
 
     def __truediv__(self, other) -> "Tensor":
@@ -205,9 +237,9 @@ class Tensor:
             raise ConfigurationError(f"div: incompatible shapes {a.shape} and {b.shape}")
 
         def backward_fn(grad):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(grad / b.values, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(-grad * a.values / (b.values ** 2), b.shape))
 
         return Tensor._from_op(values, (a, b), "div", backward_fn)
@@ -236,9 +268,9 @@ class Tensor:
         values = a.values @ b.values
 
         def backward_fn(grad):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(grad @ b.values.T)
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(a.values.T @ grad)
 
         return Tensor._from_op(values, (a, b), "matmul", backward_fn)
@@ -311,7 +343,7 @@ class Tensor:
             values = a.values.sum(axis=axis, keepdims=True)
 
             def backward_fn(grad):
-                a._accumulate(np.broadcast_to(grad, a.shape).copy())
+                a._accumulate(np.broadcast_to(grad, a.shape))
 
         return Tensor._from_op(values, (a,), "sum", backward_fn)
 
@@ -332,12 +364,34 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     values = np.concatenate([a.values, b.values], axis=1)
 
     def backward_fn(grad):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(grad[:, :na])
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(grad[:, na:])
 
     return Tensor._from_op(values, (a, b), "concat_cols", backward_fn)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """Affine map ``x @ W + b``, optionally followed by relu, as one node."""
+    if x.shape[1] != W.shape[0]:
+        raise ConfigurationError(f"linear: inner dims differ, {x.shape} @ {W.shape}")
+    values = x.values @ W.values
+    values += b.values
+    if relu:
+        np.maximum(values, 0.0, out=values)
+
+    def backward_fn(grad):
+        if relu:
+            grad = grad * (values > 0.0)
+        if x.requires_grad:
+            x._accumulate(grad @ W.values.T)
+        if W.requires_grad:
+            W._accumulate(x.values.T @ grad)
+        if b.requires_grad:
+            b._accumulate(grad.sum(axis=0, keepdims=True))
+
+    return Tensor._from_op(values, (x, W, b), "linear", backward_fn)
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
@@ -360,7 +414,7 @@ def concat_rows(parts: list) -> Tensor:
 
     def backward_fn(grad):
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 p._accumulate(grad[lo:hi])
 
     return Tensor._from_op(values, tuple(parts), "concat_rows", backward_fn)
@@ -416,9 +470,12 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.shape[1] != b.shape[1]:
         raise ConfigurationError(f"cosine_similarity: column counts differ, {a.shape} vs {b.shape}")
-    an = a / row_norms(a).clamp_min(1e-12)
-    bn = b / row_norms(b).clamp_min(1e-12)
-    return an.matmul(bn.transpose())
+    return unit_rows(a).matmul(unit_rows(b).transpose())
+
+
+def unit_rows(x: Tensor) -> Tensor:
+    """Rows scaled to unit Euclidean norm; norms are floored at 1e-12."""
+    return x / row_norms(x).clamp_min(1e-12)
 
 
 def squared_distances(a: Tensor, b: Tensor) -> Tensor:
@@ -440,7 +497,9 @@ class Adam:
     """Adam with bias correction over a fixed list of parameter tensors.
 
     Holds first/second-moment buffers shape-matched to each parameter and a
-    strictly increasing step counter.
+    strictly increasing step counter. The buffers of all parameters live in
+    one flat array each, so a step is a few vector operations over all
+    parameters at once.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -453,8 +512,13 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        bounds = np.cumsum([0] + [p.values.size for p in self.params])
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._m = np.zeros(bounds[-1])
+        self._v = np.zeros(bounds[-1])
+        # per-parameter views into the flat buffers
+        self.m = [self._m[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
+        self.v = [self._v[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -465,16 +529,30 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self.m, self.v):
+        parts = []
+        for p in self.params:
             g = p.grad
             if g is None:
-                continue
-            if g.shape != p.values.shape:
+                # outside every graph so far: its moments and value stay put
+                g = np.zeros(p.values.shape)
+            elif g.shape != p.values.shape:
                 raise UsageError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            parts.append(g.ravel())
+        g = np.concatenate(parts)
+        m, v = self._m, self._v
+        # same arithmetic as p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        tmp = g * (1.0 - self.beta1)
+        m *= self.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v *= self.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = m / bc1
+        step *= self.lr
+        step /= tmp
+        for p, s in zip(self.params, self._slices):
+            p.values -= step[s].reshape(p.values.shape)

@@ -6,6 +6,8 @@ whose gradients get compared against central differences. Shared between the
 gradient test module and the acceptance gate.
 """
 
+from functools import partial
+
 import numpy as np
 
 from survstrat.losses import (
@@ -24,7 +26,7 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor, concat_rows, softmax_rows, take_rows
+from survstrat.tensor import Tensor, concat_rows, linear, softmax_rows, take_rows
 
 
 def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
@@ -201,6 +203,22 @@ def case_routed_nll(seed):
     return build, [h, *heads]
 
 
+def case_linear(seed, relu=False):
+    """The fused affine(+relu) node feeding a second one, gradients to all."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w1 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b1 = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b2 = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+
+    def build():
+        out = linear(linear(x, w1, b1, relu), w2, b2)
+        return (out * out).sum()
+
+    return build, [x, w1, b1, w2, b2]
+
+
 ALL_CASES = [
     ("rec", case_rec),
     ("kld", case_kld),
@@ -216,4 +234,6 @@ ALL_CASES = [
     ("take_rows", case_take_rows),
     ("concat_rows", case_concat_rows),
     ("routed_nll", case_routed_nll),
+    ("linear", case_linear),
+    ("linear_relu", partial(case_linear, relu=True)),
 ]

@@ -113,3 +113,45 @@ def logrank_direct(labels, times, events):
         return 0.0, 1.0
     stat = (observed - expected) ** 2 / variance
     return stat, reg_upper_gamma_half(stat / 2.0)
+
+
+def rank_pairwise(survival, bins, events, sigma):
+    """Ranking penalty and its gradient with respect to the survival matrix,
+    by a loop over every comparable pair (e_i = 1, bin_i < bin_j) of the
+    dense formula sum exp((S_i(b_i) - S_j(b_i)) / sigma) / n_pairs."""
+    n_rows, n_bins = len(survival), len(survival[0])
+    grad = [[0.0] * n_bins for _ in range(n_rows)]
+    total, pairs = 0.0, 0
+    for i in range(n_rows):
+        if events[i] != 1:
+            continue
+        b = bins[i]
+        for j in range(n_rows):
+            if bins[j] > b:
+                pairs += 1
+                term = math.exp((survival[i][b] - survival[j][b]) / sigma)
+                total += term
+                grad[i][b] += term / sigma
+                grad[j][b] -= term / sigma
+    if pairs == 0:
+        return 0.0, np.zeros((n_rows, n_bins))
+    return total / pairs, np.asarray(grad) / pairs
+
+
+def ivcg_pairwise(z, events, assignments, tau):
+    """Cluster-guided InfoNCE by a loop over (censored anchor, uncensored
+    same-cluster positive) pairs, with the denominator over the whole batch."""
+    n = len(z)
+    unit = [np.asarray(row) / max(math.sqrt(sum(x * x for x in row)), 1e-12) for row in z]
+    sims = [[float(unit[i] @ unit[j]) / tau for j in range(n)] for i in range(n)]
+    total, n_cens, pairs = 0.0, 0, 0
+    for i in range(n):
+        if events[i] != 0:
+            continue
+        n_cens += 1
+        lse = math.log(sum(math.exp(s) for s in sims[i]))
+        for j in range(n):
+            if events[j] == 1 and assignments[j] == assignments[i]:
+                pairs += 1
+                total += lse - sims[i][j]
+    return total / n_cens if pairs else 0.0

@@ -268,6 +268,26 @@ class TestTrainCommand:
         assert rc == 1
         assert "Siamese" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_clusters", "2"), ("batch_size", 2.5), ("latent_dim", True),
+        ("siamese", 1), ("encoder_hidden", [8, "x"]), ("weights", {"tau": "0.5"}),
+    ])
+    def test_mistyped_field_exit_1_one_line(self, workspace, tmp_path, capsys,
+                                            field, value):
+        config = base_config(workspace / "schema.json", **{field: value})
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        rc = main([
+            "train", "--config", str(path),
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_file_exit_2(self, workspace, tmp_path):
         rc = main([
             "train", "--config", str(workspace / "config.json"),
@@ -571,6 +591,27 @@ class TestHpoCommand:
         trials = json.load(open(tmp_path / "hpo" / "trials.json"))
         assert trials[0]["error"] == "NumericError: loss diverged"
         assert "error" not in trials[1]
+
+    def test_mistyped_choice_recorded_as_failed_trial(self, workspace, tmp_path):
+        space = self.space_file(
+            tmp_path, workspace,
+            space={"n_clusters": {"type": "choice", "values": [2, "2"]}},
+        )
+        rc = main([
+            "hpo", "--space", str(space), "--budget", "6", "--seed", "0",
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
+        ])
+        assert rc == 0
+        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        assert len(trials) == 6
+        failed = [r for r in trials if "error" in r]
+        assert failed and len(failed) < 6
+        for r in failed:
+            assert r["config"]["n_clusters"] == "2"
+            assert r["error"] == (
+                "ConfigurationError: invalid configuration: "
+                "n_clusters must be an integer, got str '2'"
+            )
 
     def test_all_trials_failed_is_an_error(self, workspace, tmp_path):
         space = self.space_file(

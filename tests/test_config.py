@@ -1,10 +1,11 @@
 """Configuration loading, exhaustive validation, and hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from survstrat.config import ExperimentConfig
+from survstrat.config import _KINDS, ExperimentConfig
 from survstrat.errors import ConfigurationError
 from survstrat.losses import LossWeights
 
@@ -63,6 +64,45 @@ class TestValidate:
         assert "n_clusters" in text
         assert "latent_dim" in text
         assert "spl_scope" in text
+
+    def test_types_checked_with_values_in_one_error(self):
+        config = ExperimentConfig.from_dict({
+            "n_clusters": "2", "batch_size": 2.5, "early_stopping": "yes",
+            "routing_view": True, "encoder_hidden": [8, 0], "seed": None,
+            "learning_rate": float("nan"), "weights": {"beta": False},
+            "patience": 0,
+        })
+        with pytest.raises(ConfigurationError) as err:
+            config.validate()
+        text = str(err.value)
+        assert "\n" not in text
+        for part in (
+            "n_clusters must be an integer, got str '2'",
+            "batch_size must be an integer, got float 2.5",
+            "early_stopping must be true or false",
+            "routing_view must be an integer, got bool True",
+            "encoder_hidden must be a list of positive integers",
+            "seed must be an integer, got NoneType None",
+            "learning_rate must be a finite number, got float nan",
+            "weights.beta must be a finite number, got bool False",
+            "patience must be >= 1, got 0",
+        ):
+            assert part in text
+
+    def test_every_field_has_a_checked_type(self):
+        for f in fields(ExperimentConfig) + fields(LossWeights):
+            assert f.type in _KINDS or f.name == "weights", f.name
+
+    def test_ints_accepted_as_numbers(self):
+        ExperimentConfig.from_dict({"nu": 2, "learning_rate": 1, "weights": {"tau": 1}}).validate()
+
+    def test_non_object_weights_rejected(self):
+        with pytest.raises(ConfigurationError, match="weights must be an object"):
+            ExperimentConfig.from_dict({"weights": [1.0]}).validate()
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            ExperimentConfig.from_dict([1, 2])
 
     def test_zero_epochs_allowed(self):
         ExperimentConfig(pretrain_epochs=0, max_epochs=0).validate()

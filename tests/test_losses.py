@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survstrat.clustering import soft_assign
 from survstrat.errors import ConfigurationError
@@ -25,6 +27,7 @@ from survstrat.networks import SurvivalDistribution
 from survstrat.tensor import Tensor
 
 from gradcases import dist_from_logits
+from oracles import ivcg_pairwise, rank_pairwise
 
 TOL = 1e-5
 
@@ -238,6 +241,81 @@ class TestRank:
         dist = make_dist([[0.9, 0.05, 0.05], [0.05, 0.05, 0.9]])
         out = loss_rank(dist, [0, 1], [1, 1], 0.5)
         assert 0 < scalar(out) < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )),
+    st.sampled_from([0.1, 0.5, 2.0]),
+)
+def test_ivcg_matches_pairwise_loop(batch, tau):
+    z, events, assign = batch
+    got = scalar(loss_ivcg(Tensor(np.asarray(z)), events, assign, tau))
+    assert got == pytest.approx(ivcg_pairwise(z, events, assign, tau), rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def rank_batches(draw):
+    """n <= 12 rows over T <= 4 bins (so bins tie), survival in [0, 1] and a
+    sigma down to 0.01."""
+    n = draw(st.integers(1, 12))
+    n_bins = draw(st.integers(1, 4))
+    survival = draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=n_bins, max_size=n_bins),
+        min_size=n, max_size=n,
+    ))
+    bins = draw(st.lists(st.integers(0, n_bins - 1), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sigma = draw(st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))
+    return survival, bins, events, sigma
+
+
+class TestRankOracle:
+    """loss_rank's O(n*T) form against the dense pairwise loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_batches())
+    # tied bins: two anchors share bin 0, two later rows share bin 2
+    @example(([[0.9, 0.5, 0.2]] * 2 + [[0.8, 0.6, 0.1]] * 2, [0, 0, 2, 2], [1, 1, 0, 1], 0.1))
+    # all censored: no anchors, zero loss and zero gradient
+    @example(([[0.7, 0.3], [0.6, 0.2], [0.9, 0.8]], [0, 1, 0], [0, 0, 0], 0.25))
+    # events in the last bin have no later rows and are no anchors
+    @example(([[0.9, 0.4, 0.1], [0.8, 0.7, 0.6], [0.5, 0.5, 0.5]], [2, 0, 2], [1, 1, 1], 0.5))
+    # sigma = 0.01 with spread survival: terms near exp(100)
+    @example(([[1.0, 1.0], [0.0, 0.0], [0.5, 0.0]], [0, 1, 1], [1, 0, 1], 0.01))
+    def test_value_and_gradient_match_pairwise_loop(self, batch):
+        survival, bins, events, sigma = batch
+        want, want_grad = rank_pairwise(survival, bins, events, sigma)
+        leaf = Tensor(np.asarray(survival), requires_grad=True)
+        dist = SurvivalDistribution(probs=Tensor(np.zeros((len(bins), 1))), survival=leaf)
+        out = loss_rank(dist, bins, events, sigma)
+        if want == 0.0:
+            assert scalar(out) == 0.0
+        else:
+            assert scalar(out) == pytest.approx(want, rel=1e-12)
+        out.backward()
+        scale = np.abs(want_grad).max()
+        np.testing.assert_allclose(leaf.grad, want_grad, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("survival,bins,events,want", [
+        # (S_2(1) - S_0(1)) / sigma = 1000 would overflow exp, but row 2's
+        # event is in the last bin, so that pair is never compared
+        ([[0.5, 0.0], [0.5, 0.5], [0.5, 1.0]], [0, 1, 1], [1, 0, 1], 1.0),
+        # bin 0's only later row has -S/sigma = -1000, 1000 below row 0's
+        # own -S/sigma; row 0 must not enter that bin's exp
+        ([[0.0, 0.0], [1.0, 0.0]], [0, 1], [1, 0], 0.0),
+    ])
+    def test_no_overflow_where_pairwise_form_is_finite(self, survival, bins, events, want):
+        dist = SurvivalDistribution(
+            probs=Tensor(np.zeros((len(bins), 3))), survival=Tensor(survival)
+        )
+        out = loss_rank(dist, bins, events, 0.001)
+        assert scalar(out) == rank_pairwise(survival, bins, events, 0.001)[0] == want
 
 
 class TestCombine:

@@ -11,6 +11,7 @@ from survstrat.tensor import (
     Tensor,
     concat_cols,
     cosine_similarity,
+    linear,
     logsumexp_rows,
     row_norms,
     softmax_rows,
@@ -69,6 +70,27 @@ class TestForwardOps:
         with pytest.raises(NumericError, match="exp"):
             Tensor([[1e9]]).exp()
 
+    def test_linear_overflow_names_linear(self):
+        x = Tensor([[1e200, 1e200]])
+        w = Tensor([[1e200], [1e200]], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'linear'"):
+            linear(x, w, Tensor([[0.0]]), relu=True)
+
+    def test_finite_values_with_overflowing_sum_pass(self):
+        # the sum overflows, so the per-element scan decides
+        big = np.finfo(np.float64).max
+        with np.errstate(over="ignore"):
+            out = Tensor([[big, big]]) * 1.0
+        np.testing.assert_array_equal(out.values, [[big, big]])
+
+    def test_linear_matches_matmul_add_relu(self):
+        rng = np.random.default_rng(4)
+        x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (1, 3)))
+        for relu in (False, True):
+            out = linear(Tensor(x), Tensor(w), Tensor(b), relu)
+            want = x @ w + b
+            np.testing.assert_array_equal(out.values, np.maximum(want, 0.0) if relu else want)
+
 
 class TestBackward:
     def test_square_derivative(self):
@@ -97,6 +119,19 @@ class TestBackward:
         y = Tensor([[5.0]], requires_grad=True)
         (x * x).backward()
         np.testing.assert_array_equal(y.grad, [[0.0]])
+
+    def test_shared_grad_array_not_mutated(self):
+        # add hands one grad array to both parents; a second contribution
+        # to one parent must not write into the array the other holds
+        p = Tensor([[1.0, 2.0]], requires_grad=True) * 2.0
+        q = Tensor([[3.0, 4.0]], requires_grad=True) * 3.0
+        s = p + q
+        g = np.array([[1.0, 1.0]])
+        s._backward_fn(g)
+        p._accumulate(np.array([[5.0, 7.0]]))
+        np.testing.assert_array_equal(q.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(g, [[1.0, 1.0]])
+        np.testing.assert_array_equal(p.grad, [[6.0, 8.0]])
 
     def test_diamond_graph_fanout(self):
         # z = x*x + x*x: both uses must contribute, d/dx = 4x
