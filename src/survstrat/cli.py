@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -187,16 +188,24 @@ def _load_for_checkpoint(ck, data_path: str):
     return table, X
 
 
+def _write_rows(fh, *columns) -> None:
+    """Write equal-length columns of strings as comma-separated lines.
+
+    Callers format floats with ``repr``, the shortest string that parses
+    back to the same float, mapped over ``tolist()`` columns."""
+    fh.writelines(row + "\n" for row in map(",".join, zip(*columns)))
+
+
 def _write_group_curves(path: str, state, survival: np.ndarray, labels) -> None:
     """Mean interpolated survival per group; interpolation is linear in the
     knots, so the mean curve is interpolated once."""
     ts = np.linspace(0.0, state.grid.horizon, 101)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write("time,survival,group\n")
-        for g in np.unique(labels):
+        for g in np.unique(labels).tolist():
             mean = interpolate_curve(survival[labels == g].mean(axis=0), state.grid, ts)
-            for t, s in zip(ts, mean):
-                fh.write(f"{float(t)!r},{float(s)!r},{int(g)}\n")
+            _write_rows(fh, map(repr, ts.tolist()), map(repr, mean.tolist()), repeat(str(g)))
 
 
 def cmd_evaluate(args) -> int:
@@ -394,6 +403,7 @@ def cmd_hpo(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {args.jobs}")
     base = ExperimentConfig.from_dict(space.get("base", {}))
+    base.validate()
     schema = _resolve_schema(base)
     data_path = _resolve_data_path(base, args.data)
     table = data_mod.load_csv(data_path, schema)
@@ -469,9 +479,9 @@ def cmd_stratify(args) -> int:
     if ck.state.config.n_clusters < 2:
         raise UsageError("the checkpoint has a single cluster; nothing to stratify")
     table, X = _load_for_checkpoint(ck, args.data)
-    pred = trainer.predict(ck.state, X)
-    labels = pred["labels"]
-    latents = pred["latents"]
+    enc = trainer.encode(ck.state, X)
+    labels = enc["labels"]
+    latents = enc["latents"]
     populated = [int(g) for g in np.unique(labels)]
     if len(populated) < 2:
         raise UsageError(
@@ -481,19 +491,19 @@ def cmd_stratify(args) -> int:
     d = latents.shape[1]
     with open(os.path.join(args.out, "latents.csv"), "w") as fh:
         fh.write("index," + ",".join(f"z{k}" for k in range(d)) + ",cluster,time,event\n")
-        for i in range(latents.shape[0]):
-            zs = ",".join(repr(float(v)) for v in latents[i])
-            fh.write(
-                f"{i},{zs},{int(labels[i])},"
-                f"{float(table.time[i])!r},{int(table.event[i])}\n"
-            )
+        _write_rows(
+            fh, map(str, range(latents.shape[0])),
+            *(map(repr, z) for z in latents.T.tolist()),
+            map(str, labels.tolist()), map(repr, table.time.tolist()),
+            map(str, table.event.tolist()),
+        )
     with open(os.path.join(args.out, "km_clusters.csv"), "w") as fh:
         fh.write("cluster,time,survival\n")
         for g in populated:
             curve = kaplan_meier(table.time[labels == g], table.event[labels == g])
-            fh.write(f"{g},0.0,1.0\n")
-            for tt, ss in zip(curve.times, curve.probs):
-                fh.write(f"{g},{float(tt)!r},{float(ss)!r}\n")
+            # every curve starts at (0, 1)
+            _write_rows(fh, repeat(str(g)), map(repr, [0.0] + curve.times.tolist()),
+                        map(repr, [1.0] + curve.probs.tolist()))
     lines = []
     for a_pos, a in enumerate(populated):
         for b in populated[a_pos + 1:]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .clustering import SUPPORTED_ALGORITHMS
@@ -19,8 +19,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
+    # exact for ints too: an integer beyond the float range is not finite
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_widths(v) -> bool:

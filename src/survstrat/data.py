@@ -123,15 +123,41 @@ class SplitSet:
     seed: int
 
 
-def _parse_float(token: str, row: int, col: str) -> float:
+def _parse_column(tokens) -> tuple:
+    """Parse one column of raw CSV tokens.
+
+    Returns the float values and the masks of missing markers and of
+    unparsable tokens (both nan in the values). A clean column is parsed by
+    one C-level ``float`` pass; tokens are inspected one by one only at nan
+    positions and in a column ``float`` rejects. ``float`` ignores the
+    surrounding whitespace that ``str.strip`` removes, except ``\\x1c``-``\\x1f``,
+    which only the one-by-one pass strips.
+    """
+    n = len(tokens)
+    failed = np.zeros(n, dtype=bool)
     try:
-        return float(token)
+        values = np.array(list(map(float, tokens)), dtype=np.float64)
     except ValueError:
-        raise DataError(f"row {row}, column '{col}': cannot parse '{token}' as a number")
+        values = np.full(n, np.nan)
+        for i, tok in enumerate(tokens):
+            try:
+                values[i] = float(tok.strip())
+            except ValueError:
+                failed[i] = True
+    nan_at = np.flatnonzero(np.isnan(values))
+    missing = np.zeros(n, dtype=bool)
+    missing[nan_at] = [tokens[i].strip().lower() in _MISSING_TOKENS for i in nan_at]
+    return values, missing, failed & ~missing
 
 
 def load_csv(path: str, schema: Schema) -> RawTable:
-    """Read a headered CSV into a RawTable, dropping rows without time/event."""
+    """Read a headered CSV into a RawTable, dropping rows without time/event.
+
+    Rows are parsed column by column, yet a malformed file raises the error
+    a row-by-row reading meets first: the earliest faulty row wins and,
+    within a row, the time, the event and then the features in order.
+    Non-finite values are reported only when every row parses.
+    """
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
@@ -157,70 +183,84 @@ def load_csv(path: str, schema: Schema) -> RawTable:
         for col in feature_order:
             if col not in col_index:
                 raise DataError(f"column '{col}' not found in {path}")
+    for col in [schema.time, schema.event] + feature_order:
+        if header.count(col) > 1:
+            raise DataError(f"column '{col}' appears {header.count(col)} times in the header of {path}")
 
-    times, events = [], []
-    features = {c: [] for c in feature_order}
-    dropped = []
-    for r, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {r} has {len(row)} fields, the header has {len(header)}")
-        t_tok = row[col_index[schema.time]].strip()
-        e_tok = row[col_index[schema.event]].strip()
-        if t_tok.lower() in _MISSING_TOKENS or e_tok.lower() in _MISSING_TOKENS:
-            dropped.append(r)
-            continue
-        t = _parse_float(t_tok, r, schema.time)
-        if t <= 0:
-            raise DataError(f"row {r}: time must be positive, got {t}")
-        e = _parse_float(e_tok, r, schema.event)
-        if e not in (0.0, 1.0):
-            raise DataError(f"row {r}: event flag must be 0 or 1, got {e_tok}")
-        times.append(t)
-        events.append(int(e))
-        for col in feature_order:
-            tok = row[col_index[col]].strip()
-            if tok.lower() in _MISSING_TOKENS:
-                features[col].append(None)
-            elif kinds[col] == "numeric":
-                features[col].append(_parse_float(tok, r, col))
-            else:
-                features[col].append(tok)
+    # rows after the first ragged one are never read
+    width = len(header)
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+    n = int(ragged[0]) if ragged.size else len(rows)
+    columns = list(zip(*rows[:n])) or [()] * width
+    tokens = {name: columns[i] for name, i in col_index.items()}
 
-    # infer kinds for auto-discovered feature columns
+    def unparsable(col):
+        return lambda i: (f"row {i + 2}, column '{col}': cannot parse "
+                          f"'{tokens[col][i].strip()}' as a number")
+
+    time, t_missing, t_bad = _parse_column(tokens[schema.time])
+    event, e_missing, e_bad = _parse_column(tokens[schema.event])
+    keep = ~(t_missing | e_missing)
+    # (rows at fault, message) in the order one row's checks run
+    faults = [
+        (t_bad, unparsable(schema.time)),
+        (time <= 0, lambda i: f"row {i + 2}: time must be positive, got {float(time[i])}"),
+        (e_bad, unparsable(schema.event)),
+        ((event != 0) & (event != 1), lambda i: (
+            f"row {i + 2}: event flag must be 0 or 1, got {tokens[schema.event][i].strip()}")),
+    ]
+    numeric = {}  # column -> (values, missing)
     for col in feature_order:
-        if kinds[col] is not None:
+        if kinds[col] == "categorical":
             continue
-        vals = [v for v in features[col] if v is not None]
-        try:
-            features[col] = [None if v is None else float(v) for v in features[col]]
-            kinds[col] = "numeric"
-        except (ValueError, TypeError):
+        values, missing, bad = _parse_column(tokens[col])
+        if kinds[col] == "numeric":
+            faults.append((bad, unparsable(col)))
+        elif (bad & keep).any():
             kinds[col] = "categorical"
-        if not vals:
-            kinds[col] = "numeric"
+            continue
+        kinds[col] = "numeric"
+        numeric[col] = values, missing
 
-    # finiteness is checked on whole columns; a missing numeric (None) is nan
-    # here and allowed, a parsed nan or +-inf is not
-    time = np.asarray(times, dtype=np.float64)
-    numeric = [c for c in feature_order if kinds[c] == "numeric"]
-    for col, vals in [(schema.time, time)] + [
-        (c, np.asarray(features[c], dtype=np.float64)) for c in numeric
-    ]:
-        bad = [i for i in np.flatnonzero(~np.isfinite(vals))
-               if col == schema.time or features[col][i] is not None]
-        if bad:
-            line = np.setdiff1d(np.arange(2, len(rows) + 2), dropped)[bad[0]]
-            raise DataError(f"row {line}, column '{col}': value {vals[bad[0]]} is not finite")
+    row = n
+    message = f"row {n + 2} has {len(rows[n])} fields, the header has {width}" if ragged.size else None
+    for at_fault, describe in faults:
+        hit = np.flatnonzero(at_fault & keep)
+        if hit.size and hit[0] < row:
+            row, message = hit[0], describe(hit[0])
+    if message is not None:
+        raise DataError(message)
 
-    if dropped:
-        warnings.warn(f"dropped {len(dropped)} rows with missing time or event")
+    # a missing numeric is allowed; a parsed nan or +-inf is not
+    for col, (values, missing) in [(schema.time, (time, t_missing))] + list(numeric.items()):
+        bad = np.flatnonzero(keep & ~missing & ~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 2}, column '{col}': value {values[bad[0]]} is not finite")
+
+    kept = np.flatnonzero(keep)
+    features = {}
+    for col in feature_order:
+        if col in numeric:
+            values, missing = numeric[col]
+            vals = values[kept].tolist()
+            for i in np.flatnonzero(missing[kept]).tolist():
+                vals[i] = None
+        else:
+            vals = [None if s.lower() in _MISSING_TOKENS else s
+                    for s in map(str.strip, tokens[col])]
+            if kept.size < n:
+                vals = [vals[i] for i in kept.tolist()]
+        features[col] = vals
+
+    if kept.size < n:
+        warnings.warn(f"dropped {n - kept.size} rows with missing time or event")
     return RawTable(
-        time=time,
-        event=np.asarray(events, dtype=np.int64),
+        time=time[kept],
+        event=event[kept].astype(np.int64),
         features=features,
         kinds=kinds,
         feature_order=feature_order,
-        n_dropped=len(dropped),
+        n_dropped=n - kept.size,
     )
 
 
@@ -236,13 +276,12 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
         raise UsageError("cannot fit transforms on an empty training split")
     transforms = {}
     for col in table.feature_order:
-        vals = [table.features[col][i] for i in train_idx]
         if table.kinds[col] == "numeric":
-            present = np.asarray([v for v in vals if v is not None], dtype=np.float64)
-            median = float(np.median(present)) if present.size else 0.0
-            filled = np.asarray(
-                [median if v is None else v for v in vals], dtype=np.float64
-            )
+            # None (missing) becomes nan
+            vals = np.asarray(table.features[col], dtype=np.float64)[train_idx]
+            missing = np.isnan(vals)
+            median = float(np.median(vals[~missing])) if not missing.all() else 0.0
+            filled = np.where(missing, median, vals)
             std = float(filled.std())
             if std < 1e-8:
                 warnings.warn(f"numeric column '{col}' is constant on the training split")
@@ -253,6 +292,7 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
                 "median": median,
             }
         else:
+            vals = [table.features[col][i] for i in train_idx]
             cats = sorted({str(v) for v in vals if v is not None})
             transforms[col] = {"kind": "categorical", "categories": cats}
     return transforms
@@ -266,9 +306,8 @@ def apply_transforms(table: RawTable, transforms: dict):
     for col, tr in transforms.items():
         vals = table.features[col]
         if tr["kind"] == "numeric":
-            arr = np.asarray(
-                [tr["median"] if v is None else v for v in vals], dtype=np.float64
-            )
+            arr = np.asarray(vals, dtype=np.float64)
+            arr[np.isnan(arr)] = tr["median"]
             columns.append((arr - tr["mean"]) / tr["std"])
             names.append(col)
         else:

@@ -380,18 +380,27 @@ def fit(data: TrainData, config: ExperimentConfig) -> TrainState:
     return state
 
 
-def predict(state: TrainState, X) -> dict:
-    """Eval-mode prediction: probabilities, survival, risk, cluster labels."""
-    model = state.model
+def encode(state: TrainState, X) -> dict:
+    """Eval-mode encoding without the survival heads: view 1's latent means
+    and the cluster labels (None without cluster models), plus the input
+    tensor ``x`` and each view's encoder output ``views`` for the heads."""
     x = Tensor(np.asarray(X, dtype=np.float64))
-    outs = _encode_views(model, x, train=False, rng=None)
+    outs = _encode_views(state.model, x, train=False, rng=None)
     labels = None
     if state.cluster_models:
         view = state.config.routing_view
         latents = outs[view - 1].mu.values
         labels = clustering.assign_nearest(latents, state.cluster_models[view - 1].centers)
+    return {"x": x, "views": outs, "latents": outs[0].mu.values.copy(), "labels": labels}
+
+
+def predict(state: TrainState, X) -> dict:
+    """Eval-mode prediction: probabilities, survival, risk, cluster labels."""
+    model = state.model
+    enc = encode(state, X)
     # shared heads ignore the labels; ensemble heads route by them
-    dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=labels)
+    dist = model.survival_forward(model.survival_input(enc["x"], enc["views"]),
+                                  cluster_ids=enc["labels"])
     probs = dist.probs.values.copy()
     survival = dist.survival.values.copy()
     risk = -expected_event_time(probs, state.grid)
@@ -399,8 +408,8 @@ def predict(state: TrainState, X) -> dict:
         "probs": probs,
         "survival": survival,
         "risk": risk,
-        "labels": labels,
-        "latents": outs[0].mu.values.copy(),
+        "labels": enc["labels"],
+        "latents": enc["latents"],
     }
 
 

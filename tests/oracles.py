@@ -4,9 +4,14 @@ These deliberately use slow, explicit scalar loops so they share no code
 paths (vectorization, sorting tricks, searchsorted) with the library.
 """
 
+import csv
 import math
+import warnings
 
 import numpy as np
+
+from survstrat.data import RawTable
+from survstrat.errors import DataError
 
 
 def cindex_bruteforce(risk, times, events):
@@ -155,3 +160,109 @@ def ivcg_pairwise(z, events, assignments, tau):
                 pairs += 1
                 total += lse - sims[i][j]
     return total / n_cens if pairs else 0.0
+
+
+CSV_MISSING_TOKENS = {"", "na", "nan", "none", "null", "?"}
+
+
+def _parse_float_row(token: str, row: int, col: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"row {row}, column '{col}': cannot parse '{token}' as a number")
+
+
+def load_csv_rows(path, schema):
+    """Row-by-row CSV reader: every token is stripped, tested for a missing
+    marker and parsed on its own, in row order, so the first faulty row
+    raises. The reference for the column-wise ``survstrat.data.load_csv``."""
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {path}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path} is empty")
+        rows = list(reader)
+
+    col_index = {name: i for i, name in enumerate(header)}
+    for required in (schema.time, schema.event):
+        if required not in col_index:
+            raise DataError(f"column '{required}' not found in {path}")
+    if schema.features is None:
+        feature_order = [c for c in header if c not in (schema.time, schema.event)]
+        kinds = {c: None for c in feature_order}
+    else:
+        feature_order = list(schema.features)
+        kinds = dict(schema.features)
+        for col in feature_order:
+            if col not in col_index:
+                raise DataError(f"column '{col}' not found in {path}")
+
+    times, events = [], []
+    features = {c: [] for c in feature_order}
+    dropped = []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {r} has {len(row)} fields, the header has {len(header)}")
+        t_tok = row[col_index[schema.time]].strip()
+        e_tok = row[col_index[schema.event]].strip()
+        if t_tok.lower() in CSV_MISSING_TOKENS or e_tok.lower() in CSV_MISSING_TOKENS:
+            dropped.append(r)
+            continue
+        t = _parse_float_row(t_tok, r, schema.time)
+        if t <= 0:
+            raise DataError(f"row {r}: time must be positive, got {t}")
+        e = _parse_float_row(e_tok, r, schema.event)
+        if e not in (0.0, 1.0):
+            raise DataError(f"row {r}: event flag must be 0 or 1, got {e_tok}")
+        times.append(t)
+        events.append(int(e))
+        for col in feature_order:
+            tok = row[col_index[col]].strip()
+            if tok.lower() in CSV_MISSING_TOKENS:
+                features[col].append(None)
+            elif kinds[col] == "numeric":
+                features[col].append(_parse_float_row(tok, r, col))
+            else:
+                features[col].append(tok)
+
+    # infer kinds for auto-discovered feature columns
+    for col in feature_order:
+        if kinds[col] is not None:
+            continue
+        vals = [v for v in features[col] if v is not None]
+        try:
+            features[col] = [None if v is None else float(v) for v in features[col]]
+            kinds[col] = "numeric"
+        except (ValueError, TypeError):
+            kinds[col] = "categorical"
+        if not vals:
+            kinds[col] = "numeric"
+
+    # finiteness is checked on whole columns; a missing numeric (None) is nan
+    # here and allowed, a parsed nan or +-inf is not
+    time = np.asarray(times, dtype=np.float64)
+    numeric = [c for c in feature_order if kinds[c] == "numeric"]
+    for col, vals in [(schema.time, time)] + [
+        (c, np.asarray(features[c], dtype=np.float64)) for c in numeric
+    ]:
+        bad = [i for i in np.flatnonzero(~np.isfinite(vals))
+               if col == schema.time or features[col][i] is not None]
+        if bad:
+            line = np.setdiff1d(np.arange(2, len(rows) + 2), dropped)[bad[0]]
+            raise DataError(f"row {line}, column '{col}': value {vals[bad[0]]} is not finite")
+
+    if dropped:
+        warnings.warn(f"dropped {len(dropped)} rows with missing time or event")
+    return RawTable(
+        time=time,
+        event=np.asarray(events, dtype=np.int64),
+        features=features,
+        kinds=kinds,
+        feature_order=feature_order,
+        n_dropped=len(dropped),
+    )

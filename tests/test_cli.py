@@ -1,10 +1,14 @@
 """Command surface: determinism, exit codes, rank-sum search, stratification."""
 
+import contextlib
 import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from survstrat.cli import (
     average_ranks,
@@ -18,8 +22,11 @@ from survstrat.cli import (
 from survstrat import trainer
 from survstrat.checkpoint import load_checkpoint
 from survstrat.data import Schema, apply_transforms, load_csv
-from survstrat.errors import ConfigurationError, NumericError
-from survstrat.metrics import interpolate_curve
+from survstrat.errors import ConfigurationError, DataError, NumericError
+from survstrat.metrics import interpolate_curve, kaplan_meier
+
+from csvgen import survival_csvs
+from oracles import load_csv_rows
 
 
 def write_toy_dataset(path, n=150, seed=42, informative=True):
@@ -454,6 +461,15 @@ class TestEvaluateCommand:
             ], axis=0)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_curves_directory_created(self, workspace, tmp_path):
+        curves = tmp_path / "new" / "dir" / "curves.csv"
+        rc = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+            "--data", str(workspace / "toy.csv"), "--curves", str(curves),
+        ])
+        assert rc == 0
+        assert curves.read_text().startswith("time,survival,group\n")
+
     def test_overfit_train_beats_test(self, tmp_path, capsys):
         # noise-only hazard: a memorizing run must score better on its own
         # training rows than on held-out rows
@@ -613,6 +629,19 @@ class TestHpoCommand:
                 "n_clusters must be an integer, got str '2'"
             )
 
+    def test_invalid_base_exit_1_one_line(self, workspace, tmp_path, capsys):
+        base = base_config(workspace / "schema.json", dataset_preset=["gbsg"])
+        space = self.space_file(tmp_path, workspace, base=base)
+        rc = main([
+            "hpo", "--space", str(space), "--budget", "1",
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: dataset_preset must be a string or null, "
+            "got list ['gbsg']\n"
+        )
+
     def test_all_trials_failed_is_an_error(self, workspace, tmp_path):
         space = self.space_file(
             tmp_path, workspace,
@@ -737,3 +766,78 @@ class TestStratifyCommand:
         with open(tmp_path / "strat" / "smd.csv") as fh:
             top = list(csv.DictReader(fh))[0]
         assert top["feature"] == "f0"
+
+
+def rows_text(header, rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in [header] + rows)
+
+
+class TestOutputBytes:
+    """The written CSVs against a per-row ``repr`` reference writer."""
+
+    def test_files_match_row_writer(self, workspace, tmp_path):
+        checkpoint = str(workspace / "run" / "checkpoint.json")
+        data = str(workspace / "toy.csv")
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", data,
+                     "--curves", str(tmp_path / "curves.csv")]) == 0
+        assert main(["stratify", "--checkpoint", checkpoint, "--data", data,
+                     "--out", str(tmp_path / "strat")]) == 0
+        ck = load_checkpoint(checkpoint)
+        table = load_csv(data, Schema.from_file(str(workspace / "schema.json")))
+        pred = trainer.predict(ck.state, apply_transforms(table, ck.transforms)[0])
+        latents, labels = pred["latents"], pred["labels"]
+        d = latents.shape[1]
+
+        header = ["index"] + [f"z{k}" for k in range(d)] + ["cluster", "time", "event"]
+        rows = [
+            [i] + [repr(float(v)) for v in latents[i]]
+            + [int(labels[i]), repr(float(table.time[i])), int(table.event[i])]
+            for i in range(latents.shape[0])
+        ]
+        written = (tmp_path / "strat" / "latents.csv").read_text()
+        assert written == rows_text(header, rows)
+        with open(tmp_path / "strat" / "latents.csv") as fh:
+            parsed = [[float(r[f"z{k}"]) for k in range(d)] for r in csv.DictReader(fh)]
+        assert np.array_equal(np.asarray(parsed), latents)
+
+        rows = []
+        for g in np.unique(labels):
+            curve = kaplan_meier(table.time[labels == g], table.event[labels == g])
+            rows.append([int(g), "0.0", "1.0"])
+            rows += [[int(g), repr(float(t)), repr(float(s))]
+                     for t, s in zip(curve.times, curve.probs)]
+        written = (tmp_path / "strat" / "km_clusters.csv").read_text()
+        assert written == rows_text(["cluster", "time", "survival"], rows)
+
+        ts = np.linspace(0.0, ck.state.grid.horizon, 101)
+        rows = []
+        for g in np.unique(labels):
+            mean = interpolate_curve(pred["survival"][labels == g].mean(axis=0), ck.state.grid, ts)
+            rows += [[repr(float(t)), repr(float(s)), int(g)] for t, s in zip(ts, mean)]
+        written = (tmp_path / "curves.csv").read_text()
+        assert written == rows_text(["time", "survival", "group"], rows)
+
+
+class TestFuzzedCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(case=survival_csvs(time="duration", event="event", n_features=3))
+    def test_evaluate_exits_with_a_code(self, workspace, case):
+        """A malformed CSV exits 2 (data) or 1 (usage) with a one-line
+        message; any CSV exits with a documented code, never a traceback."""
+        path = workspace / "fuzzed.csv"
+        path.write_text(case[0])
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            # dropped rows and extreme values warn
+            warnings.simplefilter("ignore")
+            try:
+                load_csv_rows(str(path), Schema.from_file(str(workspace / "schema.json")))
+                malformed = False
+            except DataError:
+                malformed = True
+            rc = main(["evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                       "--data", str(path)])
+        assert rc in ((1, 2) if malformed else (0, 1, 2, 3))
+        if rc:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -4,6 +4,8 @@ import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survstrat.config import _KINDS, ExperimentConfig
 from survstrat.errors import ConfigurationError
@@ -165,3 +167,34 @@ class TestHash:
         h = ExperimentConfig().config_hash()
         assert len(h) == 16
         int(h, 16)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(10 ** 308, 10 ** 400).map(lambda v: -v),
+    st.integers(10 ** 308, 10 ** 400), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.sampled_from(["kmeans", "gmm", "ward", "spectral", "shared", "per-cluster", "dataset", "gbsg"]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3),
+    st.dictionaries(st.text(max_size=5), _JSON_LEAVES, max_size=2),
+)
+_WEIGHTS = st.dictionaries(st.sampled_from(sorted(LossWeights.__dataclass_fields__) + ["bogus"]),
+                           _JSON_VALUES, max_size=4)
+_CONFIGS = st.dictionaries(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["bogus"]),
+                           st.one_of(_JSON_VALUES, _WEIGHTS), max_size=6)
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.one_of(_CONFIGS, _JSON_VALUES))
+    @example(d={"learning_rate": 10 ** 400})
+    @example(d={"weights": {"tau": -10 ** 400}})
+    def test_returns_or_raises_configuration_error(self, d):
+        try:
+            ExperimentConfig.from_dict(d).validate()
+        except ConfigurationError:
+            pass
+
+    def test_integer_beyond_float_range_is_not_a_number(self):
+        expect_rejection("learning_rate must be a finite number, got int", learning_rate=10 ** 400)

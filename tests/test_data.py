@@ -1,9 +1,13 @@
 """Ingestion, preprocessing, and split protocol behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from survstrat.data import (
+    RawTable,
     Schema,
     apply_transforms,
     fit_transforms,
@@ -14,6 +18,9 @@ from survstrat.data import (
     save_splits,
 )
 from survstrat.errors import ConfigurationError, DataError, UsageError
+
+from csvgen import survival_csvs
+from oracles import load_csv_rows
 
 
 def write_csv(path, header, rows):
@@ -115,6 +122,17 @@ class TestLoadCsvRobustness:
         p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, 60, "II"], [3, 0, "-inf", "I"]])
         with pytest.raises(DataError, match="row 3, column 'age'"):
             load_csv(p, Schema(time="t", event="e", features=None))
+
+    @pytest.mark.parametrize("features", [None, {"age": "numeric"}])
+    def test_duplicate_used_column_rejected(self, tmp_path, features):
+        p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "age"], [[5, 1, 60, 61]])
+        with pytest.raises(DataError, match="column 'age' appears 2 times in the header"):
+            load_csv(p, Schema(time="t", event="e", features=features))
+
+    def test_duplicate_unused_column_allowed(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "note", "note"], [[5, 1, 60, "a", "b"]])
+        table = load_csv(p, Schema(time="t", event="e", features={"age": "numeric"}))
+        assert table.features == {"age": [60.0]}
 
     def test_missing_numeric_still_allowed(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, "NA", "II"], [3, 0, 41, "I"]])
@@ -254,3 +272,44 @@ class TestSplits:
     def test_too_small_rejected(self):
         with pytest.raises(UsageError):
             make_splits(9, seed=0)
+
+
+def _load_outcome(load, path, schema):
+    """The table (or the DataError message) and the warnings one load gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path, schema)
+        except DataError as exc:
+            result = f"DataError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+class TestLoadCsvMatchesRowReader:
+    """The column-wise parser against the row-by-row oracle: the same table,
+    or the same first error, on every generated file."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=survival_csvs())
+    @example(case=("t,e,f0\n5,1,x\n3,-nan,y\n-1,1,abc\n", Schema("t", "e", {"f0": "numeric"})))
+    @example(case=("t,e,f0\n5,1,inf\n4,1\nabc,0,1\n", Schema("t", "e", None)))
+    @example(case=("t,e,f0\n5,1,inf\n1e999,0,2\n", Schema("t", "e", {"f0": "numeric"})))
+    @example(case=("e,f0,t\n1,\" 2 ,x\",3\n0, NA ,\t4\x1c\n1,-nan,1e999\n", Schema("t", "e", None)))
+    def test_same_table_or_same_error(self, tmp_path_factory, case):
+        text, schema = case
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        path.write_text(text)
+        new, new_warnings = _load_outcome(load_csv, str(path), schema)
+        old, old_warnings = _load_outcome(load_csv_rows, str(path), schema)
+        assert new_warnings == old_warnings
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert isinstance(new, RawTable)
+        for name in ("time", "event"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert repr(new.features) == repr(old.features)
+        assert new.kinds == old.kinds
+        assert new.feature_order == old.feature_order
+        assert new.n_dropped == old.n_dropped

@@ -376,6 +376,17 @@ class TestPredictEvaluate:
         assert np.array_equal(a["labels"], b["labels"])
 
 
+    def test_encode_gives_predict_latents_and_labels(self):
+        # labels come from the routing view (2), latents from view 1
+        data = make_data()
+        state = trainer.fit(data, small_config(siamese=True, routing_view=2))
+        enc = trainer.encode(state, data.X[:15])
+        pred = trainer.predict(state, data.X[:15])
+        assert np.array_equal(enc["latents"], pred["latents"])
+        assert np.array_equal(enc["labels"], pred["labels"])
+        assert enc["labels"].tolist() == clustering.assign_nearest(
+            enc["views"][1].mu.values, state.cluster_models[1].centers).tolist()
+
 class TestEpochLog:
     def test_csv_shape_and_headers(self):
         data = make_data()
