@@ -47,8 +47,9 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
         "feature_names": list(feature_names or []),
         "stage": state.stage,
     }
+    # dumps uses the C encoder, json.dump the pure-Python one; the bytes are equal
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -544,9 +544,10 @@ def main(argv=None) -> int:
             "stratify": cmd_stratify,
         }[args.command]
         return handler(args)
-    except SurvstratError as exc:
+    except (SurvstratError, OSError) as exc:
+        # an OSError is a path that cannot be read or written, e.g. --out naming a file
         sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

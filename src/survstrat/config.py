@@ -165,13 +165,13 @@ class ExperimentConfig:
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(d) - known)
         if unknown:
-            raise ConfigurationError(f"unknown configuration keys: {', '.join(unknown)}")
+            raise ConfigurationError(f"unknown configuration keys: {', '.join(map(repr, unknown))}")
         if "weights" in d and isinstance(d["weights"], dict):
             w = d["weights"]
             unknown_w = sorted(set(w) - set(LossWeights.__dataclass_fields__))
             if unknown_w:
                 raise ConfigurationError(
-                    f"unknown loss-weight keys: {', '.join(unknown_w)}"
+                    f"unknown loss-weight keys: {', '.join(map(repr, unknown_w))}"
                 )
             d["weights"] = LossWeights(**w)
         for key in ("encoder_hidden", "head_hidden"):

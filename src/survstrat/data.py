@@ -308,7 +308,11 @@ def apply_transforms(table: RawTable, transforms: dict):
         if tr["kind"] == "numeric":
             arr = np.asarray(vals, dtype=np.float64)
             arr[np.isnan(arr)] = tr["median"]
-            columns.append((arr - tr["mean"]) / tr["std"])
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = (arr - tr["mean"]) / tr["std"]
+            if not np.isfinite(scaled).all():
+                raise DataError(f"column '{col}': a value overflows when standardized")
+            columns.append(scaled)
             names.append(col)
         else:
             index = {c: k for k, c in enumerate(tr["categories"])}

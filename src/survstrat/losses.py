@@ -5,7 +5,8 @@ and per-instance form (the per-instance vectors feed self-paced filtering).
 The three contrastive losses follow the InfoNCE pattern with cosine
 similarity and temperature tau; denominators include the anchor term.
 Survival losses cover calibration (negative log-likelihood over time bins)
-and discrimination (exponential ranking penalty).
+and discrimination (exponential ranking penalty). Each contrastive and
+survival loss is one tape node with a numpy forward and closed-form backward.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import (
-    Tensor,
-    logsumexp_rows,
-    squared_distances,
-    unit_rows,
-)
+from .tensor import Tensor, squared_distances
 
 _CLAMP = 1e-12
 
@@ -94,23 +90,38 @@ def average_views(parts):
     return total * (1.0 / len(parts))
 
 
+def _unit_rows(x: np.ndarray):
+    """Rows over their norms floored at 1e-12, and the map from d/du to d/dx."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    floored = np.maximum(norms, _CLAMP)
+    u = x / floored
+
+    def grad(du):
+        # the radial part goes only where the norm is above the floor
+        return (du - u * ((du * u).sum(axis=1, keepdims=True) * (norms > _CLAMP))) / floored
+
+    return u, grad
+
+
+def _lse(s: np.ndarray, axis: int):
+    """Log-sum-exp along ``axis``, shifted by the max, and the softmax."""
+    shift = s.max(axis=axis, keepdims=True)
+    e = np.exp(s - shift)
+    total = e.sum(axis=axis, keepdims=True)
+    return shift + np.log(total), e / total
+
+
 def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     """Cluster-guided InfoNCE for censored anchors.
 
     Every censored patient i is pulled toward each uncensored patient of its
     own cluster against a denominator over the whole batch (anchor included);
     the summed terms are divided by the number of censored anchors.
-
-    With unit rows u, anchor i's terms sum to n_pos(i) * lse_i minus the
-    similarities to its positives, and those similarities summed over all
-    anchors are sum_k (censored u of cluster k) . (uncensored u of cluster k)
-    / tau, so only the denominators need the n x n similarity matrix.
     """
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
     events = np.asarray(events).ravel()
     assignments = np.asarray(assignments).ravel()
-    n = events.size
     censored = events == 0
     uncensored = events == 1
     n_cens = int(censored.sum())
@@ -118,30 +129,50 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     n_pos = censored * np.bincount(cluster, weights=uncensored)[cluster]
     if n_cens == 0 or n_pos.sum() == 0:
         return Tensor(np.zeros((1, 1)))
-    n_clusters = cluster.max() + 1
-    anchor_groups = np.zeros((n_clusters, n))
-    anchor_groups[cluster[censored], np.flatnonzero(censored)] = 1.0
-    positive_groups = np.zeros((n_clusters, n))
-    positive_groups[cluster[uncensored], np.flatnonzero(uncensored)] = 1.0
-    u = unit_rows(z)
-    lse = logsumexp_rows(u.matmul(u.T) * (1.0 / tau))
-    positives = ((Tensor(anchor_groups) @ u) * (Tensor(positive_groups) @ u)).sum()
-    total = (lse * Tensor(n_pos[:, None])).sum() - positives * (1.0 / tau)
-    return total * (1.0 / n_cens)
+    # cluster-by-row indicators: the positives summed over all anchors are
+    # sum_k (censored u of cluster k) . (uncensored u of cluster k) / tau
+    groups = (cluster == np.arange(cluster.max() + 1)[:, None]).astype(np.float64)
+    anchor_groups, positive_groups = groups * (censored / n_cens), groups * uncensored
+    u, u_grad = _unit_rows(z.values)
+    lse, p = _lse((u @ u.T) * (1.0 / tau), 1)
+    anchor_sum = anchor_groups @ u
+    positive_sum = positive_groups @ u
+    values = np.array([[(lse.ravel() * n_pos).sum() * (1.0 / n_cens)
+                        - (anchor_sum * positive_sum).sum() * (1.0 / tau)]])
+
+    def backward_fn(grad):
+        g = grad[0, 0] / tau
+        d_sims = p * (n_pos[:, None] * (g / n_cens))
+        du = (d_sims + d_sims.T) @ u
+        du -= g * (anchor_groups.T @ positive_sum + positive_groups.T @ anchor_sum)
+        z._accumulate(u_grad(du))
+
+    return Tensor._from_op(values, (z,), "loss_ivcg", backward_fn)
 
 
 def _paired_nce(a: Tensor, b: Tensor, tau: float) -> Tensor:
-    """Symmetric InfoNCE pairing row i of ``a`` with row i of ``b``.
+    """Symmetric InfoNCE, sum_i [lse_j(s_ij) + lse_j(s_ji) - 2 s_ii] / n, over
+    the cosine similarities s = u v^T / tau of the unit rows of ``a`` and
+    ``b``; d loss / d s is (row softmax + column softmax - 2 I) / n."""
+    u, u_grad = _unit_rows(a.values)
+    v, v_grad = _unit_rows(b.values)
+    n = u.shape[0]
+    sims = (u @ v.T) * (1.0 / tau)
+    diag = (u * v).sum(axis=1, keepdims=True) * (1.0 / tau)
+    row_lse, row_p = _lse(sims, 1)
+    col_lse, col_p = _lse(sims, 0)
+    values = np.array([[((row_lse - diag) + (col_lse.T - diag)).sum() * (1.0 / n)]])
 
-    The positive similarities are the row-wise products of the unit rows,
-    O(n*d), instead of the diagonal of the n x n similarity matrix.
-    """
-    an, bn = unit_rows(a), unit_rows(b)
-    sims = an.matmul(bn.transpose()) * (1.0 / tau)
-    diag = (an * bn).sum(axis=1) * (1.0 / tau)
-    forward = logsumexp_rows(sims) - diag
-    backward = logsumexp_rows(sims.T) - diag
-    return (forward + backward).sum() * (1.0 / a.values.shape[0])
+    def backward_fn(grad):
+        d_sims = row_p + col_p
+        d_sims.flat[::n + 1] -= 2.0
+        d_sims *= grad[0, 0] / (n * tau)
+        if a.requires_grad:
+            a._accumulate(u_grad(d_sims @ v))
+        if b.requires_grad:
+            b._accumulate(v_grad(d_sims.T @ u))
+
+    return Tensor._from_op(values, (a, b), "paired_nce", backward_fn)
 
 
 def loss_iviw(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
@@ -178,17 +209,22 @@ def loss_nll(dist, bins, events) -> Tensor:
     patients, survival past the censoring bin for censored ones."""
     bins = np.asarray(bins, dtype=np.int64).ravel()
     events = np.asarray(events).ravel()
-    n, t_plus_1 = dist.probs.values.shape
-    event_mask = np.zeros((n, t_plus_1))
-    surv_mask = np.zeros((n, t_plus_1 - 1))
+    n = bins.size
     rows = np.arange(n)
     died = events == 1
-    event_mask[rows[died], bins[died]] = 1.0
-    surv_mask[rows[~died], bins[~died]] = 1.0
-    log_p = dist.probs.clamp_min(_CLAMP).log()
-    log_s = dist.survival.clamp_min(_CLAMP).log()
-    picked = (Tensor(event_mask) * log_p).sum() + (Tensor(surv_mask) * log_s).sum()
-    return picked * (-1.0 / n)
+    picks = [(dist.probs, rows[died], bins[died]), (dist.survival, rows[~died], bins[~died])]
+    floored = [np.maximum(t.values[r, c], _CLAMP) for t, r, c in picks]
+    values = np.array([[(np.log(floored[0]).sum() + np.log(floored[1]).sum()) * (-1.0 / n)]])
+
+    def backward_fn(grad):
+        g = grad[0, 0] * (-1.0 / n)
+        for (t, r, c), f in zip(picks, floored):
+            if t.requires_grad:
+                delta = np.zeros_like(t.values)
+                delta[r, c] = g / f * (t.values[r, c] > _CLAMP)
+                t._accumulate(delta)
+
+    return Tensor._from_op(values, (dist.probs, dist.survival), "loss_nll", backward_fn)
 
 
 def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
@@ -201,38 +237,37 @@ def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
     The pair sum factorises per anchor bin b = bin_i:
     sum_j exp((S_i(b) - S_j(b)) / sigma) = exp(S_i(b) / sigma) * R(b) with
     R(b) = sum_{j: bin_j > b} exp(-S_j(b) / sigma), so the loss is O(n*T).
-    log R is taken per bin over the later rows only, shifted by their max.
+    R is taken per bin over the later rows only, shifted by their max.
     """
     if sigma_rank <= 0:
         raise ConfigurationError(f"sigma_rank must be positive, got {sigma_rank}")
     bins = np.asarray(bins, dtype=np.int64).ravel()
     events = np.asarray(events).ravel()
-    n, n_bins = dist.survival.values.shape
+    n, n_bins = dist.survival.shape
     # later[b] = number of rows whose bin is after b
     later = n - np.cumsum(np.bincount(bins, minlength=n_bins))
     anchors = np.flatnonzero((events == 1) & (later[bins] > 0))
     if anchors.size == 0:
         return Tensor(np.zeros((1, 1)))
-    n_pairs = float(later[bins[anchors]].sum())
-    is_later = bins[:, None] > np.arange(n_bins)[None, :]
-    x = dist.survival * (-1.0 / sigma_rank)
-    # per-bin shift: the max over the later rows (0 for bins without any)
-    shift = np.where(is_later, x.values, -np.inf).max(axis=0, keepdims=True)
-    shift[:, later == 0] = 0.0
-    y = x - Tensor(shift)
-    mask = Tensor(is_later.astype(np.float64))
-    # masked entries enter exp as 0 and leave it multiplied by 0
-    terms = (y * mask).exp() * mask
-    # log R(b) - shift(b); a bin without later rows sums to 0 and gets 1 added
-    # so that its (unused) log stays finite
-    log_r = (terms.sum(axis=0) + Tensor((later == 0)[None, :].astype(np.float64))).log()
-    at_bin = np.zeros((n, n_bins))
-    at_bin[anchors, bins[anchors]] = 1.0
-    # exponent of anchor i: log R(b_i) + S_i(b_i) / sigma; 0 for other rows
-    exponent = ((log_r - y) * Tensor(at_bin)).sum(axis=1)
-    is_anchor = np.zeros((n, 1))
-    is_anchor[anchors] = 1.0
-    return (exponent.exp() * Tensor(is_anchor)).sum() * (1.0 / n_pairs)
+    at = bins[anchors]
+    n_pairs = float(later[at].sum())
+    x = dist.survival.values * (-1.0 / sigma_rank)
+    masked = np.where(bins[:, None] > np.arange(n_bins), x, -np.inf)
+    shift = np.where(later > 0, masked.max(axis=0), 0.0)
+    terms = np.exp(masked - shift)
+    # R(b) / exp(shift(b)); 1 where no row is later, so its unused log is 0
+    r = np.where(later > 0, terms.sum(axis=0), 1.0)
+    with np.errstate(over="ignore"):
+        own = np.exp(np.log(r[at]) - (x[anchors, at] - shift[at]))
+    values = np.array([[own.sum() / n_pairs]])
+
+    def backward_fn(grad):
+        g = grad[0, 0] / (sigma_rank * n_pairs)
+        delta = terms * (np.bincount(at, weights=own, minlength=n_bins) * (-g) / r)
+        delta[anchors, at] += g * own
+        dist.survival._accumulate(delta)
+
+    return Tensor._from_op(values, (dist.survival,), "loss_rank", backward_fn)
 
 
 def combine_cl(weights: LossWeights, siamese: bool, l_ivcg=None, l_iviw=None,

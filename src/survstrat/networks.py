@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, linear, softmax_rows, take_rows
+from .tensor import Tensor, concat_cols, concat_rows, linear, mlp, softmax_rows, take_rows
 
 
 @dataclass
@@ -51,8 +51,7 @@ class EncoderOutput:
 
 
 class Linear:
-    """Affine layer with He-initialized weights and zero biases; ``relu=True``
-    applies relu in the same tape node."""
+    """Affine layer with He-initialized weights and zero biases."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
         scale = np.sqrt(2.0 / n_in)
@@ -60,15 +59,15 @@ class Linear:
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
         self.name = name
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return linear(x, self.W, self.b, relu)
+    def __call__(self, x: Tensor) -> Tensor:
+        return linear(x, self.W, self.b)
 
     def parameters(self):
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
 
 
 class Mlp:
-    """Stack of Linear layers with relu between them and a linear output."""
+    """Stack of Linear layers, relu between them and a linear output, as one tape node."""
 
     def __init__(self, widths, rng: np.random.Generator, name: str, activation="relu"):
         if len(widths) < 3:
@@ -83,10 +82,7 @@ class Mlp:
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = x
-        for layer in self.layers[:-1]:
-            h = layer(h, relu=True)
-        return self.layers[-1](h)
+        return mlp(x, [(layer.W, layer.b) for layer in self.layers])
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -127,9 +123,7 @@ class Encoder:
         if not self.variational:
             z = self.net(x)
             return EncoderOutput(mu=z, log_var=None, z=z)
-        h = x
-        for layer in self.trunk:
-            h = layer(h, relu=True)
+        h = mlp(x, [(layer.W, layer.b) for layer in self.trunk], relu_last=True)
         mu = self.mu_head(h)
         log_var = self.logvar_head(h)
         if train:

@@ -98,9 +98,6 @@ class Tensor:
             raise UsageError(f"item() requires a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.values)
@@ -289,15 +286,6 @@ class Tensor:
 
     # -- nonlinearities ----------------------------------------------------
 
-    def relu(self) -> "Tensor":
-        a = self
-        values = np.maximum(a.values, 0.0)
-
-        def backward_fn(grad):
-            a._accumulate(grad * (a.values > 0.0))
-
-        return Tensor._from_op(values, (a,), "relu", backward_fn)
-
     def exp(self) -> "Tensor":
         a = self
         with np.errstate(over="ignore"):
@@ -372,26 +360,44 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(values, (a, b), "concat_cols", backward_fn)
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """Affine map ``x @ W + b``, optionally followed by relu, as one node."""
-    if x.shape[1] != W.shape[0]:
-        raise ConfigurationError(f"linear: inner dims differ, {x.shape} @ {W.shape}")
-    values = x.values @ W.values
-    values += b.values
-    if relu:
-        np.maximum(values, 0.0, out=values)
+def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
+    """Chained affine maps ``h @ W + b`` over the ``(W, b)`` pairs in ``layers``
+    as one node, with relu after every layer but the last (and after the last
+    too when ``relu_last``); each layer's arithmetic is that of ``linear``."""
+    last = len(layers) - 1
+    hs = [x.values]
+    # an overflow leaves a non-finite output, which the one check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (W, b) in enumerate(layers):
+            if hs[-1].shape[1] != W.shape[0]:
+                raise ConfigurationError(f"linear: inner dims differ, {hs[-1].shape} @ {W.shape}")
+            out = hs[-1] @ W.values
+            out += b.values
+            if i < last or relu_last:
+                np.maximum(out, 0.0, out=out)
+            hs.append(out)
 
     def backward_fn(grad):
-        if relu:
-            grad = grad * (values > 0.0)
+        for i in range(last, -1, -1):
+            W, b = layers[i]
+            if i < last or relu_last:
+                grad = grad * (hs[i + 1] > 0.0)
+            if W.requires_grad:
+                W._accumulate(hs[i].T @ grad)
+            if b.requires_grad:
+                b._accumulate(grad.sum(axis=0, keepdims=True))
+            if i or x.requires_grad:
+                grad = grad @ W.values.T
         if x.requires_grad:
-            x._accumulate(grad @ W.values.T)
-        if W.requires_grad:
-            W._accumulate(x.values.T @ grad)
-        if b.requires_grad:
-            b._accumulate(grad.sum(axis=0, keepdims=True))
+            x._accumulate(grad)
 
-    return Tensor._from_op(values, (x, W, b), "linear", backward_fn)
+    parents = (x, *(p for layer in layers for p in layer))
+    return Tensor._from_op(hs[-1], parents, "mlp" if last else "linear", backward_fn)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """Affine map ``x @ W + b``, optionally followed by relu, as one node."""
+    return mlp(x, [(W, b)], relu)
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
@@ -432,50 +438,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         a._accumulate(values * (grad - inner))
 
     return Tensor._from_op(values, (a,), "softmax_rows", backward_fn)
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(x))) -> (N,1), computed with the max-shift trick."""
-    a = x
-    m = a.values.max(axis=1, keepdims=True)
-    e = np.exp(a.values - m)
-    s = e.sum(axis=1, keepdims=True)
-    values = m + np.log(s)
-
-    def backward_fn(grad):
-        a._accumulate(grad * (e / s))
-
-    return Tensor._from_op(values, (a,), "logsumexp_rows", backward_fn)
-
-
-def row_norms(x: Tensor) -> Tensor:
-    """Row-wise Euclidean norms -> (N,1)."""
-    sq = (x * x).sum(axis=1)
-    a = sq
-    values = np.sqrt(a.values)
-
-    def backward_fn(grad):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = grad * 0.5 / values
-        d = np.where(values > 0.0, d, 0.0)
-        a._accumulate(d)
-
-    return Tensor._from_op(values, (a,), "sqrt", backward_fn)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine-similarity matrix (N,M) between rows of a and rows of b.
-
-    Row norms are floored at 1e-12 so zero rows do not produce NaNs.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise ConfigurationError(f"cosine_similarity: column counts differ, {a.shape} vs {b.shape}")
-    return unit_rows(a).matmul(unit_rows(b).transpose())
-
-
-def unit_rows(x: Tensor) -> Tensor:
-    """Rows scaled to unit Euclidean norm; norms are floored at 1e-12."""
-    return x / row_norms(x).clamp_min(1e-12)
 
 
 def squared_distances(a: Tensor, b: Tensor) -> Tensor:

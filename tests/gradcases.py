@@ -26,7 +26,7 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor, concat_rows, linear, softmax_rows, take_rows
+from survstrat.tensor import Tensor, concat_rows, linear, mlp, softmax_rows, take_rows
 
 
 def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
@@ -219,6 +219,24 @@ def case_linear(seed, relu=False):
     return build, [x, w1, b1, w2, b2]
 
 
+def case_mlp(seed, relu_last=False):
+    """Three layers as one fused node, gradients to the input and every layer."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    widths = (4, 6, 3, 2)
+    layers = [
+        (Tensor(rng.standard_normal((a, b)), requires_grad=True),
+         Tensor(rng.standard_normal((1, b)), requires_grad=True))
+        for a, b in zip(widths, widths[1:])
+    ]
+
+    def build():
+        out = mlp(x, layers, relu_last)
+        return (out * out).sum()
+
+    return build, [x, *(p for layer in layers for p in layer)]
+
+
 ALL_CASES = [
     ("rec", case_rec),
     ("kld", case_kld),
@@ -236,4 +254,6 @@ ALL_CASES = [
     ("routed_nll", case_routed_nll),
     ("linear", case_linear),
     ("linear_relu", partial(case_linear, relu=True)),
+    ("mlp", case_mlp),
+    ("mlp_relu_last", partial(case_mlp, relu_last=True)),
 ]

@@ -1,7 +1,9 @@
 """Independently coded reference implementations used to cross-check metrics.
 
 These deliberately use slow, explicit scalar loops so they share no code
-paths (vectorization, sorting tricks, searchsorted) with the library.
+paths (vectorization, sorting tricks, searchsorted) with the library. The
+composed tape graphs at the end are the references for the library's fused
+loss and MLP nodes: the same functions built from elementary tensor ops.
 """
 
 import csv
@@ -11,7 +13,8 @@ import warnings
 import numpy as np
 
 from survstrat.data import RawTable
-from survstrat.errors import DataError
+from survstrat.errors import ConfigurationError, DataError
+from survstrat.tensor import Tensor
 
 
 def cindex_bruteforce(risk, times, events):
@@ -266,3 +269,139 @@ def load_csv_rows(path, schema):
         feature_order=feature_order,
         n_dropped=len(dropped),
     )
+
+
+# -- composed tape graphs ---------------------------------------------------
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0); gradient passes only where x > 0."""
+    return x.clamp_min(0.0)
+
+
+def mlp_composed(x: Tensor, layers, relu_last: bool = False) -> Tensor:
+    """``mlp`` as one matmul, add and relu node per layer."""
+    h = x
+    for i, (W, b) in enumerate(layers):
+        h = h.matmul(W) + b
+        if i < len(layers) - 1 or relu_last:
+            h = relu(h)
+    return h
+
+
+def logsumexp_rows(x: Tensor) -> Tensor:
+    """Row-wise log(sum(exp(x))) -> (N,1), computed with the max-shift trick."""
+    a = x
+    m = a.values.max(axis=1, keepdims=True)
+    e = np.exp(a.values - m)
+    s = e.sum(axis=1, keepdims=True)
+    values = m + np.log(s)
+
+    def backward_fn(grad):
+        a._accumulate(grad * (e / s))
+
+    return Tensor._from_op(values, (a,), "logsumexp_rows", backward_fn)
+
+
+def row_norms(x: Tensor) -> Tensor:
+    """Row-wise Euclidean norms -> (N,1)."""
+    sq = (x * x).sum(axis=1)
+    a = sq
+    values = np.sqrt(a.values)
+
+    def backward_fn(grad):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = grad * 0.5 / values
+        d = np.where(values > 0.0, d, 0.0)
+        a._accumulate(d)
+
+    return Tensor._from_op(values, (a,), "sqrt", backward_fn)
+
+
+def unit_rows(x: Tensor) -> Tensor:
+    """Rows scaled to unit Euclidean norm; norms are floored at 1e-12."""
+    return x / row_norms(x).clamp_min(1e-12)
+
+
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Pairwise cosine-similarity matrix (N,M) between rows of a and rows of b."""
+    if a.shape[1] != b.shape[1]:
+        raise ConfigurationError(f"cosine_similarity: column counts differ, {a.shape} vs {b.shape}")
+    return unit_rows(a).matmul(unit_rows(b).transpose())
+
+
+def paired_nce_composed(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """Symmetric InfoNCE pairing row i of ``a`` with row i of ``b``."""
+    an, bn = unit_rows(a), unit_rows(b)
+    sims = an.matmul(bn.transpose()) * (1.0 / tau)
+    diag = (an * bn).sum(axis=1) * (1.0 / tau)
+    forward = logsumexp_rows(sims) - diag
+    backward = logsumexp_rows(sims.T) - diag
+    return (forward + backward).sum() * (1.0 / a.values.shape[0])
+
+
+def ivcg_composed(z: Tensor, events, assignments, tau: float) -> Tensor:
+    """Cluster-guided InfoNCE: n_pos(i) * lse_i summed over censored anchors,
+    minus the per-cluster (censored u) . (uncensored u) / tau, over n_cens."""
+    events = np.asarray(events).ravel()
+    assignments = np.asarray(assignments).ravel()
+    n = events.size
+    censored = events == 0
+    uncensored = events == 1
+    n_cens = int(censored.sum())
+    _, cluster = np.unique(assignments, return_inverse=True)
+    n_pos = censored * np.bincount(cluster, weights=uncensored)[cluster]
+    if n_cens == 0 or n_pos.sum() == 0:
+        return Tensor(np.zeros((1, 1)))
+    anchor_groups = np.zeros((cluster.max() + 1, n))
+    anchor_groups[cluster[censored], np.flatnonzero(censored)] = 1.0
+    positive_groups = np.zeros((cluster.max() + 1, n))
+    positive_groups[cluster[uncensored], np.flatnonzero(uncensored)] = 1.0
+    u = unit_rows(z)
+    lse = logsumexp_rows(u.matmul(u.T) * (1.0 / tau))
+    positives = ((Tensor(anchor_groups) @ u) * (Tensor(positive_groups) @ u)).sum()
+    total = (lse * Tensor(n_pos[:, None])).sum() - positives * (1.0 / tau)
+    return total * (1.0 / n_cens)
+
+
+def nll_composed(dist, bins, events, floor: float = 1e-12) -> Tensor:
+    """Discrete-time NLL picking log p and log S through one-hot n x T masks."""
+    bins = np.asarray(bins, dtype=np.int64).ravel()
+    events = np.asarray(events).ravel()
+    n, t_plus_1 = dist.probs.values.shape
+    event_mask = np.zeros((n, t_plus_1))
+    surv_mask = np.zeros((n, t_plus_1 - 1))
+    rows = np.arange(n)
+    died = events == 1
+    event_mask[rows[died], bins[died]] = 1.0
+    surv_mask[rows[~died], bins[~died]] = 1.0
+    log_p = dist.probs.clamp_min(floor).log()
+    log_s = dist.survival.clamp_min(floor).log()
+    picked = (Tensor(event_mask) * log_p).sum() + (Tensor(surv_mask) * log_s).sum()
+    return picked * (-1.0 / n)
+
+
+def rank_composed(dist, bins, events, sigma: float) -> Tensor:
+    """The O(n*T) ranking penalty built from masked elementwise tape ops."""
+    bins = np.asarray(bins, dtype=np.int64).ravel()
+    events = np.asarray(events).ravel()
+    n, n_bins = dist.survival.values.shape
+    later = n - np.cumsum(np.bincount(bins, minlength=n_bins))
+    anchors = np.flatnonzero((events == 1) & (later[bins] > 0))
+    if anchors.size == 0:
+        return Tensor(np.zeros((1, 1)))
+    n_pairs = float(later[bins[anchors]].sum())
+    is_later = bins[:, None] > np.arange(n_bins)[None, :]
+    x = dist.survival * (-1.0 / sigma)
+    shift = np.where(is_later, x.values, -np.inf).max(axis=0, keepdims=True)
+    shift[:, later == 0] = 0.0
+    y = x - Tensor(shift)
+    mask = Tensor(is_later.astype(np.float64))
+    terms = (y * mask).exp() * mask
+    log_r = (terms.sum(axis=0) + Tensor((later == 0)[None, :].astype(np.float64))).log()
+    at_bin = np.zeros((n, n_bins))
+    at_bin[anchors, bins[anchors]] = 1.0
+    exponent = ((log_r - y) * Tensor(at_bin)).sum(axis=1)
+    is_anchor = np.zeros((n, 1))
+    is_anchor[anchors] = 1.0
+    return (exponent.exp() * Tensor(is_anchor)).sum() * (1.0 / n_pairs)

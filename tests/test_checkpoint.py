@@ -79,6 +79,14 @@ class TestRoundTrip:
         assert np.array_equal(restored.train_events, state.train_events)
 
 
+    def test_file_bytes_match_json_dump(self, tmp_path):
+        state, _ = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path), {"f0": {"mean": 0.5}}, ["f0"])
+        with open(tmp_path / "dumped.json", "w") as fh:
+            json.dump(json.loads(path.read_text()), fh)
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
     def test_assignments_written_once(self, tmp_path):
         state, _ = fitted_state()
         path = tmp_path / "ck.json"

@@ -676,6 +676,30 @@ class TestHpoCommand:
         assert float(report["val_ibs"]) == trials[0]["val_ibs"][0]
 
 
+class TestOutputPaths:
+    """An output path that cannot be written exits 1 with one line."""
+
+    def test_curves_on_existing_directory(self, workspace, tmp_path, capsys):
+        rc = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+            "--data", str(workspace / "toy.csv"), "--curves", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    def test_stratify_out_on_existing_file(self, workspace, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main([
+            "stratify", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+            "--data", str(workspace / "toy.csv"), "--out", str(taken),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+
+
 class TestStratifyCommand:
     def test_outputs_parse_back(self, workspace, tmp_path):
         out = tmp_path / "strat"
@@ -823,13 +847,14 @@ class TestFuzzedCsv:
     @given(case=survival_csvs(time="duration", event="event", n_features=3))
     def test_evaluate_exits_with_a_code(self, workspace, case):
         """A malformed CSV exits 2 (data) or 1 (usage) with a one-line
-        message; any CSV exits with a documented code, never a traceback."""
+        message; any CSV exits with a documented code, never a traceback,
+        and no numpy RuntimeWarning escapes."""
         path = workspace / "fuzzed.csv"
         path.write_text(case[0])
         err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            # dropped rows and extreme values warn
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            # dropped rows warn; every warning is recorded
+            warnings.simplefilter("always")
             try:
                 load_csv_rows(str(path), Schema.from_file(str(workspace / "schema.json")))
                 malformed = False
@@ -838,6 +863,7 @@ class TestFuzzedCsv:
             rc = main(["evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
                        "--data", str(path)])
         assert rc in ((1, 2) if malformed else (0, 1, 2, 3))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if rc:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1

@@ -120,8 +120,15 @@ class TestSerialization:
         assert back == config
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown configuration keys: dropout"):
+        with pytest.raises(ConfigurationError, match="unknown configuration keys: 'dropout'"):
             ExperimentConfig.from_dict({"dropout": 0.5})
+
+    @pytest.mark.parametrize("d", [{"\n": None}, {"weights": {"a\nb": 1.0}}])
+    def test_unknown_keys_quoted_on_one_line(self, d):
+        with pytest.raises(ConfigurationError) as info:
+            ExperimentConfig.from_dict(d)
+        assert "\n" not in str(info.value)
+        assert "\\n" in str(info.value)
 
     def test_unknown_weight_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown loss-weight keys"):

@@ -24,10 +24,18 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor
+from survstrat.tensor import Tensor, mlp
 
 from gradcases import dist_from_logits
-from oracles import ivcg_pairwise, rank_pairwise
+from oracles import (
+    ivcg_composed,
+    ivcg_pairwise,
+    mlp_composed,
+    nll_composed,
+    paired_nce_composed,
+    rank_composed,
+    rank_pairwise,
+)
 
 TOL = 1e-5
 
@@ -398,3 +406,94 @@ class TestNonNegativity:
                 scalar(loss_rank(dist, bins, events, 0.2)),
             ]
             assert all(np.isfinite(v) and v >= 0 for v in vals)
+
+
+def _fused_and_composed(kind, rng):
+    """(fused loss, composed-oracle loss, leaves) on one random batch; both
+    builders rebuild the graph from the leaves."""
+    n = int(rng.integers(1, 9))
+    if kind in ("nll", "rank"):
+        n_bins = int(rng.integers(1, 5))
+        logits = Tensor(rng.standard_normal((n, n_bins + 1)) * 2.0, requires_grad=True)
+        bins = rng.integers(0, n_bins, size=n)
+        events = rng.integers(0, 2, size=n)
+        # row 0's bin probability falls below the 1e-12 floor
+        logits.values[0, bins[0]] -= 40.0
+        if kind == "nll":
+            return (lambda: loss_nll(dist_from_logits(logits), bins, events),
+                    lambda: nll_composed(dist_from_logits(logits), bins, events), [logits])
+        sigma = float(rng.choice([0.05, 0.3, 2.0]))
+        return (lambda: loss_rank(dist_from_logits(logits), bins, events, sigma),
+                lambda: rank_composed(dist_from_logits(logits), bins, events, sigma), [logits])
+    tau = float(rng.choice([0.1, 0.5, 2.0]))
+    d = int(rng.integers(1, 5))
+    # a zero row exercises the norm floor
+    z1 = Tensor(rng.standard_normal((n, d)) * (rng.random((n, 1)) > 0.1), requires_grad=True)
+    z2 = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    if kind == "ivcg":
+        events = rng.integers(0, 2, size=n)
+        assign = rng.integers(0, 3, size=n)
+        return (lambda: loss_ivcg(z1, events, assign, tau),
+                lambda: ivcg_composed(z1, events, assign, tau), [z1])
+    if kind == "iviw":
+        return (lambda: loss_iviw(z1, z2, tau),
+                lambda: paired_nce_composed(z1, z2, tau), [z1, z2])
+    # ivcw: soft assignments of n rows over d clusters
+    q1 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
+    q2 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
+    return (lambda: loss_ivcw(q1, q2, tau),
+            lambda: paired_nce_composed(q1.T, q2.T, tau), [q1, q2])
+
+
+def _smallest_norm(values):
+    """The smallest nonzero row or column norm, at most 1: the composed
+    oracle's rounding in a gradient through x / ||x|| grows as 1 / ||x||."""
+    norms = np.concatenate([np.linalg.norm(values, axis=0), np.linalg.norm(values, axis=1)])
+    return min(1.0, norms[norms > 0].min(initial=1.0))
+
+
+def _value_and_grads(build, leaves):
+    for leaf in leaves:
+        leaf.zero_grad()
+    out = build()
+    out.backward()
+    return scalar(out), [leaf.grad.copy() for leaf in leaves]
+
+
+class TestFusedNodes:
+    """Each fused loss node against the composed tape graph it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["nll", "rank", "ivcg", "iviw", "ivcw"]), st.integers(0, 2 ** 32 - 1))
+    def test_value_and_gradient_match_composed_graph(self, kind, seed):
+        fused, composed, leaves = _fused_and_composed(kind, np.random.default_rng(seed))
+        got, got_grads = _value_and_grads(fused, leaves)
+        want, want_grads = _value_and_grads(composed, leaves)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for leaf, g, w in zip(leaves, got_grads, want_grads):
+            scale = max(np.abs(w).max(), 1.0) / _smallest_norm(leaf.values)
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_mlp_is_bit_identical_to_composed_layers(self, widths, relu_last, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((4, widths[0])), requires_grad=True)
+        layers = [
+            (Tensor(rng.standard_normal((a, b)), requires_grad=True),
+             Tensor(rng.standard_normal((1, b)), requires_grad=True))
+            for a, b in zip(widths, widths[1:])
+        ]
+        leaves = [x, *(p for layer in layers for p in layer)]
+        weight = Tensor(rng.standard_normal((4, widths[-1])))
+        got, got_grads = _value_and_grads(lambda: (mlp(x, layers, relu_last) * weight).sum(), leaves)
+        np.testing.assert_array_equal(
+            mlp(x, layers, relu_last).values, mlp_composed(x, layers, relu_last).values
+        )
+        want, want_grads = _value_and_grads(
+            lambda: (mlp_composed(x, layers, relu_last) * weight).sum(), leaves
+        )
+        assert got == want
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
