@@ -5,8 +5,8 @@ and per-instance form (the per-instance vectors feed self-paced filtering).
 The three contrastive losses follow the InfoNCE pattern with cosine
 similarity and temperature tau; denominators include the anchor term.
 Survival losses cover calibration (negative log-likelihood over time bins)
-and discrimination (exponential ranking penalty). Each contrastive and
-survival loss is one tape node with a numpy forward and closed-form backward.
+and discrimination (exponential ranking penalty). Every loss, weighted sum
+and soft assignment is one tape node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, squared_distances
+from .tensor import Tensor, weighted_sum
 
 _CLAMP = 1e-12
 
@@ -55,39 +55,57 @@ class LossWeights:
             )
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _squared_error(a: Tensor, target: np.ndarray, op: str) -> tuple[Tensor, Tensor]:
+    """Mean and per-instance node of the row sums of (a - target)^2 for a
+    constant ``target``."""
+    diff = a.values - target
+    values = (diff * diff).sum(axis=1, keepdims=True)
+
+    def backward_fn(grad):
+        half = grad * diff
+        a._accumulate(half + half)
+
+    per_instance = Tensor._from_op(values, (a,), op, backward_fn)
+    return per_instance.mean(), per_instance
 
 
 def loss_rec(x, x_hat: Tensor) -> tuple[Tensor, Tensor]:
     """Squared reconstruction error: scalar mean and per-instance row norms."""
-    diff = x_hat - _as_tensor(x)
-    per_instance = (diff * diff).sum(axis=1)
-    return per_instance.mean(), per_instance
+    target = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    return _squared_error(x_hat, target, "loss_rec")
 
 
 def loss_kld(mu: Tensor, log_var: Tensor) -> tuple[Tensor, Tensor]:
     """KL(q || N(0, I)) per instance: 0.5 * sum(mu^2 + sigma^2 - 1 - log sigma^2)."""
-    var = log_var.exp()
-    inner = mu * mu + var - 1.0 - log_var
-    per_instance = inner.sum(axis=1) * 0.5
+    m, lv = mu.values, log_var.values
+    with np.errstate(over="ignore"):
+        var = np.exp(lv)
+    values = (((m * m + var) - 1.0) - lv).sum(axis=1, keepdims=True) * 0.5
+
+    # one accumulate per use of mu and log_var, so the sums round as composed
+    def backward_fn(grad):
+        g = grad * 0.5
+        if mu.requires_grad:
+            half = g * m
+            mu._accumulate(half)
+            mu._accumulate(half)
+        if log_var.requires_grad:
+            log_var._accumulate(-g)
+            log_var._accumulate(g * var)
+
+    per_instance = Tensor._from_op(values, (mu, log_var), "loss_kld", backward_fn)
     return per_instance.mean(), per_instance
 
 
 def loss_clus(z: Tensor, centers: np.ndarray, assignments) -> tuple[Tensor, Tensor]:
     """Squared distance from each latent to its assigned (frozen) center."""
     assigned = np.asarray(centers, dtype=np.float64)[np.asarray(assignments, dtype=np.int64)]
-    diff = z - Tensor(assigned)
-    per_instance = (diff * diff).sum(axis=1)
-    return per_instance.mean(), per_instance
+    return _squared_error(z, assigned, "loss_clus")
 
 
 def average_views(parts):
     """Mean of per-view loss tensors (scalars or per-instance vectors)."""
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total * (1.0 / len(parts))
+    return weighted_sum([(p, 1.0) for p in parts], 1.0 / len(parts))
 
 
 def _unit_rows(x: np.ndarray):
@@ -150,12 +168,14 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     return Tensor._from_op(values, (z,), "loss_ivcg", backward_fn)
 
 
-def _paired_nce(a: Tensor, b: Tensor, tau: float) -> Tensor:
+def _paired_nce(a: Tensor, b: Tensor, tau: float, cols: bool = False) -> Tensor:
     """Symmetric InfoNCE, sum_i [lse_j(s_ij) + lse_j(s_ji) - 2 s_ii] / n, over
-    the cosine similarities s = u v^T / tau of the unit rows of ``a`` and
-    ``b``; d loss / d s is (row softmax + column softmax - 2 I) / n."""
-    u, u_grad = _unit_rows(a.values)
-    v, v_grad = _unit_rows(b.values)
+    the cosine similarities s = u v^T / tau of the unit rows (or, with
+    ``cols``, columns) of ``a`` and ``b``; d loss / d s is (row softmax +
+    column softmax - 2 I) / n."""
+    flip = (lambda m: m.T) if cols else (lambda m: m)
+    u, u_grad = _unit_rows(np.ascontiguousarray(flip(a.values)))
+    v, v_grad = _unit_rows(np.ascontiguousarray(flip(b.values)))
     n = u.shape[0]
     sims = (u @ v.T) * (1.0 / tau)
     diag = (u * v).sum(axis=1, keepdims=True) * (1.0 / tau)
@@ -168,9 +188,9 @@ def _paired_nce(a: Tensor, b: Tensor, tau: float) -> Tensor:
         d_sims.flat[::n + 1] -= 2.0
         d_sims *= grad[0, 0] / (n * tau)
         if a.requires_grad:
-            a._accumulate(u_grad(d_sims @ v))
+            a._accumulate(flip(u_grad(d_sims @ v)))
         if b.requires_grad:
-            b._accumulate(v_grad(d_sims.T @ u))
+            b._accumulate(flip(v_grad(d_sims.T @ u)))
 
     return Tensor._from_op(values, (a, b), "paired_nce", backward_fn)
 
@@ -191,17 +211,36 @@ def loss_ivcw(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
     k1, k2 = q1.values.shape[1], q2.values.shape[1]
     if k1 != k2:
         raise ConfigurationError(f"views disagree on cluster count: {k1} vs {k2}")
-    return _paired_nce(q1.T, q2.T, tau)
+    return _paired_nce(q1, q2, tau, cols=True)
 
 
 def soft_assign_tensor(z: Tensor, centers: np.ndarray, nu: float = 1.0) -> Tensor:
     """Differentiable Student's-t soft assignment, rows normalized to 1."""
     if nu <= 0:
         raise ConfigurationError(f"nu must be positive, got {nu}")
-    d2 = squared_distances(z, Tensor(np.asarray(centers, dtype=np.float64)))
-    base = d2 * (1.0 / nu) + 1.0
-    unnorm = (base.log() * (-(nu + 1.0) / 2.0)).exp()
-    return unnorm / unnorm.sum(axis=1)
+    c = np.asarray(centers, dtype=np.float64)
+    zv, ct = z.values, c.T.copy()
+    if zv.shape[1] != c.shape[1]:
+        raise ConfigurationError(f"soft_assign: column counts differ, {zv.shape} vs {c.shape}")
+    # squared distances with tiny negatives from cancellation clipped to zero
+    d2 = ((zv * zv).sum(axis=1, keepdims=True) - (zv @ ct) * 2.0) + (c * c).sum(axis=1)
+    base = np.maximum(d2, 0.0) * (1.0 / nu) + 1.0
+    power = -(nu + 1.0) / 2.0
+    unnorm = np.exp(np.log(base) * power)
+    total = unnorm.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = unnorm / total
+
+    def backward_fn(grad):
+        d_unnorm = grad / total + (-grad * unnorm / total ** 2).sum(axis=1, keepdims=True)
+        d_d2 = (d_unnorm * unnorm) * power / base * (1.0 / nu) * (d2 > 0.0)
+        # the |z|^2 term's two uses of z, then the cross term's, as composed
+        d_self = d_d2.sum(axis=1, keepdims=True) * zv
+        z._accumulate(d_self)
+        z._accumulate(d_self)
+        z._accumulate((-d_d2 * 2.0) @ ct.T)
+
+    return Tensor._from_op(values, (z,), "soft_assign", backward_fn)
 
 
 def loss_nll(dist, bins, events) -> Tensor:
@@ -274,24 +313,19 @@ def combine_cl(weights: LossWeights, siamese: bool, l_ivcg=None, l_iviw=None,
                l_ivcw=None) -> Tensor:
     """Weighted contrastive total: alpha_ivcg*IVCG + alpha_iviw*IVIW + alpha_ivcw*IVCW."""
     weights.validate(siamese)
-    total = Tensor(np.zeros((1, 1)))
-    if weights.alpha_ivcg and l_ivcg is not None:
-        total = total + l_ivcg * weights.alpha_ivcg
-    if weights.alpha_iviw and l_iviw is not None:
-        total = total + l_iviw * weights.alpha_iviw
-    if weights.alpha_ivcw and l_ivcw is not None:
-        total = total + l_ivcw * weights.alpha_ivcw
-    return total
+    terms = [(loss, alpha) for loss, alpha in ((l_ivcg, weights.alpha_ivcg),
+                                               (l_iviw, weights.alpha_iviw),
+                                               (l_ivcw, weights.alpha_ivcw))
+             if alpha and loss is not None]
+    return weighted_sum(terms) if terms else Tensor(np.zeros((1, 1)))
 
 
 def combine_surv(weights: LossWeights, l_nll: Tensor, l_rank: Tensor) -> Tensor:
     """Survival total: NLL + beta * ranking."""
-    return l_nll + l_rank * weights.beta
+    return weighted_sum([(l_nll, 1.0), (l_rank, weights.beta)])
 
 
 def combine_instance(weights: LossWeights, rec_i: Tensor, kld_i, clus_i: Tensor) -> Tensor:
     """Per-instance curriculum loss; the KLD part is dropped when None."""
-    total = rec_i * weights.alpha_rec + clus_i * weights.alpha_clus
-    if kld_i is not None:
-        total = total + kld_i * weights.alpha_kld
-    return total
+    kld_term = [] if kld_i is None else [(kld_i, weights.alpha_kld)]
+    return weighted_sum([(rec_i, weights.alpha_rec), (clus_i, weights.alpha_clus)] + kld_term)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, linear, mlp, softmax_rows, take_rows
+from .tensor import Tensor, concat_cols, concat_rows, linear, mlp, softmax_rows, take_rows, weighted_sum
 
 
 @dataclass
@@ -90,13 +90,29 @@ class Mlp:
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: np.random.Generator,
                    eps: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """z = mu + exp(log_var / 2) * eps with eps ~ N(0, I) held constant."""
+    """z = mu + exp(log_var / 2) * eps with eps ~ N(0, I) held constant, as one node."""
     if mu.values.shape != log_var.values.shape:
         raise UsageError("mu and log_var must have the same shape")
     if eps is None:
         eps = rng.standard_normal(mu.values.shape)
-    z = mu + (log_var * 0.5).exp() * Tensor(eps)
-    return z, eps
+    with np.errstate(over="ignore"):
+        std = np.exp(log_var.values * 0.5)
+
+    def backward_fn(grad):
+        if mu.requires_grad:
+            mu._accumulate(grad)
+        if log_var.requires_grad:
+            log_var._accumulate(grad * eps * std * 0.5)
+
+    return Tensor._from_op(mu.values + std * eps, (mu, log_var), "reparameterize", backward_fn), eps
+
+
+def survival_curve(probs: Tensor, cum: np.ndarray) -> Tensor:
+    """``1 - probs @ cum`` as one node, for a constant ``cum``."""
+    def backward_fn(grad):
+        probs._accumulate(-grad @ cum.T)
+
+    return Tensor._from_op(1.0 - probs.values @ cum, (probs,), "survival", backward_fn)
 
 
 class Encoder:
@@ -163,7 +179,7 @@ class Model:
             Mlp(head_widths, rngs[4 + k], f"head{k}") for k in range(n_heads)
         ]
         # constant cumulative-sum matrix: survival_t = 1 - sum_{s<=t} prob_s
-        self._cum = Tensor(np.triu(np.ones((config.n_bins + 1, config.n_bins))))
+        self._cum = np.triu(np.ones((config.n_bins + 1, config.n_bins)))
 
     def encode(self, x: Tensor, view: int = 1, train: bool = False,
                rng: np.random.Generator | None = None,
@@ -179,10 +195,7 @@ class Model:
 
     def survival_input(self, x: Tensor, outputs) -> Tensor:
         """[z ; x] for one view, [(z1+z2)/2 ; x] for Siamese pairs."""
-        if len(outputs) == 1:
-            zbar = outputs[0].z
-        else:
-            zbar = (outputs[0].z + outputs[1].z) * 0.5
+        zbar = weighted_sum([(out.z, 1.0) for out in outputs], 1.0 / len(outputs))
         return concat_cols(zbar, x)
 
     def survival_forward(self, h: Tensor, cluster_ids=None) -> "SurvivalDistribution":
@@ -212,8 +225,7 @@ class Model:
 
     def _distribution(self, logits: Tensor) -> "SurvivalDistribution":
         probs = softmax_rows(logits)
-        survival = 1.0 - probs @ self._cum
-        return SurvivalDistribution(probs=probs, survival=survival)
+        return SurvivalDistribution(probs=probs, survival=survival_curve(probs, self._cum))
 
     def latents(self, X: np.ndarray, view: int = 1) -> np.ndarray:
         """Eval-mode latent codes (mu for variational encoders) as numpy."""

@@ -3,16 +3,14 @@
 Graphs are built define-by-run: every operation records its parents and a
 backward closure on the fly, so the tape is rebuilt on each forward pass.
 ``backward()`` must be called on a 1x1 (scalar) tensor; gradients accumulate
-into ``.grad`` buffers until they are explicitly zeroed (the trainer zeroes
-them before each backward pass).
+into ``.grad`` buffers until they are explicitly reset (the optimizer's
+``zero_grad`` clears them before each backward pass).
 
 Every forward op validates that its output is finite; a NaN/Inf result is
 reported as a :class:`NumericError` naming the op.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,13 +26,6 @@ def _as_matrix(values) -> np.ndarray:
     elif arr.ndim != 2:
         raise ConfigurationError(f"tensors are 2-D; got ndim={arr.ndim}")
     return arr
-
-
-def _check_finite(values: np.ndarray, op: str) -> None:
-    # one reduction first; the elementwise scan runs only when the sum is not
-    # finite, which finite values can also produce by overflowing
-    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
-        raise NumericError(f"non-finite output in op '{op}'")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -73,7 +64,8 @@ class Tensor:
     @classmethod
     def _from_op(cls, values: np.ndarray, parents: tuple["Tensor", ...], op: str,
                  backward_fn) -> "Tensor":
-        _check_finite(values, op)
+        if not np.isfinite(values).all():
+            raise NumericError(f"non-finite output in op '{op}'")
         out = cls.__new__(cls)
         out.values = values
         needs = any(p.requires_grad for p in parents)
@@ -335,10 +327,21 @@ class Tensor:
 
         return Tensor._from_op(values, (a,), "sum", backward_fn)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
+    def mean(self, axis: int | None = None, mask: np.ndarray | None = None) -> "Tensor":
+        """Mean over all entries or along ``axis``, as one node; with a 0/1
+        ``mask`` of this shape, the mean over all the entries it keeps."""
         a = self
-        n = a.values.size if axis is None else a.shape[axis]
-        return a.sum(axis=axis) * (1.0 / n)
+        if mask is None:
+            kept, scale = a.values, 1.0 / (a.values.size if axis is None else a.shape[axis])
+        else:
+            kept, scale = a.values * mask, 1.0 / mask.sum()
+        values = kept.sum(axis=axis, keepdims=True) * scale
+
+        def backward_fn(grad):
+            delta = np.broadcast_to(grad * scale, a.shape)
+            a._accumulate(delta if mask is None else delta * mask)
+
+        return Tensor._from_op(values, (a,), "mean", backward_fn)
 
 
 # -- module-level structured ops --------------------------------------------
@@ -365,17 +368,21 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
     as one node, with relu after every layer but the last (and after the last
     too when ``relu_last``); each layer's arithmetic is that of ``linear``."""
     last = len(layers) - 1
+    op = "mlp" if last else "linear"
     hs = [x.values]
-    # an overflow leaves a non-finite output, which the one check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, (W, b) in enumerate(layers):
-            if hs[-1].shape[1] != W.shape[0]:
-                raise ConfigurationError(f"linear: inner dims differ, {hs[-1].shape} @ {W.shape}")
-            out = hs[-1] @ W.values
-            out += b.values
-            if i < last or relu_last:
-                np.maximum(out, 0.0, out=out)
-            hs.append(out)
+    # an overflow in any layer is an error, also where a relu would clip it
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i, (W, b) in enumerate(layers):
+                if hs[-1].shape[1] != W.shape[0]:
+                    raise ConfigurationError(f"linear: inner dims differ, {hs[-1].shape} @ {W.shape}")
+                out = hs[-1] @ W.values
+                out += b.values
+                if i < last or relu_last:
+                    np.maximum(out, 0.0, out=out)
+                hs.append(out)
+    except FloatingPointError:
+        raise NumericError(f"non-finite output in op '{op}'")
 
     def backward_fn(grad):
         for i in range(last, -1, -1):
@@ -392,7 +399,7 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
             x._accumulate(grad)
 
     parents = (x, *(p for layer in layers for p in layer))
-    return Tensor._from_op(hs[-1], parents, "mlp" if last else "linear", backward_fn)
+    return Tensor._from_op(hs[-1], parents, op, backward_fn)
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -440,16 +447,24 @@ def softmax_rows(x: Tensor) -> Tensor:
     return Tensor._from_op(values, (a,), "softmax_rows", backward_fn)
 
 
-def squared_distances(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise squared Euclidean distance matrix (N,K) between rows."""
-    if a.shape[1] != b.shape[1]:
-        raise ConfigurationError(f"squared_distances: column counts differ, {a.shape} vs {b.shape}")
-    a2 = (a * a).sum(axis=1)            # (N,1)
-    b2 = (b * b).sum(axis=1).transpose()  # (1,K)
-    cross = a.matmul(b.transpose())     # (N,K)
-    d = a2 - 2.0 * cross + b2
-    # tiny negatives from cancellation are clipped to zero
-    return d.clamp_min(0.0)
+def weighted_sum(terms, scale: float = 1.0) -> Tensor:
+    """``scale * (w0 * t0 + w1 * t1 + ...)`` over ``(tensor, weight)`` pairs of
+    one shape, added left to right, as one node; a lone term with weight and
+    scale 1 is returned as it is."""
+    if len(terms) == 1 and terms[0][1] == 1.0 and scale == 1.0:
+        return terms[0][0]
+    values = terms[0][0].values * terms[0][1]
+    for t, w in terms[1:]:
+        values = values + t.values * w
+
+    def backward_fn(grad):
+        g = grad * scale
+        for t, w in terms:
+            if t.requires_grad:
+                t._accumulate(g * w)
+
+    return Tensor._from_op(values * scale, tuple(t for t, _ in terms), "weighted_sum",
+                           backward_fn)
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -483,8 +498,9 @@ class Adam:
         self.v = [self._v[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
 
     def zero_grad(self) -> None:
+        # ``step`` reads a missing gradient as zeros
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         self.step_count += 1
@@ -495,7 +511,7 @@ class Adam:
         for p in self.params:
             g = p.grad
             if g is None:
-                # outside every graph so far: its moments and value stay put
+                # no gradient reached it since zero_grad: a zero gradient
                 g = np.zeros(p.values.shape)
             elif g.shape != p.values.shape:
                 raise UsageError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")

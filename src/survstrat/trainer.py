@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .errors import DataError, NumericError, UsageError
 from .metrics import TimeGrid, build_time_grid, concordance_index, expected_event_time
 from .networks import Model, ModelConfig
-from .tensor import Adam, Tensor
+from .tensor import Adam, Tensor, weighted_sum
 
 LOG_COLUMNS = (
     "epoch", "stage", "loss_total", "loss_rec", "loss_kld", "loss_clus",
@@ -211,9 +211,8 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
         surv = losses.average_views(
             [_survival_loss(d, data.bins[idx], data.e[idx], w) for d in dists]
         )
-        total = rec * w.alpha_rec + surv * w.alpha_surv
-        if kld is not None:
-            total = total + kld * w.alpha_kld
+        kld_term = [] if kld is None else [(kld, w.alpha_kld)]
+        total = weighted_sum([(rec, w.alpha_rec), (surv, w.alpha_surv)] + kld_term)
         return total, {"loss_rec": rec, "loss_kld": kld, "loss_surv": surv}
 
     for epoch in range(1, config.pretrain_epochs + 1):
@@ -249,7 +248,7 @@ def _contrastive_loss(model, outs, events, batch_assignments, centers, config):
             losses.loss_ivcg(out.z, events, batch_assignments[v], w.tau)
             for v, out in enumerate(outs)
         ]
-        l_ivcg = sum(parts[1:], parts[0])
+        l_ivcg = weighted_sum([(p, 1.0) for p in parts])
     l_iviw = None
     l_ivcw = None
     if len(outs) == 2:
@@ -325,13 +324,12 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
             per_instance.values, epoch, config.max_epochs
         )
         mask, _ = spl_filter(per_instance.values, lam)
-        admitted = Tensor(mask.astype(np.float64)[:, None])
-        l_spl = (per_instance * admitted).sum() * (1.0 / mask.sum())
+        l_spl = per_instance.mean(mask=mask.astype(np.float64)[:, None])
         l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, frozen, config)
         ids = batch_assign[config.routing_view - 1]
         dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=ids)
         l_surv = _survival_loss(dist, data.bins[idx], data.e[idx], w)
-        total = l_spl * w.alpha_spl + l_cl * w.alpha_cl + l_surv * w.alpha_surv
+        total = weighted_sum([(l_spl, w.alpha_spl), (l_cl, w.alpha_cl), (l_surv, w.alpha_surv)])
         return total, {
             "loss_rec": rec, "loss_kld": kld, "loss_clus": clus, "loss_spl": l_spl,
             "loss_cl": l_cl, "loss_surv": l_surv, "lambda_spl": lam,

@@ -25,8 +25,10 @@ from survstrat.losses import (
     loss_rec,
     soft_assign_tensor,
 )
-from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor, concat_rows, linear, mlp, softmax_rows, take_rows
+from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
+from survstrat.tensor import (
+    Tensor, concat_rows, linear, mlp, softmax_rows, take_rows, weighted_sum,
+)
 
 
 def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
@@ -70,6 +72,58 @@ def case_clus(seed):
     centers = rng.standard_normal((2, 3))
     assign = rng.integers(0, 2, size=5)
     return lambda: loss_clus(z, centers, assign)[0], [z]
+
+
+def case_reparameterize(seed):
+    rng = np.random.default_rng(seed)
+    mu = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    log_var = Tensor(rng.standard_normal((4, 3)) * 0.5, requires_grad=True)
+    eps = rng.standard_normal((4, 3))
+    w = Tensor(rng.standard_normal((4, 3)))
+    return lambda: (reparameterize(mu, log_var, None, eps)[0] * w).sum(), [mu, log_var]
+
+
+def case_soft_assign(seed):
+    rng = np.random.default_rng(seed)
+    z = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    centers = rng.standard_normal((3, 3))
+    nu = (0.5, 1.0, 3.0)[seed % 3]
+    w = Tensor(rng.standard_normal((6, 3)))
+    return lambda: (soft_assign_tensor(z, centers, nu) * w).sum(), [z]
+
+
+def case_survival_curve(seed):
+    rng = np.random.default_rng(seed)
+    logits = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
+    cum = np.triu(np.ones((5, 4)))
+    w = Tensor(rng.standard_normal((5, 4)))
+    return lambda: (survival_curve(softmax_rows(logits), cum) * w).sum(), [logits]
+
+
+def case_weighted_sum(seed):
+    rng = np.random.default_rng(seed)
+    terms = [Tensor(rng.standard_normal((4, 2)), requires_grad=True) for _ in range(3)]
+    weights = rng.standard_normal(3)
+    w = Tensor(rng.standard_normal((4, 2)))
+
+    def build():
+        out = weighted_sum(list(zip(terms, weights)), 0.7)
+        return (out * out * w).sum()
+
+    return build, terms
+
+
+def case_mean(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    mask = (rng.random((5, 3)) < 0.6).astype(np.float64)
+    mask[0, 0] = 1.0
+
+    def build():
+        sq = x * x
+        return sq.mean() + sq.mean(axis=0).mean() + sq.mean(axis=1).mean() + sq.mean(mask=mask)
+
+    return build, [x]
 
 
 def case_ivcg(seed):
@@ -241,6 +295,11 @@ ALL_CASES = [
     ("rec", case_rec),
     ("kld", case_kld),
     ("clus", case_clus),
+    ("reparameterize", case_reparameterize),
+    ("soft_assign", case_soft_assign),
+    ("survival_curve", case_survival_curve),
+    ("weighted_sum", case_weighted_sum),
+    ("mean", case_mean),
     ("ivcg", case_ivcg),
     ("iviw", case_iviw),
     ("ivcw", case_ivcw),

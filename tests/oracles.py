@@ -3,7 +3,8 @@
 These deliberately use slow, explicit scalar loops so they share no code
 paths (vectorization, sorting tricks, searchsorted) with the library. The
 composed tape graphs at the end are the references for the library's fused
-loss and MLP nodes: the same functions built from elementary tensor ops.
+nodes: the same functions built from elementary tensor ops, with the same
+arithmetic in the same order.
 """
 
 import csv
@@ -14,6 +15,7 @@ import numpy as np
 
 from survstrat.data import RawTable
 from survstrat.errors import ConfigurationError, DataError
+from survstrat.losses import _paired_nce
 from survstrat.tensor import Tensor
 
 
@@ -405,3 +407,77 @@ def rank_composed(dist, bins, events, sigma: float) -> Tensor:
     is_anchor = np.zeros((n, 1))
     is_anchor[anchors] = 1.0
     return (exponent.exp() * Tensor(is_anchor)).sum() * (1.0 / n_pairs)
+
+
+def squared_distances(a: Tensor, b: Tensor) -> Tensor:
+    """Pairwise squared Euclidean distance matrix (N,K) between rows."""
+    if a.shape[1] != b.shape[1]:
+        raise ConfigurationError(f"squared_distances: column counts differ, {a.shape} vs {b.shape}")
+    a2 = (a * a).sum(axis=1)            # (N,1)
+    b2 = (b * b).sum(axis=1).transpose()  # (1,K)
+    cross = a.matmul(b.transpose())     # (N,K)
+    d = a2 - 2.0 * cross + b2
+    # tiny negatives from cancellation are clipped to zero
+    return d.clamp_min(0.0)
+
+
+def mean_composed(a: Tensor, axis=None, mask=None) -> Tensor:
+    """``Tensor.mean`` as a sum node times 1/n, or the masked sum over the kept count."""
+    if mask is not None:
+        return (a * Tensor(mask)).sum() * (1.0 / mask.sum())
+    return a.sum(axis=axis) * (1.0 / (a.values.size if axis is None else a.shape[axis]))
+
+
+def weighted_sum_composed(terms, scale: float = 1.0) -> Tensor:
+    """``weighted_sum`` as one mul node per term, a chain of adds and a final mul."""
+    total = terms[0][0] * terms[0][1]
+    for t, w in terms[1:]:
+        total = total + t * w
+    return total * scale
+
+
+def rec_composed(x, x_hat: Tensor):
+    """``loss_rec``: the residual, its square and row sums, then their mean."""
+    diff = x_hat - (x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64)))
+    per_instance = (diff * diff).sum(axis=1)
+    return per_instance.mean(), per_instance
+
+
+def kld_composed(mu: Tensor, log_var: Tensor):
+    """``loss_kld``: 0.5 * row sums of mu^2 + exp(log_var) - 1 - log_var."""
+    inner = mu * mu + log_var.exp() - 1.0 - log_var
+    per_instance = inner.sum(axis=1) * 0.5
+    return per_instance.mean(), per_instance
+
+
+def clus_composed(z: Tensor, centers, assignments):
+    """``loss_clus``: squared distances to the gathered assigned centers."""
+    assigned = np.asarray(centers, dtype=np.float64)[np.asarray(assignments, dtype=np.int64)]
+    diff = z - Tensor(assigned)
+    per_instance = (diff * diff).sum(axis=1)
+    return per_instance.mean(), per_instance
+
+
+def soft_assign_composed(z: Tensor, centers, nu: float = 1.0) -> Tensor:
+    """``soft_assign_tensor`` through ``squared_distances``, log, exp and a row division."""
+    d2 = squared_distances(z, Tensor(np.asarray(centers, dtype=np.float64)))
+    base = d2 * (1.0 / nu) + 1.0
+    unnorm = (base.log() * (-(nu + 1.0) / 2.0)).exp()
+    return unnorm / unnorm.sum(axis=1)
+
+
+def reparameterize_composed(mu: Tensor, log_var: Tensor, rng, eps=None):
+    """``networks.reparameterize`` as mul, exp, mul and add nodes."""
+    if eps is None:
+        eps = rng.standard_normal(mu.values.shape)
+    return mu + (log_var * 0.5).exp() * Tensor(eps), eps
+
+
+def survival_curve_composed(probs: Tensor, cum) -> Tensor:
+    """``networks.survival_curve``: a matmul node and a subtraction from 1."""
+    return 1.0 - probs @ Tensor(cum)
+
+
+def ivcw_transposed(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
+    """``loss_ivcw`` through two transpose nodes into the row-wise InfoNCE node."""
+    return _paired_nce(q1.T, q2.T, tau)

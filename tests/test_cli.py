@@ -423,6 +423,20 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_overflowing_feature_exit_3_names_op(self, workspace, tmp_path, capsys):
+        # f0 = 1e308 overflows the encoder's first layer, whose relu would
+        # otherwise clip the resulting -inf units to 0
+        rows = [line.split(",") for line in (workspace / "toy.csv").read_text().splitlines()]
+        rows[3][2] = "1e308"
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        rc = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+            "--data", str(big),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: non-finite output in op 'linear'\n"
+
     def test_curve_export_parses(self, workspace, tmp_path):
         curves = tmp_path / "curves.csv"
         rc = main([

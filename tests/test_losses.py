@@ -23,18 +23,27 @@ from survstrat.losses import (
     loss_rec,
     soft_assign_tensor,
 )
-from survstrat.networks import SurvivalDistribution
-from survstrat.tensor import Tensor, mlp
+from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
+from survstrat.tensor import Tensor, mlp, softmax_rows, weighted_sum
 
 from gradcases import dist_from_logits
 from oracles import (
+    clus_composed,
     ivcg_composed,
     ivcg_pairwise,
+    ivcw_transposed,
+    kld_composed,
+    mean_composed,
     mlp_composed,
     nll_composed,
     paired_nce_composed,
     rank_composed,
     rank_pairwise,
+    rec_composed,
+    reparameterize_composed,
+    soft_assign_composed,
+    survival_curve_composed,
+    weighted_sum_composed,
 )
 
 TOL = 1e-5
@@ -445,6 +454,71 @@ def _fused_and_composed(kind, rng):
             lambda: paired_nce_composed(q1.T, q2.T, tau), [q1, q2])
 
 
+def _step_node_and_composed(kind, rng):
+    """(fused node, composed-oracle graph, leaves) for the nodes of a training
+    step, each reduced to a scalar by one fixed random weighting."""
+    n, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+
+    def leaf(shape, scale=1.0):
+        return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+    def weighted(make):
+        # the per-instance or matrix output of ``make``, weighted and summed
+        out = make()
+        if isinstance(out, tuple):
+            return out[0] + (out[1] * Tensor(w[:, :1])).sum()
+        return (out * Tensor(w[:, :out.values.shape[1]])).sum()
+
+    w = rng.standard_normal((n, d + 2))
+    a, b = leaf((n, d)), leaf((n, d), 0.5)
+    if kind == "reparameterize":
+        eps = rng.standard_normal((n, d))
+        return (lambda: weighted(lambda: reparameterize(a, b, None, eps)[0]),
+                lambda: weighted(lambda: reparameterize_composed(a, b, None, eps)[0]), [a, b])
+    if kind == "rec":
+        x = rng.standard_normal((n, d))
+        return (lambda: weighted(lambda: loss_rec(x, a)),
+                lambda: weighted(lambda: rec_composed(x, a)), [a])
+    if kind == "kld":
+        return (lambda: weighted(lambda: loss_kld(a, b)),
+                lambda: weighted(lambda: kld_composed(a, b)), [a, b])
+    if kind in ("clus", "soft_assign"):
+        centers = rng.standard_normal((int(rng.integers(1, 4)), d))
+        # a latent on a center puts a squared distance at the clip to zero
+        a.values[0] = centers[0]
+        if kind == "clus":
+            assign = rng.integers(0, centers.shape[0], size=n)
+            return (lambda: weighted(lambda: loss_clus(a, centers, assign)),
+                    lambda: weighted(lambda: clus_composed(a, centers, assign)), [a])
+        nu = float(rng.choice([0.5, 1.0, 3.0]))
+        return (lambda: weighted(lambda: soft_assign_tensor(a, centers, nu)),
+                lambda: weighted(lambda: soft_assign_composed(a, centers, nu)), [a])
+    if kind == "survival_curve":
+        cum = np.triu(np.ones((d + 1, d)))
+        logits = leaf((n, d + 1), 2.0)
+        return (lambda: weighted(lambda: survival_curve(softmax_rows(logits), cum)),
+                lambda: weighted(lambda: survival_curve_composed(softmax_rows(logits), cum)),
+                [logits])
+    if kind == "weighted_sum":
+        terms = [(leaf((n, 1)), float(rng.choice([0.0, 0.5, 1.0, 2.5])))
+                 for _ in range(int(rng.integers(1, 4)))]
+        scale = float(rng.choice([1.0, 0.5, 1.0 / 3.0]))
+        return (lambda: weighted(lambda: weighted_sum(terms, scale)),
+                lambda: weighted(lambda: weighted_sum_composed(terms, scale)),
+                [t for t, _ in terms])
+    if kind == "mean":
+        mask = (rng.random((n, d)) < 0.5).astype(np.float64)
+        mask[0, 0] = 1.0
+        axis = [None, 0, 1][int(rng.integers(0, 3))]
+        return (lambda: a.mean(axis=axis).mean() + (a * a).mean(mask=mask),
+                lambda: mean_composed(mean_composed(a, axis)) + mean_composed(a * a, mask=mask),
+                [a])
+    # ivcw: the columns of n x d soft assignments
+    q1 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
+    q2 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
+    return (lambda: loss_ivcw(q1, q2, 0.5), lambda: ivcw_transposed(q1, q2, 0.5), [q1, q2])
+
+
 def _smallest_norm(values):
     """The smallest nonzero row or column norm, at most 1: the composed
     oracle's rounding in a gradient through x / ||x|| grows as 1 / ||x||."""
@@ -473,6 +547,18 @@ class TestFusedNodes:
         for leaf, g, w in zip(leaves, got_grads, want_grads):
             scale = max(np.abs(w).max(), 1.0) / _smallest_norm(leaf.values)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["reparameterize", "rec", "kld", "clus", "soft_assign",
+                            "survival_curve", "weighted_sum", "mean", "ivcw"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_step_node_matches_composed_graph(self, kind, seed):
+        fused, composed, leaves = _step_node_and_composed(kind, np.random.default_rng(seed))
+        got, got_grads = _value_and_grads(fused, leaves)
+        want, want_grads = _value_and_grads(composed, leaves)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.booleans(),

@@ -11,12 +11,12 @@ from survstrat.tensor import (
     Tensor,
     concat_cols,
     linear,
+    mlp,
     softmax_rows,
-    squared_distances,
 )
 
 from conftest import check_gradients
-from oracles import cosine_similarity, logsumexp_rows, relu, row_norms
+from oracles import cosine_similarity, logsumexp_rows, relu, row_norms, squared_distances
 
 
 class TestForwardOps:
@@ -74,12 +74,21 @@ class TestForwardOps:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="'linear'"):
             linear(x, w, Tensor([[0.0]]), relu=True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_values_with_overflowing_sum_pass(self):
-        # the sum overflows, so the per-element scan decides
+        # their sum overflows; the check looks at each element, and warns of nothing
         big = np.finfo(np.float64).max
-        with np.errstate(over="ignore"):
-            out = Tensor([[big, big]]) * 1.0
-        np.testing.assert_array_equal(out.values, [[big, big]])
+        out = Tensor([[big, big, 1e308]]) * 1.0
+        np.testing.assert_array_equal(out.values, [[big, big, 1e308]])
+
+    @pytest.mark.parametrize("n_layers,op", [(1, "'linear'"), (2, "'mlp'")])
+    def test_overflow_clipped_by_relu_still_raises(self, n_layers, op):
+        # the first pre-activation overflows to -inf, which a relu would clip to 0
+        x = Tensor([[1e200, 1e200]])
+        layers = [(Tensor([[-1e200], [-1e200]]), Tensor([[0.0]])),
+                  (Tensor([[1.0]]), Tensor([[0.0]]))][:n_layers]
+        with pytest.raises(NumericError, match=op):
+            mlp(x, layers, relu_last=True)
 
     def test_linear_matches_matmul_add_relu(self):
         rng = np.random.default_rng(4)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from survstrat import clustering, trainer
+from survstrat import clustering, losses, networks, tensor, trainer
 from survstrat.config import ExperimentConfig
 from survstrat.errors import UsageError
 from survstrat.losses import LossWeights
 from survstrat.metrics import expected_event_time
 from survstrat.networks import Model
+
+import oracles
 
 
 def small_config(**overrides):
@@ -313,6 +315,43 @@ class TestFit:
         pred = trainer.predict(state, make_data().X[:10])
         assert pred["labels"] is not None
         assert pred["probs"].shape == (10, config.n_bins + 1)
+
+
+class TestFusedStepNodes:
+    def test_fit_matches_composed_graphs(self, monkeypatch):
+        """A Siamese per-cluster fit equals, to 1e-12, the same fit with every
+        fused step node swapped for its composed oracle graph."""
+        config = small_config(
+            siamese=True, heads="per-cluster", encoder_hidden=(16, 8),
+            weights=LossWeights(alpha_kld=0.3, alpha_clus=0.2, alpha_cl=0.5, beta=0.7,
+                                alpha_iviw=0.4, alpha_ivcw=0.6),
+        )
+        fused = trainer.fit(make_data(), config)
+        for module, name, oracle in [
+            (losses, "loss_rec", oracles.rec_composed),
+            (losses, "loss_kld", oracles.kld_composed),
+            (losses, "loss_clus", oracles.clus_composed),
+            (losses, "soft_assign_tensor", oracles.soft_assign_composed),
+            (losses, "loss_ivcw", oracles.ivcw_transposed),
+            (networks, "reparameterize", oracles.reparameterize_composed),
+            (networks, "survival_curve", oracles.survival_curve_composed),
+            (losses, "weighted_sum", oracles.weighted_sum_composed),
+            (networks, "weighted_sum", oracles.weighted_sum_composed),
+            (trainer, "weighted_sum", oracles.weighted_sum_composed),
+            (tensor.Tensor, "mean", oracles.mean_composed),
+            (tensor.Adam, "zero_grad", lambda opt: [p.zero_grad() for p in opt.params]),
+        ]:
+            monkeypatch.setattr(module, name, oracle)
+        composed = trainer.fit(make_data(), config)
+
+        def log_values(state):
+            lines = trainer.format_epoch_log(state.logs).splitlines()[1:]
+            return np.array([[float(v or "nan") for v in line.split(",")] for line in lines])
+
+        np.testing.assert_allclose(log_values(fused), log_values(composed), rtol=1e-12)
+        want = dict(composed.model.parameters())
+        for name, got in fused.model.parameters():
+            np.testing.assert_allclose(got.values, want[name].values, rtol=1e-12, atol=1e-15)
 
 
 class TestDegenerateData:
