@@ -1,9 +1,19 @@
-"""Versioned JSON checkpoints: model weights, cluster state, preprocessing."""
+"""Versioned JSON checkpoints: model weights, cluster state, preprocessing.
+
+Format 2 stores every numeric array as one JSON object,
+``{"dtype": "float64" | "int64", "shape": [...], "data": "<base64>"}``,
+whose data is the array's little-endian bytes in C order, so values
+round-trip bit-exactly and load without parsing float literals. Format 1
+stored nested JSON lists; it is still read, through the same decoder.
+"""
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -13,7 +23,10 @@ from .errors import ConfigurationError
 from .metrics import TimeGrid
 from .trainer import TrainState, _new_state
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+
+_DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
 
 @dataclass
@@ -25,24 +38,84 @@ class Checkpoint:
     feature_names: list
 
 
+def _encode(array, dtype: str) -> dict:
+    """One array as a format-2 blob of its little-endian bytes."""
+    arr = np.asarray(array, dtype=_DTYPES[dtype])
+    return {
+        "dtype": dtype,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def _decode(value, dtype: str, field: str) -> np.ndarray:
+    """A format-2 blob or a format-1 nested list as a fresh ``dtype`` array.
+
+    Anything else, or a blob or list that does not hold exactly one
+    ``dtype`` array, raises ConfigurationError naming ``field``."""
+    def bad(why: str) -> ConfigurationError:
+        return ConfigurationError(f"checkpoint field '{field}' {why}")
+
+    if isinstance(value, dict):
+        if set(value) != {"dtype", "shape", "data"}:
+            raise bad("must be an array blob with keys dtype, shape and data")
+        if value["dtype"] != dtype:
+            raise bad(f"has dtype {value['dtype']!r}, expected {dtype!r}")
+        shape = value["shape"]
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise bad(f"has shape {shape!r}, expected a list of non-negative integers")
+        if not isinstance(value["data"], str):
+            raise bad("has data that is not a base64 string")
+        try:
+            raw = base64.b64decode(value["data"], validate=True)
+        except (binascii.Error, ValueError):
+            raise bad("has data that is not valid base64")
+        item = _DTYPES[dtype].itemsize
+        if len(raw) != prod(shape) * item:
+            raise bad(f"holds {len(raw)} bytes, shape {shape} needs {prod(shape) * item}")
+        return np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape).astype(dtype)
+    if not isinstance(value, list):
+        raise bad(f"must be an array, got {type(value).__name__}")
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise bad("is a ragged list")
+    if arr.dtype.kind not in "if":
+        # bools, strings, nulls and integers beyond int64; [] parses as float64
+        raise bad("must hold only numbers")
+    if dtype == "int64" and arr.dtype.kind == "f" and not (
+        (np.abs(arr) < 2.0 ** 63).all() and (arr == np.round(arr)).all()
+    ):
+        raise bad("holds values that are not int64 integers")
+    return arr.astype(dtype)
+
+
 def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None,
                     feature_names: list | None = None) -> None:
+    def optional(array, dtype):
+        return None if array is None else _encode(array, dtype)
+
     payload = {
         "version": FORMAT_VERSION,
         "config": state.config.to_dict(),
-        "state": state.model.state_dict(),
+        "state": {
+            name: _encode(values, "float64")
+            for name, values in state.model.state_dict().items()
+        },
         "clusters": [
             {
                 "algorithm": cm.algorithm,
                 "nu": cm.nu,
-                "centers": cm.centers.tolist(),
+                "centers": _encode(cm.centers, "float64"),
             }
             for cm in state.cluster_models
         ],
-        "assignments": [np.asarray(a).tolist() for a in state.assignments],
-        "grid_edges": state.grid.edges.tolist(),
-        "train_times": state.train_times.tolist() if state.train_times is not None else None,
-        "train_events": state.train_events.tolist() if state.train_events is not None else None,
+        "assignments": [_encode(a, "int64") for a in state.assignments],
+        "grid_edges": _encode(state.grid.edges, "float64"),
+        "train_times": optional(state.train_times, "float64"),
+        "train_events": optional(state.train_events, "int64"),
         "transforms": transforms or {},
         "feature_names": list(feature_names or []),
         "stage": state.stage,
@@ -58,58 +131,109 @@ def load_checkpoint(path: str) -> Checkpoint:
             payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"checkpoint file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"checkpoint {path} must hold a JSON object")
     version = payload.get("version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS or type(version) is not int:
         raise ConfigurationError(
             f"checkpoint format version {version!r} is not supported "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected one of {', '.join(map(str, READABLE_VERSIONS))})"
         )
     missing = [k for k in ("config", "state", "grid_edges") if k not in payload]
     if missing:
         raise ConfigurationError(f"checkpoint is missing keys: {', '.join(missing)}")
     config = ExperimentConfig.from_dict(payload["config"])
     config.validate()
-    grid = TimeGrid(np.asarray(payload["grid_edges"], dtype=np.float64))
-    state = _new_state(config, _infer_input_dim(payload["state"], config), grid)
-    state.model.load_state_dict(payload["state"])
-    state.stage = int(payload.get("stage", 0))
-    # format 1 also wrote a per-cluster "assignments" copy; it is ignored
-    state.assignments = [
-        np.asarray(a, dtype=np.int64) for a in payload.get("assignments", [])
-    ]
+    if not isinstance(payload["state"], dict):
+        raise ConfigurationError("checkpoint field 'state' must map parameter names to arrays")
+    params = {
+        name: _decode(value, "float64", f"state.{name}")
+        for name, value in payload["state"].items()
+    }
+    edges = _decode(payload["grid_edges"], "float64", "grid_edges")
+    if edges.ndim != 1:
+        raise ConfigurationError(
+            f"checkpoint field 'grid_edges' has shape {edges.shape}, expected 1-D"
+        )
+    state = _new_state(config, _infer_input_dim(params, config), TimeGrid(edges))
+    state.model.load_state_dict(params)
+    stage = payload.get("stage", 0)
+    if type(stage) is not int:
+        raise ConfigurationError(f"checkpoint field 'stage' must be an integer, got {stage!r}")
+    state.stage = stage
+    times, events = payload.get("train_times"), payload.get("train_events")
+    if (times is None) != (events is None):
+        raise ConfigurationError(
+            "checkpoint fields 'train_times' and 'train_events' must both be arrays or both null"
+        )
+    if times is not None:
+        state.train_times = _decode(times, "float64", "train_times")
+        state.train_events = _decode(events, "int64", "train_events")
+        if state.train_times.ndim != 1 or state.train_events.shape != state.train_times.shape:
+            raise ConfigurationError(
+                f"checkpoint fields 'train_times' and 'train_events' have shapes "
+                f"{state.train_times.shape} and {state.train_events.shape}, "
+                "expected two 1-D arrays of one length"
+            )
+    n_train = None if state.train_times is None else state.train_times.size
+    state.cluster_models = _read_clusters(payload, config, n_train)
+    state.assignments = [cm.assignments.copy() for cm in state.cluster_models]
+    transforms = payload.get("transforms", {})
+    names = payload.get("feature_names", [])
+    if not isinstance(transforms, dict) or not isinstance(names, list):
+        raise ConfigurationError(
+            "checkpoint fields 'transforms' and 'feature_names' must be an object and a list"
+        )
+    return Checkpoint(state=state, transforms=transforms, feature_names=names)
+
+
+def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None) -> list:
+    """One ClusterModel per view from the "clusters" and "assignments" fields."""
+    assignments = payload.get("assignments", [])
     clusters = payload.get("clusters", [])
-    if len(clusters) != len(state.assignments):
+    if not isinstance(assignments, list) or not isinstance(clusters, list):
+        raise ConfigurationError("checkpoint fields 'clusters' and 'assignments' must be lists")
+    if len(clusters) != len(assignments):
         raise ConfigurationError("checkpoint needs one assignment list per cluster entry")
-    for entry, assignments in zip(clusters, state.assignments):
-        centers = np.asarray(entry["centers"], dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[1] != config.latent_dim:
+    models = []
+    # format 1 also wrote a per-cluster "assignments" copy; it is ignored
+    for v, (entry, value) in enumerate(zip(clusters, assignments)):
+        if not isinstance(entry, dict) or "centers" not in entry:
+            raise ConfigurationError(f"checkpoint cluster entry {v} needs 'centers'")
+        centers = _decode(entry["centers"], "float64", f"clusters.{v}.centers")
+        if centers.shape != (config.n_clusters, config.latent_dim):
             raise ConfigurationError(
                 f"cluster centers have shape {centers.shape}, expected "
-                f"(K, {config.latent_dim})"
+                f"({config.n_clusters}, {config.latent_dim})"
             )
-        state.cluster_models.append(
-            ClusterModel(
-                centers=centers,
-                assignments=assignments.copy(),
-                nu=float(entry.get("nu", 1.0)),
-                algorithm=entry.get("algorithm", "kmeans"),
+        labels = _decode(value, "int64", f"assignments.{v}")
+        if labels.ndim != 1 or (n_train is not None and labels.size != n_train):
+            raise ConfigurationError(
+                f"checkpoint field 'assignments.{v}' has shape {labels.shape}, "
+                f"expected one id per training row ({n_train})"
             )
-        )
-    if payload.get("train_times") is not None:
-        state.train_times = np.asarray(payload["train_times"], dtype=np.float64)
-        state.train_events = np.asarray(payload["train_events"], dtype=np.int64)
-    return Checkpoint(
-        state=state,
-        transforms=payload.get("transforms", {}),
-        feature_names=list(payload.get("feature_names", [])),
-    )
+        if labels.size and (labels.min() < 0 or labels.max() >= config.n_clusters):
+            raise ConfigurationError(
+                f"checkpoint field 'assignments.{v}' holds cluster ids outside "
+                f"[0, {config.n_clusters - 1}]"
+            )
+        nu = entry.get("nu", 1.0)
+        if type(nu) not in (int, float):
+            raise ConfigurationError(f"checkpoint field 'clusters.{v}.nu' must be a number")
+        models.append(ClusterModel(centers=centers, assignments=labels, nu=float(nu),
+                                   algorithm=entry.get("algorithm", "kmeans")))
+    return models
 
 
-def _infer_input_dim(state_dict: dict, config: ExperimentConfig) -> int:
+def _infer_input_dim(params: dict, config: ExperimentConfig) -> int:
     """Recover the input width from the first encoder layer's weight matrix."""
     key = "enc1.trunk.0.W" if config.variational else "enc1.net.0.W"
-    if key not in state_dict:
+    if key not in params:
         raise ConfigurationError("checkpoint has no encoder weights to size the model")
-    return len(np.asarray(state_dict[key]))
+    if params[key].ndim != 2:
+        raise ConfigurationError(
+            f"checkpoint parameter '{key}' has shape {params[key].shape}, expected a matrix"
+        )
+    return params[key].shape[0]

@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
     data_path = _resolve_data_path(config, args.data)
     table = data_mod.load_csv(data_path, schema)
     if args.splits_file:
-        split_set = data_mod.load_splits(args.splits_file)
+        split_set = data_mod.load_splits(args.splits_file, table.n_rows)
     else:
         split_set = data_mod.make_splits(
             table.n_rows, config.seed, with_replacement=args.with_replacement
@@ -216,7 +216,7 @@ def cmd_evaluate(args) -> int:
         args.split = 1
     if args.split is not None:
         if args.splits_file:
-            split_set = data_mod.load_splits(args.splits_file)
+            split_set = data_mod.load_splits(args.splits_file, table.n_rows)
         else:
             split_set = data_mod.make_splits(table.n_rows, ck.state.config.seed)
         idx = _split_for(split_set, args.split)[args.role]

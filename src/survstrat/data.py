@@ -378,19 +378,29 @@ def make_splits(n: int, seed: int, n_splits: int = 5,
     return SplitSet(splits=splits, seed=seed)
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def save_splits(split_set: SplitSet, path: str) -> None:
     """One line per split: role:comma-separated-indices triples."""
     with open(path, "w") as fh:
         fh.write(f"# seed {split_set.seed}\n")
         for sp in split_set.splits:
             parts = [
-                role + ":" + ",".join(str(int(i)) for i in sp[role])
+                role + ":" + ",".join(map(str, sp[role].tolist()))
                 for role in ("train", "val", "test")
             ]
             fh.write(" ".join(parts) + "\n")
 
 
-def load_splits(path: str) -> SplitSet:
+def load_splits(path: str, n_rows: int | None = None) -> SplitSet:
+    """Read a ``save_splits`` file. A token that is not an integer, or a
+    negative index, or one not below ``n_rows`` when given, is a DataError."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -402,16 +412,27 @@ def load_splits(path: str) -> SplitSet:
         if ln.startswith("#"):
             tokens = ln[1:].split()
             if len(tokens) == 2 and tokens[0] == "seed":
-                seed = int(tokens[1])
+                try:
+                    seed = int(tokens[1])
+                except ValueError:
+                    raise DataError(f"split file {path}: seed '{tokens[1]}' is not an integer")
             continue
         sp = {}
         for part in ln.split():
             role, _, idx = part.partition(":")
             if role not in ("train", "val", "test"):
                 raise DataError(f"split file {path}: unknown role '{role}'")
-            sp[role] = np.asarray(
-                [int(x) for x in idx.split(",") if x], dtype=np.int64
-            )
+            tokens = [x for x in idx.split(",") if x]
+            try:
+                values = list(map(int, tokens))
+            except ValueError:
+                bad = next(x for x in tokens if not _is_int(x))
+                raise DataError(f"split file {path}: {role} index '{bad}' is not an integer")
+            hi = 2 ** 63 if n_rows is None else n_rows
+            if values and not (0 <= min(values) and max(values) < hi):
+                bad = next(i for i in values if not 0 <= i < hi)
+                raise DataError(f"split file {path}: {role} index {bad} is outside [0, {hi})")
+            sp[role] = np.array(values, dtype=np.int64)
         if set(sp) != {"train", "val", "test"}:
             raise DataError(f"split file {path}: a line is missing a role")
         splits.append(sp)

@@ -242,7 +242,8 @@ class Model:
         return params
 
     def state_dict(self) -> dict:
-        return {name: t.values.tolist() for name, t in self.parameters()}
+        """A copy of every parameter array, by name."""
+        return {name: t.values.copy() for name, t in self.parameters()}
 
     def load_state_dict(self, state: dict) -> None:
         for name, t in self.parameters():

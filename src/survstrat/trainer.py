@@ -356,15 +356,14 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         if config.early_stopping and val_c is not None:
             if val_c > best_c:
                 best_c = val_c
-                best_params = {k: v.values.copy() for k, v in model.parameters()}
+                best_params = model.state_dict()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
     if best_params is not None:
-        for name, t in model.parameters():
-            t.values = best_params[name]
+        model.load_state_dict(best_params)
         _reassign(state, data, frozen)
     state.stage = 3
     return state

@@ -1,12 +1,16 @@
 """Checkpoint persistence: exact restoration and validation failures."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from survstrat import trainer
-from survstrat.checkpoint import load_checkpoint, save_checkpoint
+from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpoint
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
 
@@ -192,4 +196,164 @@ class TestValidation:
         payload["state"][name] = [[0.0, 0.0, 0.0]]
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="shape"):
+            load_checkpoint(str(path))
+
+
+def bits(a):
+    """The raw bytes of a float64 array in C order: equal only when every bit is."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestArrayCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(a=arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @example(a=np.array([-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308]))
+    @example(a=np.array([np.nan, np.inf, -np.inf, 2.2250738585072014e-308]))
+    def test_float64_round_trip_is_bit_exact(self, a):
+        blob = json.loads(json.dumps(_encode(a, "float64")))
+        b = _decode(blob, "float64", "x")
+        assert b.dtype == np.float64 and b.shape == a.shape
+        assert bits(b) == bits(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=arrays(np.int64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                    elements=st.integers(-2 ** 63, 2 ** 63 - 1)))
+    @example(a=np.array([-2 ** 63, 2 ** 63 - 1, 0, -1], dtype=np.int64))
+    def test_int64_round_trip_is_exact(self, a):
+        b = _decode(json.loads(json.dumps(_encode(a, "int64"))), "int64", "x")
+        assert b.dtype == np.int64 and b.shape == a.shape
+        assert np.array_equal(a, b)
+
+    def test_blob_is_little_endian_base64(self):
+        blob = _encode(np.array([[1.0, -2.0]]), "float64")
+        assert blob["dtype"] == "float64" and blob["shape"] == [1, 2]
+        assert base64.b64decode(blob["data"]) == np.array([1.0, -2.0], dtype="<f8").tobytes()
+
+    def test_decoded_array_is_writable(self):
+        b = _decode(_encode(np.arange(3.0), "float64"), "float64", "x")
+        b[0] = 7.0
+        assert b[0] == 7.0
+
+    def test_format_one_lists_decode(self):
+        assert np.array_equal(_decode([[1.5, 2.0]], "float64", "x"), [[1.5, 2.0]])
+        assert _decode([0, 1, 1], "int64", "x").dtype == np.int64
+        assert np.array_equal(_decode([0.0, 2.0], "int64", "x"), [0, 2])
+        assert _decode([], "int64", "x").shape == (0,)
+
+    @pytest.mark.parametrize("value, dtype, message", [
+        ("abc", "float64", "must be an array"),
+        (None, "float64", "must be an array"),
+        (3.5, "float64", "must be an array"),
+        ([[1.0, 2.0], [3.0]], "float64", "ragged"),
+        ([1.0, "x"], "float64", "only numbers"),
+        ([1.0, None], "float64", "only numbers"),
+        ([True, False], "float64", "only numbers"),
+        ([0, 1.5], "int64", "not int64 integers"),
+        ([0, float("nan")], "int64", "not int64 integers"),
+        ([2 ** 64], "int64", "only numbers"),
+        ([2 ** 63], "int64", "only numbers"),
+        ([1e30], "int64", "not int64 integers"),
+        ({"dtype": "float64", "shape": [1]}, "float64", "keys dtype, shape and data"),
+        ({"dtype": "float32", "shape": [1], "data": "AAAAAA=="}, "float64", "dtype 'float32'"),
+        ({"dtype": "int64", "shape": [1], "data": "AAAAAAAAAAA="}, "float64", "dtype 'int64'"),
+        ({"dtype": "float64", "shape": [1], "data": "AAAA!AAAAAA="}, "float64", "base64"),
+        ({"dtype": "float64", "shape": [1], "data": "AAAAAAAAAAA"}, "float64", "base64"),
+        ({"dtype": "float64", "shape": [1], "data": 12}, "float64", "base64"),
+        ({"dtype": "float64", "shape": [2], "data": "AAAAAAAAAAA="}, "float64", "8 bytes"),
+        ({"dtype": "float64", "shape": [1], "data": "AAAAAAAA"}, "float64", "6 bytes"),
+        ({"dtype": "float64", "shape": [-1], "data": ""}, "float64", "shape"),
+        ({"dtype": "float64", "shape": "1", "data": ""}, "float64", "shape"),
+        ({"dtype": "float64", "shape": [True], "data": ""}, "float64", "shape"),
+    ])
+    def test_malformed_value_names_the_field(self, value, dtype, message):
+        with pytest.raises(ConfigurationError, match=message) as info:
+            _decode(value, dtype, "state.head0.W")
+        assert "'state.head0.W'" in str(info.value)
+
+
+class TestFormatTwo:
+    def test_every_array_is_a_blob(self, tmp_path):
+        state, _ = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        blobs = list(payload["state"].values()) + payload["assignments"] + [
+            payload["grid_edges"], payload["train_times"], payload["train_events"],
+        ] + [entry["centers"] for entry in payload["clusters"]]
+        assert all(set(b) == {"dtype", "shape", "data"} for b in blobs)
+        assert payload["train_events"]["dtype"] == "int64"
+        assert all(b["dtype"] == "int64" for b in payload["assignments"])
+
+    def test_weights_restore_bit_exactly(self, tmp_path):
+        state, _ = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        restored = load_checkpoint(str(path)).state
+        for (name, a), (_, b) in zip(state.model.parameters(), restored.model.parameters()):
+            assert bits(a.values) == bits(b.values), name
+        for a, b in zip(state.cluster_models, restored.cluster_models):
+            assert bits(a.centers) == bits(b.centers)
+
+    def test_format_one_lists_load_to_the_same_state(self, tmp_path):
+        state, X = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+
+        def as_lists(value):
+            if isinstance(value, dict) and set(value) == {"dtype", "shape", "data"}:
+                raw = base64.b64decode(value["data"])
+                return np.frombuffer(raw, dtype=value["dtype"]).reshape(value["shape"]).tolist()
+            if isinstance(value, dict):
+                return {k: as_lists(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [as_lists(v) for v in value]
+            return value
+
+        payload = as_lists(payload)
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        restored = load_checkpoint(str(path)).state
+        a = trainer.predict(state, X[:10])
+        b = trainer.predict(restored, X[:10])
+        assert bits(a["survival"]) == bits(b["survival"])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("grid_edges", [[1.0, 2.0]], "grid_edges"),
+        ("train_times", [1.0], "train_times"),
+        ("train_events", None, "both be arrays or both null"),
+        ("assignments", "abc", "'clusters' and 'assignments'"),
+        ("stage", "3", "stage"),
+        ("state", [1.0], "state"),
+        ("feature_names", 5, "feature_names"),
+        ("transforms", [], "transforms"),
+    ])
+    def test_malformed_field_is_a_configuration_error(self, tmp_path, field, value, message):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=message):
+            load_checkpoint(str(path))
+
+    def test_out_of_range_assignment_rejected(self, tmp_path):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        labels = state.assignments[0].copy()
+        labels[0] = state.config.n_clusters
+        payload["assignments"][0] = labels.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="cluster ids outside"):
+            load_checkpoint(str(path))
+
+    def test_non_object_payload_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="JSON object"):
             load_checkpoint(str(path))

@@ -1,14 +1,17 @@
 """Command surface: determinism, exit codes, rank-sum search, stratification."""
 
+import base64
 import contextlib
 import csv
 import io
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survstrat.cli import (
     average_ranks,
@@ -20,8 +23,8 @@ from survstrat.cli import (
     standardized_mean_differences,
 )
 from survstrat import trainer
-from survstrat.checkpoint import load_checkpoint
-from survstrat.data import Schema, apply_transforms, load_csv
+from survstrat.checkpoint import load_checkpoint, save_checkpoint
+from survstrat.data import Schema, apply_transforms, load_csv, make_splits, save_splits
 from survstrat.errors import ConfigurationError, DataError, NumericError
 from survstrat.metrics import interpolate_curve, kaplan_meier
 
@@ -881,3 +884,184 @@ class TestFuzzedCsv:
         if rc:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+def write_split_file(path, test_tokens):
+    """One split line: the first 90 rows train, the next 30 validate, and
+    ``test_tokens`` (raw strings) as the test role."""
+    path.write_text(
+        "train:" + ",".join(map(str, range(90))) + " val:"
+        + ",".join(map(str, range(90, 120))) + " test:" + ",".join(test_tokens) + "\n"
+    )
+    return path
+
+
+class TestSplitFiles:
+    """A malformed split file exits 2 with one line naming file, role and token."""
+
+    def evaluate(self, workspace, splits, capsys):
+        rc = main(["evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                   "--data", str(workspace / "toy.csv"), "--splits-file", str(splits),
+                   "--role", "test"])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return rc, err
+
+    def test_non_integer_token(self, workspace, tmp_path, capsys):
+        splits = write_split_file(tmp_path / "s.txt", ["4", "x"])
+        rc, err = self.evaluate(workspace, splits, capsys)
+        assert rc == 2
+        assert str(splits) in err and "test index 'x' is not an integer" in err
+
+    def test_index_beyond_the_data(self, workspace, tmp_path, capsys):
+        splits = write_split_file(tmp_path / "s.txt", ["4", "999999"])
+        rc, err = self.evaluate(workspace, splits, capsys)
+        assert rc == 2
+        assert "test index 999999 is outside [0, 150)" in err
+
+    def test_negative_index(self, workspace, tmp_path, capsys):
+        splits = write_split_file(tmp_path / "s.txt", ["-1", "-2", "-3"])
+        rc, err = self.evaluate(workspace, splits, capsys)
+        assert rc == 2
+        assert "test index -1 is outside [0, 150)" in err
+
+    def test_train_rejects_an_index_beyond_the_data(self, workspace, tmp_path, capsys):
+        splits = write_split_file(tmp_path / "s.txt", [str(i) for i in range(120, 150)] + ["150"])
+        rc = main(["train", "--config", str(workspace / "config.json"),
+                   "--data", str(workspace / "toy.csv"), "--splits-file", str(splits),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert "test index 150 is outside [0, 150)" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_saved_bytes_unchanged(self, tmp_path):
+        split_set = make_splits(1000, seed=4)
+        save_splits(split_set, str(tmp_path / "splits.txt"))
+        # the per-scalar writer this file format was defined by
+        lines = [f"# seed {split_set.seed}\n"] + [
+            " ".join(role + ":" + ",".join(str(int(i)) for i in sp[role])
+                     for role in ("train", "val", "test")) + "\n"
+            for sp in split_set.splits
+        ]
+        assert (tmp_path / "splits.txt").read_text() == "".join(lines)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# a Siamese per-cluster model (2 clusters, 2 latent dimensions) saved in
+# checkpoint format 1 (nested JSON lists), trained on the CSV next to it
+FORMAT1_CHECKPOINT = FIXTURES / "format1_siamese.json"
+FORMAT1_CSV = FIXTURES / "format1_siamese.csv"
+
+
+@pytest.fixture(scope="module")
+def format2_checkpoint(tmp_path_factory):
+    """The format-1 fixture's state re-saved in the current format."""
+    ck = load_checkpoint(str(FORMAT1_CHECKPOINT))
+    path = tmp_path_factory.mktemp("format2") / "checkpoint.json"
+    save_checkpoint(ck.state, str(path), ck.transforms, ck.feature_names)
+    return path
+
+
+class TestCheckpointFormats:
+    def score(self, checkpoint, out):
+        assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(FORMAT1_CSV),
+                     "--curves", str(out / "curves.csv"), "--out", str(out / "eval")]) == 0
+        assert main(["stratify", "--checkpoint", str(checkpoint), "--data", str(FORMAT1_CSV),
+                     "--out", str(out / "strat")]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_format_one_and_two_give_identical_outputs(self, format2_checkpoint, tmp_path):
+        assert json.loads(FORMAT1_CHECKPOINT.read_text())["version"] == 1
+        assert json.loads(format2_checkpoint.read_text())["version"] == 2
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v2").mkdir()
+        v1 = self.score(FORMAT1_CHECKPOINT, tmp_path / "v1")
+        v2 = self.score(format2_checkpoint, tmp_path / "v2")
+        assert len(v1) == 6
+        assert v1 == v2
+
+
+ARRAY_MUTATIONS = ("wrong_type", "ragged", "wrong_length", "non_numeric",
+                   "bad_base64", "truncated", "unknown_dtype")
+
+
+def _as_array(value):
+    if isinstance(value, dict):
+        raw = base64.b64decode(value["data"])
+        return np.frombuffer(raw, dtype=value["dtype"]).reshape(value["shape"])
+    return np.array(value)
+
+
+def _blob(arr, dtype, raw=None):
+    raw = arr.astype(dtype).tobytes() if raw is None else raw
+    return {"dtype": dtype, "shape": list(arr.shape),
+            "data": base64.b64encode(raw).decode("ascii")}
+
+
+@st.composite
+def mutated_array(draw, value, dtype):
+    """``value`` (a format-1 list or format-2 blob) broken in one way."""
+    arr = _as_array(value)
+    as_blob = isinstance(value, dict)
+    kind = draw(st.sampled_from(ARRAY_MUTATIONS))
+    if kind == "wrong_type":
+        return draw(st.sampled_from(["abc", 3.5, None, True, {"dtype": dtype}]))
+    if kind == "ragged":
+        return [arr.tolist(), 0.0]
+    if kind == "wrong_length":
+        arr = arr[:-1] if draw(st.booleans()) else np.concatenate([arr, arr[-1:]])
+        return _blob(arr, dtype) if as_blob else arr.tolist()
+    if kind == "non_numeric":
+        bad = draw(st.sampled_from(["x", None, "1.0"] + (["0.5"] if dtype == "float64" else [0.5])))
+        cells = arr.astype(object)
+        cells.flat[draw(st.integers(0, arr.size - 1))] = bad
+        return cells.tolist()
+    blob = _blob(arr, dtype)
+    if kind == "bad_base64":
+        data = blob["data"]
+        at = draw(st.integers(0, len(data) - 1))
+        blob["data"] = data[:at] + draw(st.sampled_from(["!", "*", " ", "é", ""])) + data[at + 1:]
+    elif kind == "truncated":
+        raw = arr.astype(dtype).tobytes()
+        blob = _blob(arr, dtype, raw[:-draw(st.integers(1, 8))])
+    else:
+        blob["dtype"] = draw(st.sampled_from(
+            ["float32", "int32", "complex128", "<f8", "float", None]
+            + ["int64" if dtype == "float64" else "float64"]))
+    return blob
+
+
+@st.composite
+def broken_payloads(draw, payload):
+    """``payload`` (a parsed checkpoint) with one array field broken."""
+    field = draw(st.sampled_from(
+        ["state", "centers", "assignments", "grid_edges", "train_times", "train_events"]))
+    if field == "state":
+        holder, key = payload["state"], draw(st.sampled_from(sorted(payload["state"])))
+    elif field == "centers":
+        holder, key = draw(st.sampled_from(payload["clusters"])), "centers"
+    elif field == "assignments":
+        holder, key = payload["assignments"], draw(st.integers(0, len(payload["assignments"]) - 1))
+    else:
+        holder, key = payload, field
+    dtype = "int64" if field in ("assignments", "train_events") else "float64"
+    holder[key] = draw(mutated_array(holder[key], dtype))
+    return payload
+
+
+class TestMalformedCheckpoints:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_exits_1_with_one_line(self, format2_checkpoint, tmp_path_factory, data):
+        """Every broken array in a format-1 or format-2 checkpoint is a
+        configuration error: exit 1 and one ``error:`` line, no traceback."""
+        source = data.draw(st.sampled_from([FORMAT1_CHECKPOINT, format2_checkpoint]))
+        payload = data.draw(broken_payloads(json.loads(source.read_text())))
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["evaluate", "--checkpoint", str(path), "--data", str(FORMAT1_CSV)])
+        assert rc == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
