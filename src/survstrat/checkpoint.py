@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 from dataclasses import dataclass
 from math import prod
 
@@ -186,7 +187,35 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ConfigurationError(
             "checkpoint fields 'transforms' and 'feature_names' must be an object and a list"
         )
+    for col, tr in transforms.items():
+        _check_transform(col, tr)
     return Checkpoint(state=state, transforms=transforms, feature_names=names)
+
+
+def _finite_number(x) -> bool:
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _check_transform(col: str, tr) -> None:
+    """A column's preprocessing entry must be numeric, with a finite mean and
+    median and a finite std > 0, or categorical, with a list of strings."""
+    kind = tr.get("kind") if isinstance(tr, dict) else None
+    if kind == "numeric":
+        stats = [tr.get(k) for k in ("mean", "std", "median")]
+        if all(map(_finite_number, stats)) and stats[1] > 0:
+            return
+        why = "needs a finite mean and median and a finite std > 0"
+    elif kind == "categorical":
+        cats = tr.get("categories")
+        if isinstance(cats, list) and all(isinstance(c, str) for c in cats):
+            return
+        why = "needs a list of strings in 'categories'"
+    else:
+        why = "must have kind 'numeric' or 'categorical'"
+    raise ConfigurationError(f"checkpoint transform for column {col!r} {why}")
 
 
 def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None) -> list:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import numpy as np
@@ -415,6 +414,9 @@ def cmd_hpo(args) -> int:
     if args.jobs == 1:
         results = [_run_trial(p) for p in payloads]
     else:
+        # imported here: only hpo uses the pool, and the import costs every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_trial, payloads))
     results.sort(key=lambda r: r["trial"])

@@ -121,12 +121,12 @@ def _unit_rows(x: np.ndarray):
     return u, grad
 
 
-def _lse(s: np.ndarray, axis: int):
-    """Log-sum-exp along ``axis``, shifted by the max, and the softmax."""
+def _shifted_exp(s: np.ndarray, axis: int):
+    """exp(s - max) along ``axis`` written over ``s``; the max and the sums."""
     shift = s.max(axis=axis, keepdims=True)
-    e = np.exp(s - shift)
-    total = e.sum(axis=axis, keepdims=True)
-    return shift + np.log(total), e / total
+    s -= shift
+    np.exp(s, out=s)
+    return shift, s.sum(axis=axis, keepdims=True)
 
 
 def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
@@ -134,7 +134,9 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
 
     Every censored patient i is pulled toward each uncensored patient of its
     own cluster against a denominator over the whole batch (anchor included);
-    the summed terms are divided by the number of censored anchors.
+    the summed terms are divided by the number of censored anchors. Only the
+    anchor rows A with a positive carry weight, so the similarities are the
+    |A| x n block u_A u^T / tau.
     """
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
@@ -152,16 +154,28 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     groups = (cluster == np.arange(cluster.max() + 1)[:, None]).astype(np.float64)
     anchor_groups, positive_groups = groups * (censored / n_cens), groups * uncensored
     u, u_grad = _unit_rows(z.values)
-    lse, p = _lse((u @ u.T) * (1.0 / tau), 1)
+    anchors = np.flatnonzero(n_pos)
+    u_a = u[anchors]
+    # one |A| x n buffer for the sims and their exp (a gemm; u @ u.T is a slower syrk)
+    e = u_a @ u.T
+    e *= 1.0 / tau
+    shift, total = _shifted_exp(e, 1)
+    # zeros off the anchors keep the full batch's summation order, so the value is unchanged
+    lse = np.zeros(n_pos.size)
+    lse[anchors] = (shift + np.log(total)).ravel()
     anchor_sum = anchor_groups @ u
     positive_sum = positive_groups @ u
-    values = np.array([[(lse.ravel() * n_pos).sum() * (1.0 / n_cens)
+    values = np.array([[(lse * n_pos).sum() * (1.0 / n_cens)
                         - (anchor_sum * positive_sum).sum() * (1.0 / tau)]])
 
     def backward_fn(grad):
         g = grad[0, 0] / tau
-        d_sims = p * (n_pos[:, None] * (g / n_cens))
-        du = (d_sims + d_sims.T) @ u
+        # d loss / d sims on the anchor rows: the softmax times n_pos, in place
+        d_sims = e
+        d_sims /= total
+        d_sims *= (n_pos[anchors] * (g / n_cens))[:, None]
+        du = d_sims.T @ u_a
+        du[anchors] += d_sims @ u
         du -= g * (anchor_groups.T @ positive_sum + positive_groups.T @ anchor_sum)
         z._accumulate(u_grad(du))
 
@@ -177,14 +191,23 @@ def _paired_nce(a: Tensor, b: Tensor, tau: float, cols: bool = False) -> Tensor:
     u, u_grad = _unit_rows(np.ascontiguousarray(flip(a.values)))
     v, v_grad = _unit_rows(np.ascontiguousarray(flip(b.values)))
     n = u.shape[0]
-    sims = (u @ v.T) * (1.0 / tau)
+    sims = u @ v.T
+    sims *= 1.0 / tau
     diag = (u * v).sum(axis=1, keepdims=True) * (1.0 / tau)
-    row_lse, row_p = _lse(sims, 1)
-    col_lse, col_p = _lse(sims, 0)
+    # two n x n buffers: the row-shifted exp, and the column-shifted exp over sims
+    row_e = sims.copy()
+    row_shift, row_total = _shifted_exp(row_e, 1)
+    col_e = sims
+    col_shift, col_total = _shifted_exp(col_e, 0)
+    row_lse = row_shift + np.log(row_total)
+    col_lse = col_shift + np.log(col_total)
     values = np.array([[((row_lse - diag) + (col_lse.T - diag)).sum() * (1.0 / n)]])
 
     def backward_fn(grad):
-        d_sims = row_p + col_p
+        # the two softmaxes, normalised in place, summed into the row buffer
+        d_sims = row_e
+        d_sims /= row_total
+        d_sims += np.divide(col_e, col_total, out=col_e)
         d_sims.flat[::n + 1] -= 2.0
         d_sims *= grad[0, 0] / (n * tau)
         if a.requires_grad:

@@ -255,7 +255,8 @@ class Model:
                     f"checkpoint parameter '{name}' has shape {arr.shape}, "
                     f"expected {t.values.shape}"
                 )
-            t.values = arr
+            # a copy into the array, which may be a view of the optimizer's buffer
+            np.copyto(t.values, arr)
 
 
 @dataclass

@@ -387,7 +387,10 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
     def backward_fn(grad):
         for i in range(last, -1, -1):
             W, b = layers[i]
-            if i < last or relu_last:
+            if i < last:
+                # grad is this backward's own matmul output, so mask it in place
+                grad *= hs[i + 1] > 0.0
+            elif relu_last:
                 grad = grad * (hs[i + 1] > 0.0)
             if W.requires_grad:
                 W._accumulate(hs[i].T @ grad)
@@ -414,7 +417,12 @@ def take_rows(a: Tensor, rows) -> Tensor:
 
     def backward_fn(grad):
         delta = np.zeros_like(a.values)
-        np.add.at(delta, rows, grad)
+        # distinct rows, as head routing's groups and inverse permutation are,
+        # scatter to the same values as add.at; a negative index aliases row n - i
+        if np.bincount(rows % delta.shape[0]).max(initial=0) <= 1:
+            delta[rows] = grad
+        else:
+            np.add.at(delta, rows, grad)
         a._accumulate(delta)
 
     return Tensor._from_op(values, (a,), "take_rows", backward_fn)
@@ -473,10 +481,13 @@ def weighted_sum(terms, scale: float = 1.0) -> Tensor:
 class Adam:
     """Adam with bias correction over a fixed list of parameter tensors.
 
-    Holds first/second-moment buffers shape-matched to each parameter and a
-    strictly increasing step counter. The buffers of all parameters live in
-    one flat array each, so a step is a few vector operations over all
-    parameters at once.
+    The parameters, the first- and second-moment buffers and a step's
+    gradient and scratch each live in one flat array: every parameter's
+    ``values`` is a view of its slice, so a step is a few in-place vector
+    operations over all parameters at once. Code that replaces parameter
+    values must copy into them (as ``Model.load_state_dict`` does), not
+    rebind ``values``; a deep copy or pickle of the parameters does not keep
+    the views either.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -491,9 +502,11 @@ class Adam:
         self.step_count = 0
         bounds = np.cumsum([0] + [p.values.size for p in self.params])
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self._m = np.zeros(bounds[-1])
-        self._v = np.zeros(bounds[-1])
-        # per-parameter views into the flat buffers
+        self._x, self._m, self._v, self._g, self._tmp, self._step = np.zeros((6, bounds[-1]))
+        for p, s in zip(self.params, self._slices):
+            self._x[s] = p.values.ravel()
+            p.values = self._x[s].reshape(p.values.shape)
+        # per-parameter views into the flat moment buffers
         self.m = [self._m[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
         self.v = [self._v[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
 
@@ -516,10 +529,10 @@ class Adam:
             elif g.shape != p.values.shape:
                 raise UsageError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
             parts.append(g.ravel())
-        g = np.concatenate(parts)
-        m, v = self._m, self._v
+        g, m, v, tmp, step = self._g, self._m, self._v, self._tmp, self._step
+        np.concatenate(parts, out=g)
         # same arithmetic as p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        tmp = g * (1.0 - self.beta1)
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
         m *= self.beta1
         m += tmp
         np.multiply(g, g, out=tmp)
@@ -529,8 +542,7 @@ class Adam:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        step = m / bc1
+        np.divide(m, bc1, out=step)
         step *= self.lr
         step /= tmp
-        for p, s in zip(self.params, self._slices):
-            p.values -= step[s].reshape(p.values.shape)
+        self._x -= step

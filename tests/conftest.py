@@ -106,6 +106,17 @@ def check_gradients(build_loss, leaves: list[Tensor], tol: float = 1e-4) -> floa
     return worst
 
 
+def assert_step_moves_parameters(optimizer, model) -> None:
+    """One optimizer step under a gradient of ones changes every weight of
+    ``model``: its parameters are still the arrays the optimizer updates."""
+    before = model.state_dict()
+    for _, t in model.parameters():
+        t.grad = np.ones_like(t.values)
+    optimizer.step()
+    for name, t in model.parameters():
+        assert (t.values != before[name]).all(), name
+
+
 def synthetic_survival_data(n: int = 400, p: int = 6, seed: int = 0,
                             censor_frac: float = 0.3):
     """Synthetic right-censored data where feature 0 drives the hazard.

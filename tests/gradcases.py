@@ -232,6 +232,14 @@ def case_take_rows(seed):
     return lambda: (take_rows(a, rows) * w).sum(), [a]
 
 
+def case_take_rows_permutation(seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    rows = rng.permutation(5)  # distinct rows: the plain scatter
+    w = Tensor(rng.standard_normal((5, 3)))
+    return lambda: (take_rows(a, rows) * w).sum(), [a]
+
+
 def case_concat_rows(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -309,6 +317,7 @@ ALL_CASES = [
     ("combined_surv", case_combined_surv),
     ("combined_instance", case_combined_instance),
     ("take_rows", case_take_rows),
+    ("take_rows_permutation", case_take_rows_permutation),
     ("concat_rows", case_concat_rows),
     ("routed_nll", case_routed_nll),
     ("linear", case_linear),

@@ -340,6 +340,21 @@ class TestFormatTwo:
         with pytest.raises(ConfigurationError, match=message):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("entry, message", [
+        (5, "kind 'numeric' or 'categorical'"),
+        ({"kind": "numeric", "mean": 0.0, "std": 0.0, "median": 0.0}, "std > 0"),
+        ({"kind": "numeric", "mean": float("nan"), "std": 1.0, "median": 0.0}, "finite mean"),
+        ({"kind": "numeric", "mean": 0.0, "std": 1.0}, "finite mean and median"),
+        ({"kind": "categorical", "categories": ["a", 2]}, "list of strings"),
+    ])
+    def test_malformed_transform_names_the_column(self, tmp_path, entry, message):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        good = {"kind": "categorical", "categories": ["a", "b"]}
+        save_checkpoint(state, str(path), transforms={"f0": good, "f1": entry})
+        with pytest.raises(ConfigurationError, match=f"column 'f1' .*{message}"):
+            load_checkpoint(str(path))
+
     def test_out_of_range_assignment_rejected(self, tmp_path):
         state, _ = fitted_state()
         path = tmp_path / "ck.json"

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -415,7 +417,7 @@ class TestEvaluateCommand:
         schema = {"time": "duration", "event": "event",
                   "features": {"f0": "numeric", "f1": "numeric"}}
         (tmp_path / "schema2.json").write_text(json.dumps(schema))
-        ck = json.load(open(workspace / "run" / "checkpoint.json"))
+        ck = json.loads((workspace / "run" / "checkpoint.json").read_text())
         ck["config"]["schema_file"] = str(tmp_path / "schema2.json")
         del ck["transforms"]["f2"]
         (tmp_path / "ck.json").write_text(json.dumps(ck))
@@ -585,7 +587,7 @@ class TestHpoCommand:
             "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
         ])
         assert rc == 0
-        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        trials = json.loads((tmp_path / "hpo" / "trials.json").read_text())
         failed = [r for r in trials if "error" in r]
         assert failed and len(failed) < 6
         assert all("spectral" in r["error"] for r in failed)
@@ -621,7 +623,7 @@ class TestHpoCommand:
             "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
         ])
         assert rc == 0
-        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        trials = json.loads((tmp_path / "hpo" / "trials.json").read_text())
         assert trials[0]["error"] == "NumericError: loss diverged"
         assert "error" not in trials[1]
 
@@ -635,7 +637,7 @@ class TestHpoCommand:
             "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "hpo"),
         ])
         assert rc == 0
-        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        trials = json.loads((tmp_path / "hpo" / "trials.json").read_text())
         assert len(trials) == 6
         failed = [r for r in trials if "error" in r]
         assert failed and len(failed) < 6
@@ -677,7 +679,7 @@ class TestHpoCommand:
             "--out", str(tmp_path / "hpo"),
         ])
         assert rc == 0
-        trials = json.load(open(tmp_path / "hpo" / "trials.json"))
+        trials = json.loads((tmp_path / "hpo" / "trials.json").read_text())
         rc = main([
             "train", "--config", str(tmp_path / "hpo" / "winner.json"),
             "--data", str(workspace / "toy.csv"),
@@ -982,6 +984,15 @@ class TestCheckpointFormats:
         assert v1 == v2
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    """Only ``hpo`` runs a process pool, so importing the CLI does not load it."""
+    code = "import sys, survstrat.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(pathlib.Path(trainer.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
+
+
 ARRAY_MUTATIONS = ("wrong_type", "ragged", "wrong_length", "non_numeric",
                    "bad_base64", "truncated", "unknown_dtype")
 
@@ -1033,10 +1044,39 @@ def mutated_array(draw, value, dtype):
 
 
 @st.composite
+def broken_transform(draw, entry):
+    """A numeric column's preprocessing ``entry`` broken in one way."""
+    kind = draw(st.sampled_from(["not_an_object", "bad_kind", "bad_stat", "bad_categories"]))
+    if kind == "not_an_object":
+        return draw(st.sampled_from([5, "numeric", None, [], ["numeric"]]))
+    entry = dict(entry)
+    if kind == "bad_kind":
+        return {**entry, "kind": draw(st.sampled_from(["ordinal", None, 1, "Numeric"]))}
+    if kind == "bad_stat":
+        stat = draw(st.sampled_from(["mean", "std", "median"]))
+        bad = [None, "1.0", True, [1.0], float("nan"), float("inf"), -float("inf"), 10 ** 400]
+        bad += [0.0, 0, -1.0] if stat == "std" else []
+        if draw(st.booleans()):
+            del entry[stat]
+        else:
+            entry[stat] = draw(st.sampled_from(bad))
+        return entry
+    entry = {"kind": "categorical"}
+    if draw(st.booleans()):
+        entry["categories"] = draw(st.sampled_from(["a", None, ["a", 1], [None], {"a": 1}]))
+    return entry
+
+
+@st.composite
 def broken_payloads(draw, payload):
-    """``payload`` (a parsed checkpoint) with one array field broken."""
-    field = draw(st.sampled_from(
-        ["state", "centers", "assignments", "grid_edges", "train_times", "train_events"]))
+    """``payload`` (a parsed checkpoint) with one array field or one
+    column's transform broken."""
+    field = draw(st.sampled_from(["state", "centers", "assignments", "grid_edges",
+                                  "train_times", "train_events", "transforms"]))
+    if field == "transforms":
+        col = draw(st.sampled_from(sorted(payload["transforms"])))
+        payload["transforms"][col] = draw(broken_transform(payload["transforms"][col]))
+        return payload
     if field == "state":
         holder, key = payload["state"], draw(st.sampled_from(sorted(payload["state"])))
     elif field == "centers":
@@ -1054,8 +1094,9 @@ class TestMalformedCheckpoints:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_evaluate_exits_1_with_one_line(self, format2_checkpoint, tmp_path_factory, data):
-        """Every broken array in a format-1 or format-2 checkpoint is a
-        configuration error: exit 1 and one ``error:`` line, no traceback."""
+        """Every broken array or transform in a format-1 or format-2
+        checkpoint is a configuration error: exit 1 and one ``error:`` line,
+        no traceback."""
         source = data.draw(st.sampled_from([FORMAT1_CHECKPOINT, format2_checkpoint]))
         payload = data.draw(broken_payloads(json.loads(source.read_text())))
         path = tmp_path_factory.getbasetemp() / "mutated.json"

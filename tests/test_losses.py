@@ -9,6 +9,7 @@ from survstrat.clustering import soft_assign
 from survstrat.errors import ConfigurationError
 from survstrat.losses import (
     LossWeights,
+    _paired_nce,
     average_views,
     combine_cl,
     combine_instance,
@@ -150,6 +151,58 @@ class TestIvcg:
     def test_bad_tau(self):
         with pytest.raises(ConfigurationError):
             loss_ivcg(Tensor(np.ones((2, 2))), [0, 1], [0, 0], tau=0.0)
+
+    @pytest.mark.parametrize("case", ["no_censored", "no_positives", "all_censored_anchors",
+                                      "singleton_clusters", "random"])
+    @pytest.mark.parametrize("tau", [0.3, 0.5])
+    def test_edge_batch_matches_oracles(self, case, tau):
+        """The anchor-row loss against the pairwise loop and the composed
+        graph over all n rows, value and gradient."""
+        rng = np.random.default_rng(11)
+        n = 40
+        events, assign = np.tile([0, 1], n // 2), rng.integers(0, 3, size=n)
+        if case == "no_censored":
+            events = np.ones(n, dtype=int)
+        elif case == "no_positives":
+            assign = events.copy()
+        elif case == "all_censored_anchors":
+            assign = np.arange(n) // 4
+        elif case == "singleton_clusters":
+            # one censored row with a positive; every other row alone
+            assign = np.arange(n)
+            assign[1] = 0
+        elif case == "random":
+            events = rng.integers(0, 2, size=n)
+        z = Tensor(rng.standard_normal((n, 5)), requires_grad=True)
+        fused = loss_ivcg(z, events, assign, tau)
+        want = ivcg_pairwise(z.values.tolist(), events, assign, tau)
+        assert scalar(fused) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if case in ("no_censored", "no_positives"):
+            assert scalar(fused) == 0.0 and not fused.requires_grad
+            return
+        got, (got_grad,) = _value_and_grads(lambda: loss_ivcg(z, events, assign, tau), [z])
+        want, (want_grad,) = _value_and_grads(
+            lambda: ivcg_composed(z, events, assign, tau), [z])
+        assert got == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * max(np.abs(want_grad).max(), 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 130])
+@pytest.mark.parametrize("cols", [False, True])
+def test_paired_nce_matches_composed_graph(n, cols):
+    rng = np.random.default_rng(n)
+    a = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
+    if cols:
+        composed = lambda: paired_nce_composed(a.T, b.T, 0.5)  # noqa: E731
+    else:
+        composed = lambda: paired_nce_composed(a, b, 0.5)  # noqa: E731
+    got, got_grads = _value_and_grads(lambda: _paired_nce(a, b, 0.5, cols), [a, b])
+    want, want_grads = _value_and_grads(composed, [a, b])
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * max(np.abs(w).max(), 1.0))
 
 
 class TestIviw:

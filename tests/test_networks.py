@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import check_gradients
+from conftest import assert_step_moves_parameters, check_gradients
 from survstrat.errors import ConfigurationError, UsageError
 from survstrat.networks import Mlp, Model, ModelConfig, reparameterize
-from survstrat.tensor import Tensor
+from survstrat.tensor import Adam, Tensor
 
 
 def small_config(**overrides):
@@ -228,6 +228,25 @@ class TestStatePersistence:
         assert not np.allclose(a.encode(x).z.values, b.encode(x).z.values)
         b.load_state_dict(a.state_dict())
         np.testing.assert_array_equal(a.encode(x).z.values, b.encode(x).z.values)
+
+    def test_optimizer_steps_loaded_parameters(self):
+        model = Model(small_config(seed=1))
+        optimizer = Adam([t for _, t in model.parameters()])
+        loaded = Model(small_config(seed=2)).state_dict()
+        model.load_state_dict(loaded)
+        for name, t in model.parameters():
+            np.testing.assert_array_equal(t.values, loaded[name])
+        assert_step_moves_parameters(optimizer, model)
+
+    def test_state_dict_does_not_alias_parameters(self):
+        model = Model(small_config(seed=1))
+        optimizer = Adam([t for _, t in model.parameters()])
+        state = model.state_dict()
+        kept = {name: arr.copy() for name, arr in state.items()}
+        assert not any(np.shares_memory(arr, optimizer._x) for arr in state.values())
+        assert_step_moves_parameters(optimizer, model)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(arr, kept[name])
 
     def test_missing_parameter_rejected(self):
         a = Model(small_config())

@@ -13,6 +13,7 @@ from survstrat.tensor import (
     linear,
     mlp,
     softmax_rows,
+    take_rows,
 )
 
 from conftest import check_gradients
@@ -200,6 +201,20 @@ class TestProperties:
         assert x.grad[0, 0] == pytest.approx(9.0)
 
 
+class TestTakeRows:
+    @pytest.mark.parametrize("rows", [[3, 0, 4, 1, 2], [4, 1], [3, 0, 3, 1], [-1, 4], [0, -5, 2]])
+    def test_backward_matches_add_at_bit_for_bit(self, rows):
+        """Distinct rows take the plain scatter, repeated ones (a negative
+        index repeats its row n - i) add.at; both give add.at's values."""
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        grad = rng.standard_normal((len(rows), 3))
+        (take_rows(a, rows) * Tensor(grad)).sum().backward()
+        want = np.zeros((5, 3))
+        np.add.at(want, np.asarray(rows), grad)
+        np.testing.assert_array_equal(a.grad, want)
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = Tensor([[1.0, -2.0]], requires_grad=True)
@@ -230,6 +245,17 @@ class TestAdam:
         v_expect = (1 - b2) * g * g * b2 + (1 - b2) * g * g
         np.testing.assert_allclose(opt.m[0], [[m_expect]], rtol=1e-12)
         np.testing.assert_allclose(opt.v[0], [[v_expect]], rtol=1e-12)
+
+    def test_parameters_live_in_one_flat_buffer(self):
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        b = Tensor([[3.0], [4.0]], requires_grad=True)
+        opt = Adam([a, b], lr=0.1)
+        np.testing.assert_array_equal(opt._x, [1.0, 2.0, 3.0, 4.0])
+        assert np.shares_memory(a.values, opt._x) and np.shares_memory(b.values, opt._x)
+        a.grad, b.grad = np.ones((1, 2)), -np.ones((2, 1))
+        opt.step()
+        np.testing.assert_allclose(a.values, [[0.9, 1.9]], rtol=1e-8)
+        np.testing.assert_allclose(b.values, [[3.1], [4.1]], rtol=1e-8)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(UsageError):

@@ -11,6 +11,7 @@ from survstrat.metrics import expected_event_time
 from survstrat.networks import Model
 
 import oracles
+from conftest import assert_step_moves_parameters
 
 
 def small_config(**overrides):
@@ -276,6 +277,21 @@ class TestStage3:
         assert trainer.validation_c_index(state, data) == pytest.approx(
             best_logged, abs=1e-12
         )
+
+    def test_optimizer_steps_parameters_after_restore(self, monkeypatch):
+        config = small_config(max_epochs=4, early_stopping=True, patience=1)
+        data = make_data(val=True)
+        restores = []
+        load = Model.load_state_dict
+
+        def recording_load(model, state):
+            restores.append(state)
+            load(model, state)
+
+        monkeypatch.setattr(Model, "load_state_dict", recording_load)
+        state = trainer.fit(data, config)
+        assert len(restores) == 1
+        assert_step_moves_parameters(state.optimizer, state.model)
 
     def test_patience_limits_epochs(self):
         config = small_config(max_epochs=40, early_stopping=True, patience=2)
