@@ -280,14 +280,18 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
             # None (missing) becomes nan
             vals = np.asarray(table.features[col], dtype=np.float64)[train_idx]
             missing = np.isnan(vals)
-            median = float(np.median(vals[~missing])) if not missing.all() else 0.0
-            filled = np.where(missing, median, vals)
-            std = float(filled.std())
+            # values near the float limit overflow these sums; that is a data error
+            with np.errstate(over="ignore", invalid="ignore"):
+                median = float(np.median(vals[~missing])) if not missing.all() else 0.0
+                filled = np.where(missing, median, vals)
+                mean, std = float(filled.mean()), float(filled.std())
+            if not np.isfinite([median, mean, std]).all():
+                raise DataError(f"column '{col}': a value overflows when standardized")
             if std < 1e-8:
                 warnings.warn(f"numeric column '{col}' is constant on the training split")
             transforms[col] = {
                 "kind": "numeric",
-                "mean": float(filled.mean()),
+                "mean": mean,
                 "std": max(std, 1e-8),
                 "median": median,
             }

@@ -332,10 +332,8 @@ def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
     return Tensor._from_op(values, (dist.survival,), "loss_rank", backward_fn)
 
 
-def combine_cl(weights: LossWeights, siamese: bool, l_ivcg=None, l_iviw=None,
-               l_ivcw=None) -> Tensor:
+def combine_cl(weights: LossWeights, l_ivcg=None, l_iviw=None, l_ivcw=None) -> Tensor:
     """Weighted contrastive total: alpha_ivcg*IVCG + alpha_iviw*IVIW + alpha_ivcw*IVCW."""
-    weights.validate(siamese)
     terms = [(loss, alpha) for loss, alpha in ((l_ivcg, weights.alpha_ivcg),
                                                (l_iviw, weights.alpha_iviw),
                                                (l_ivcw, weights.alpha_ivcw))

@@ -14,32 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ConfigurationError, UsageError
 from .tensor import Tensor, concat_cols, concat_rows, linear, mlp, softmax_rows, take_rows, weighted_sum
-
-
-@dataclass
-class ModelConfig:
-    input_dim: int
-    latent_dim: int = 16
-    n_bins: int = 20
-    variational: bool = True
-    siamese: bool = False
-    head_mode: str = "shared"
-    n_clusters: int = 2
-    encoder_hidden: tuple = (64, 32)
-    head_hidden: tuple = (64,)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.latent_dim < 1 or self.n_bins < 1:
-            raise ConfigurationError("input_dim, latent_dim, and n_bins must be positive")
-        if self.head_mode not in ("shared", "ensemble"):
-            raise ConfigurationError(f"unknown head_mode '{self.head_mode}'")
-        if self.n_clusters < 1:
-            raise ConfigurationError("n_clusters must be >= 1")
-        if not self.encoder_hidden or not self.head_hidden:
-            raise ConfigurationError("encoder and head MLPs need at least one hidden layer")
 
 
 @dataclass
@@ -67,22 +44,18 @@ class Linear:
 
 
 class Mlp:
-    """Stack of Linear layers, relu between them and a linear output, as one tape node."""
+    """Stack of Linear layers, relu between them and a linear output (a relu
+    output with ``relu_last``), as one tape node."""
 
-    def __init__(self, widths, rng: np.random.Generator, name: str, activation="relu"):
-        if len(widths) < 3:
-            raise ConfigurationError("an MLP needs at least one hidden layer")
-        if any(w < 1 for w in widths):
-            raise ConfigurationError("all MLP layer widths must be positive")
-        if activation != "relu":
-            raise ConfigurationError(f"unsupported activation '{activation}'")
+    def __init__(self, widths, rng: np.random.Generator, name: str, relu_last: bool = False):
         self.layers = [
             Linear(widths[i], widths[i + 1], rng, f"{name}.{i}")
             for i in range(len(widths) - 1)
         ]
+        self.relu_last = relu_last
 
     def __call__(self, x: Tensor) -> Tensor:
-        return mlp(x, [(layer.W, layer.b) for layer in self.layers])
+        return mlp(x, [(layer.W, layer.b) for layer in self.layers], relu_last=self.relu_last)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -118,77 +91,74 @@ def survival_curve(probs: Tensor, cum: np.ndarray) -> Tensor:
 class Encoder:
     """Feature encoder; variational mode has separate mu and log-var heads."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, name: str):
+    def __init__(self, config: ExperimentConfig, input_dim: int, rng: np.random.Generator,
+                 name: str):
         self.variational = config.variational
         if self.variational:
-            widths = (config.input_dim, *config.encoder_hidden)
-            self.trunk = [
-                Linear(widths[i], widths[i + 1], rng, f"{name}.trunk.{i}")
-                for i in range(len(widths) - 1)
-            ]
+            self.trunk = Mlp((input_dim, *config.encoder_hidden), rng, f"{name}.trunk",
+                             relu_last=True)
             width_last = config.encoder_hidden[-1]
             self.mu_head = Linear(width_last, config.latent_dim, rng, f"{name}.mu")
             self.logvar_head = Linear(width_last, config.latent_dim, rng, f"{name}.logvar")
         else:
-            widths = (config.input_dim, *config.encoder_hidden, config.latent_dim)
+            widths = (input_dim, *config.encoder_hidden, config.latent_dim)
             self.net = Mlp(widths, rng, f"{name}.net")
 
     def __call__(self, x: Tensor, train: bool,
-                 rng: np.random.Generator | None = None,
-                 eps: np.ndarray | None = None) -> EncoderOutput:
+                 rng: np.random.Generator | None = None) -> EncoderOutput:
         if not self.variational:
             z = self.net(x)
             return EncoderOutput(mu=z, log_var=None, z=z)
-        h = mlp(x, [(layer.W, layer.b) for layer in self.trunk], relu_last=True)
+        h = self.trunk(x)
         mu = self.mu_head(h)
         log_var = self.logvar_head(h)
         if train:
-            if rng is None and eps is None:
-                raise UsageError("training-mode encoding needs an rng or fixed eps")
-            z, eps = reparameterize(mu, log_var, rng, eps)
+            if rng is None:
+                raise UsageError("training-mode encoding needs an rng")
+            z, eps = reparameterize(mu, log_var, rng)
             return EncoderOutput(mu=mu, log_var=log_var, z=z, eps=eps)
         return EncoderOutput(mu=mu, log_var=log_var, z=mu)
 
     def parameters(self):
         if self.variational:
-            params = [p for layer in self.trunk for p in layer.parameters()]
-            return params + self.mu_head.parameters() + self.logvar_head.parameters()
+            return (self.trunk.parameters() + self.mu_head.parameters()
+                    + self.logvar_head.parameters())
         return self.net.parameters()
 
 
 class Model:
-    """Full assembly: encoder(s), decoder(s), and one or K survival heads."""
+    """Full assembly: encoder(s), decoder(s), and one or K survival heads.
 
-    def __init__(self, config: ModelConfig):
+    ``config`` is a validated ExperimentConfig; ``n_bins`` is the fitted
+    grid's count, which tied times can make smaller than ``config.n_bins``."""
+
+    def __init__(self, config: ExperimentConfig, input_dim: int, n_bins: int):
+        if input_dim < 1:
+            raise ConfigurationError("the model needs at least one feature column")
         self.config = config
         children = np.random.SeedSequence(config.seed).spawn(4 + config.n_clusters)
         rngs = [np.random.default_rng(s) for s in children]
-        self.encoders = [Encoder(config, rngs[0], "enc1")]
-        dec_widths = (
-            config.latent_dim, *reversed(config.encoder_hidden), config.input_dim
-        )
+        self.encoders = [Encoder(config, input_dim, rngs[0], "enc1")]
+        dec_widths = (config.latent_dim, *reversed(config.encoder_hidden), input_dim)
         self.decoders = [Mlp(dec_widths, rngs[1], "dec1")]
         if config.siamese:
-            self.encoders.append(Encoder(config, rngs[2], "enc2"))
+            self.encoders.append(Encoder(config, input_dim, rngs[2], "enc2"))
             self.decoders.append(Mlp(dec_widths, rngs[3], "dec2"))
-        head_widths = (
-            config.latent_dim + config.input_dim, *config.head_hidden, config.n_bins + 1
-        )
-        n_heads = config.n_clusters if config.head_mode == "ensemble" else 1
+        head_widths = (config.latent_dim + input_dim, *config.head_hidden, n_bins + 1)
+        n_heads = config.n_clusters if config.heads == "per-cluster" else 1
         self.heads = [
             Mlp(head_widths, rngs[4 + k], f"head{k}") for k in range(n_heads)
         ]
         # constant cumulative-sum matrix: survival_t = 1 - sum_{s<=t} prob_s
-        self._cum = np.triu(np.ones((config.n_bins + 1, config.n_bins)))
+        self._cum = np.triu(np.ones((n_bins + 1, n_bins)))
 
     def encode(self, x: Tensor, view: int = 1, train: bool = False,
-               rng: np.random.Generator | None = None,
-               eps: np.ndarray | None = None) -> EncoderOutput:
+               rng: np.random.Generator | None = None) -> EncoderOutput:
         if view not in (1, 2):
             raise UsageError(f"view must be 1 or 2, got {view}")
         if view == 2 and not self.config.siamese:
             raise ConfigurationError("view 2 requested but the model is not Siamese")
-        return self.encoders[view - 1](x, train=train, rng=rng, eps=eps)
+        return self.encoders[view - 1](x, train=train, rng=rng)
 
     def decode(self, z: Tensor, view: int = 1) -> Tensor:
         return self.decoders[view - 1](z)
@@ -199,11 +169,11 @@ class Model:
         return concat_cols(zbar, x)
 
     def survival_forward(self, h: Tensor, cluster_ids=None) -> "SurvivalDistribution":
-        """One head for all rows, or (ensemble) each row through its cluster's head."""
-        if self.config.head_mode == "shared":
+        """One head for all rows, or (per-cluster) each row through its cluster's head."""
+        if self.config.heads == "shared":
             return self._distribution(self.heads[0](h))
         if cluster_ids is None:
-            raise UsageError("ensemble heads need cluster ids for routing")
+            raise UsageError("per-cluster heads need cluster ids for routing")
         ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
         if ids.size != h.values.shape[0]:
             raise UsageError("one cluster id per row is required")

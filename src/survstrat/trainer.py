@@ -19,7 +19,7 @@ from . import clustering, losses
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, UsageError
 from .metrics import TimeGrid, build_time_grid, concordance_index, expected_event_time
-from .networks import Model, ModelConfig
+from .networks import Model
 from .tensor import Adam, Tensor, weighted_sum
 
 LOG_COLUMNS = (
@@ -109,26 +109,9 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def _model_config(config: ExperimentConfig, input_dim: int,
-                  n_bins: int | None = None) -> ModelConfig:
-    """``n_bins`` is the fitted grid's count; tied times can make it < config.n_bins."""
-    return ModelConfig(
-        input_dim=input_dim,
-        latent_dim=config.latent_dim,
-        n_bins=config.n_bins if n_bins is None else n_bins,
-        variational=config.variational,
-        siamese=config.siamese,
-        head_mode="ensemble" if config.heads == "per-cluster" else "shared",
-        n_clusters=config.n_clusters,
-        encoder_hidden=tuple(config.encoder_hidden),
-        head_hidden=tuple(config.head_hidden),
-        seed=config.seed,
-    )
-
-
 def _new_state(config: ExperimentConfig, input_dim: int, grid: TimeGrid) -> TrainState:
     """Untrained state: a model sized from the fitted grid and a fresh optimizer."""
-    model = Model(_model_config(config, input_dim, grid.n_bins))
+    model = Model(config, input_dim, grid.n_bins)
     optimizer = Adam([t for _, t in model.parameters()], lr=config.learning_rate)
     return TrainState(model=model, optimizer=optimizer, config=config, grid=grid)
 
@@ -197,7 +180,7 @@ def _survival_loss(dist, bins, events, weights) -> Tensor:
 
 def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
     """Stage 1: minimize rec + KL + survival for pretrain_epochs epochs;
-    every ensemble head trains on the whole batch and their losses are averaged."""
+    every per-cluster head trains on the whole batch and their losses are averaged."""
     config.validate()
     state = _new_state(config, data.X.shape[1], data.grid)
     state.train_times, state.train_events = data.t.copy(), data.e.copy()
@@ -258,7 +241,7 @@ def _contrastive_loss(model, outs, events, batch_assignments, centers, config):
             q1 = losses.soft_assign_tensor(outs[0].z, centers[0], config.nu)
             q2 = losses.soft_assign_tensor(outs[1].z, centers[1], config.nu)
             l_ivcw = losses.loss_ivcw(q1, q2, w.tau)
-    return losses.combine_cl(w, config.siamese, l_ivcg, l_iviw, l_ivcw)
+    return losses.combine_cl(w, l_ivcg, l_iviw, l_ivcw)
 
 
 def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weights):
@@ -309,7 +292,6 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     model = state.model
     rng = _training_rng(config.seed + 1)
     frozen = [cm.centers.copy() for cm in state.cluster_models]
-    ensemble = model.config.head_mode == "ensemble"
     best_c = -np.inf
     best_params = None
     stale = 0
@@ -337,7 +319,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         }
 
     for epoch in range(1, config.max_epochs + 1):
-        if ensemble:
+        if config.heads == "per-cluster":
             counts = np.bincount(
                 state.assignments[config.routing_view - 1], minlength=config.n_clusters
             )
@@ -395,7 +377,7 @@ def predict(state: TrainState, X) -> dict:
     """Eval-mode prediction: probabilities, survival, risk, cluster labels."""
     model = state.model
     enc = encode(state, X)
-    # shared heads ignore the labels; ensemble heads route by them
+    # shared heads ignore the labels; per-cluster heads route by them
     dist = model.survival_forward(model.survival_input(enc["x"], enc["views"]),
                                   cluster_ids=enc["labels"])
     probs = dist.probs.values.copy()

@@ -182,7 +182,7 @@ def case_combined_cl(seed):
         cw = loss_ivcw(
             soft_assign_tensor(z1, centers), soft_assign_tensor(z2, centers), weights.tau
         )
-        return combine_cl(weights, True, cg, iw, cw)
+        return combine_cl(weights, cg, iw, cw)
 
     return build, [z1, z2]
 

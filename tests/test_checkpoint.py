@@ -13,6 +13,7 @@ from survstrat import trainer
 from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpoint
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
+from survstrat.metrics import TimeGrid
 
 
 def fitted_state(**overrides):
@@ -133,6 +134,60 @@ class TestRoundTrip:
         a = trainer.predict(state, X[:10])
         b = trainer.predict(restored, X[:10])
         assert np.array_equal(a["survival"], b["survival"])
+
+
+def _variational_encoder(name):
+    return [
+        (f"{name}.trunk.0.W", (5, 8)), (f"{name}.trunk.0.b", (1, 8)),
+        (f"{name}.trunk.1.W", (8, 6)), (f"{name}.trunk.1.b", (1, 6)),
+        (f"{name}.mu.W", (6, 3)), (f"{name}.mu.b", (1, 3)),
+        (f"{name}.logvar.W", (6, 3)), (f"{name}.logvar.b", (1, 3)),
+    ]
+
+
+def _decoder(name):
+    return [
+        (f"{name}.0.W", (3, 6)), (f"{name}.0.b", (1, 6)),
+        (f"{name}.1.W", (6, 8)), (f"{name}.1.b", (1, 8)),
+        (f"{name}.2.W", (8, 5)), (f"{name}.2.b", (1, 5)),
+    ]
+
+
+def _head(k):
+    return [
+        (f"head{k}.0.W", (8, 7)), (f"head{k}.0.b", (1, 7)),
+        (f"head{k}.1.W", (7, 5)), (f"head{k}.1.b", (1, 5)),
+    ]
+
+
+_PLAIN_ENCODER = [
+    ("enc1.net.0.W", (5, 8)), ("enc1.net.0.b", (1, 8)),
+    ("enc1.net.1.W", (8, 6)), ("enc1.net.1.b", (1, 6)),
+    ("enc1.net.2.W", (6, 3)), ("enc1.net.2.b", (1, 3)),
+]
+
+
+class TestParameterNames:
+    """The checkpoint stores parameters by these names, in this order."""
+
+    @pytest.mark.parametrize("overrides,expected", [
+        ({}, _variational_encoder("enc1") + _decoder("dec1") + _head(0)),
+        ({"variational": False}, _PLAIN_ENCODER + _decoder("dec1") + _head(0)),
+        ({"siamese": True},
+         _variational_encoder("enc1") + _variational_encoder("enc2")
+         + _decoder("dec1") + _decoder("dec2") + _head(0)),
+        ({"heads": "per-cluster", "n_clusters": 3},
+         _variational_encoder("enc1") + _decoder("dec1") + _head(0) + _head(1) + _head(2)),
+    ], ids=["shared", "plain", "siamese", "per-cluster"])
+    def test_names_and_shapes(self, overrides, expected):
+        # 5 input features, latent 3, 4 time bins
+        config = ExperimentConfig(
+            latent_dim=3, encoder_hidden=(8, 6), head_hidden=(7,), **overrides
+        )
+        config.validate()
+        state = trainer._new_state(config, 5, TimeGrid([1.0, 2.0, 3.0, 4.0]))
+        got = [(name, arr.shape) for name, arr in state.model.state_dict().items()]
+        assert got == expected
 
 
 class TestValidation:

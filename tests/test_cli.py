@@ -355,6 +355,36 @@ class TestTrainCommand:
         assert rc == 2
         assert "row 6 has 4 fields" in capsys.readouterr().err
 
+    def test_schema_without_features_exit_1_one_line(self, workspace, tmp_path, capsys):
+        schema = {"time": "duration", "event": "event", "features": {}}
+        (tmp_path / "empty.json").write_text(json.dumps(schema))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path / "empty.json")))
+        rc = main([
+            "train", "--config", str(path),
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_column_exit_2_without_numpy_warnings(self, workspace, tmp_path,
+                                                              capsys):
+        rows = [line.split(",") for line in (workspace / "toy.csv").read_text().splitlines()]
+        for i, row in enumerate(rows[1:]):
+            row[4] = "1e308" if i % 2 else "-1e308"
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "train", "--config", str(workspace / "config.json"),
+                "--data", str(big), "--out", str(tmp_path / "o"),
+            ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: column 'f2': a value overflows when standardized\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestEvaluateCommand:
     def test_idempotent(self, workspace, tmp_path):

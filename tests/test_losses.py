@@ -391,12 +391,12 @@ class TestRankOracle:
 class TestCombine:
     def test_all_weights_zero(self):
         w = LossWeights(alpha_ivcg=0.0, alpha_iviw=0.0, alpha_ivcw=0.0)
-        out = combine_cl(w, False, Tensor(np.array([[5.0]])))
+        out = combine_cl(w, Tensor(np.array([[5.0]])))
         assert scalar(out) == 0.0
 
     def test_projection_to_ivcg(self):
         w = LossWeights(alpha_ivcg=1.0, alpha_iviw=0.0, alpha_ivcw=0.0)
-        out = combine_cl(w, False, Tensor(np.array([[0.37]])))
+        out = combine_cl(w, Tensor(np.array([[0.37]])))
         assert scalar(out) == pytest.approx(0.37, abs=TOL)
 
     def test_instance_hand_sum(self):
@@ -417,9 +417,6 @@ class TestCombine:
         assert scalar(out) == pytest.approx(1.2, abs=TOL)
 
     def test_single_encoder_cross_view_weights_rejected(self):
-        w = LossWeights(alpha_iviw=0.5)
-        with pytest.raises(ConfigurationError, match="Siamese"):
-            combine_cl(w, False)
         with pytest.raises(ConfigurationError):
             LossWeights(alpha_ivcw=0.1).validate(siamese=False)
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import assert_step_moves_parameters, check_gradients
+from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, UsageError
-from survstrat.networks import Mlp, Model, ModelConfig, reparameterize
+from survstrat.networks import Mlp, Model, reparameterize
 from survstrat.tensor import Adam, Tensor
 
 
-def small_config(**overrides):
-    base = dict(
-        input_dim=5, latent_dim=3, n_bins=4,
-        encoder_hidden=(8, 6), head_hidden=(7,), seed=0,
-    )
+def small_model(**overrides):
+    """A model over 5 input features and 4 time bins."""
+    base = dict(latent_dim=3, encoder_hidden=(8, 6), head_hidden=(7,), seed=0)
     base.update(overrides)
-    return ModelConfig(**base)
+    config = ExperimentConfig(**base)
+    config.validate()
+    return Model(config, 5, 4)
 
 
 class TestReparameterize:
@@ -49,7 +50,7 @@ class TestReparameterize:
 
 class TestEncoder:
     def test_eval_mode_deterministic_and_equals_mu(self):
-        model = Model(small_config())
+        model = small_model()
         x = Tensor(np.random.default_rng(1).standard_normal((6, 5)))
         a = model.encode(x)
         b = model.encode(x)
@@ -57,7 +58,7 @@ class TestEncoder:
         np.testing.assert_array_equal(a.z.values, a.mu.values)
 
     def test_train_mode_uses_sampled_noise(self):
-        model = Model(small_config())
+        model = small_model()
         x = Tensor(np.zeros((3, 5)))
         out = model.encode(x, train=True, rng=np.random.default_rng(2))
         assert out.eps is not None
@@ -65,31 +66,31 @@ class TestEncoder:
         np.testing.assert_allclose(out.z.values, expected, rtol=1e-12)
 
     def test_train_mode_without_rng_rejected(self):
-        model = Model(small_config())
+        model = small_model()
         with pytest.raises(UsageError):
             model.encode(Tensor(np.zeros((2, 5))), train=True)
 
     def test_deterministic_encoder_has_no_logvar(self):
-        model = Model(small_config(variational=False))
+        model = small_model(variational=False)
         out = model.encode(Tensor(np.ones((2, 5))))
         assert out.log_var is None
         again = model.encode(Tensor(np.ones((2, 5))), train=True)
         np.testing.assert_array_equal(out.z.values, again.z.values)
 
     def test_siamese_views_differ(self):
-        model = Model(small_config(siamese=True))
+        model = small_model(siamese=True)
         x = Tensor(np.random.default_rng(3).standard_normal((4, 5)))
         z1 = model.encode(x, view=1).z.values
         z2 = model.encode(x, view=2).z.values
         assert not np.allclose(z1, z2)
 
     def test_view_two_needs_siamese(self):
-        model = Model(small_config())
+        model = small_model()
         with pytest.raises(ConfigurationError):
             model.encode(Tensor(np.zeros((1, 5))), view=2)
 
     def test_siamese_parameters_are_independent_storage(self):
-        model = Model(small_config(siamese=True))
+        model = small_model(siamese=True)
         params = dict(model.parameters())
         before = params["enc2.trunk.0.W"].values.copy()
         params["enc1.trunk.0.W"].values += 100.0
@@ -98,13 +99,13 @@ class TestEncoder:
 
 class TestDecoder:
     def test_roundtrip_shape(self):
-        model = Model(small_config())
+        model = small_model()
         x = Tensor(np.random.default_rng(4).standard_normal((7, 5)))
         x_hat = model.decode(model.encode(x).z)
         assert x_hat.values.shape == (7, 5)
 
     def test_reconstruction_gradient_matches_fd(self):
-        model = Model(small_config(encoder_hidden=(4, 3)))
+        model = small_model(encoder_hidden=(4, 3))
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 5))
         w = model.decoders[0].layers[-1].W
@@ -119,7 +120,7 @@ class TestDecoder:
 
 class TestSurvivalForward:
     def test_uniform_logits_give_uniform_probs(self):
-        model = Model(small_config())
+        model = small_model()
         head = model.heads[0]
         for layer in head.layers:
             layer.W.values[:] = 0.0
@@ -130,40 +131,40 @@ class TestSurvivalForward:
         np.testing.assert_allclose(dist.survival.values[:, -1], 1.0 / 5.0)
 
     def test_prob_rows_sum_to_one(self):
-        model = Model(small_config())
+        model = small_model()
         h = Tensor(np.random.default_rng(7).standard_normal((10, 8)))
         dist = model.survival_forward(h)
         np.testing.assert_allclose(dist.probs.values.sum(axis=1), 1.0, atol=1e-9)
 
     def test_survival_monotone_and_bounded(self):
-        model = Model(small_config())
+        model = small_model()
         h = Tensor(np.random.default_rng(8).standard_normal((10, 8)))
         s = model.survival_forward(h).survival.values
         assert np.all(np.diff(s, axis=1) <= 1e-12)
         assert np.all(s >= -1e-12) and np.all(s <= 1 + 1e-12)
 
     def test_survival_consistent_with_probs(self):
-        model = Model(small_config())
+        model = small_model()
         h = Tensor(np.random.default_rng(9).standard_normal((5, 8)))
         dist = model.survival_forward(h)
         manual = 1.0 - np.cumsum(dist.probs.values[:, :-1], axis=1)
         np.testing.assert_allclose(dist.survival.values, manual, atol=1e-12)
 
     def test_shared_mode_ignores_cluster_ids(self):
-        model = Model(small_config())
+        model = small_model()
         h = Tensor(np.random.default_rng(10).standard_normal((4, 8)))
         a = model.survival_forward(h).probs.values
         b = model.survival_forward(h, cluster_ids=[0, 1, 0, 1]).probs.values
         np.testing.assert_array_equal(a, b)
 
     def test_ensemble_routes_by_cluster(self):
-        model = Model(small_config(head_mode="ensemble", n_clusters=2))
+        model = small_model(heads="per-cluster", n_clusters=2)
         h = Tensor(np.tile(np.random.default_rng(11).standard_normal((1, 8)), (2, 1)))
         dist = model.survival_forward(h, cluster_ids=[0, 1])
         assert not np.allclose(dist.probs.values[0], dist.probs.values[1])
 
     def test_ensemble_rows_match_single_head_outputs(self):
-        model = Model(small_config(head_mode="ensemble", n_clusters=3))
+        model = small_model(heads="per-cluster", n_clusters=3)
         rng = np.random.default_rng(12)
         h = Tensor(rng.standard_normal((6, 8)))
         ids = np.array([0, 1, 2, 0, 1, 2])
@@ -175,7 +176,7 @@ class TestSurvivalForward:
             np.testing.assert_allclose(dist.probs.values[i], solo, atol=1e-12)
 
     def test_ensemble_requires_ids(self):
-        model = Model(small_config(head_mode="ensemble"))
+        model = small_model(heads="per-cluster")
         h = Tensor(np.zeros((2, 8)))
         with pytest.raises(UsageError):
             model.survival_forward(h)
@@ -185,7 +186,7 @@ class TestSurvivalForward:
 
 class TestEnsembleRouting:
     def test_each_head_sees_only_its_rows(self, monkeypatch):
-        model = Model(small_config(head_mode="ensemble", n_clusters=3))
+        model = small_model(heads="per-cluster", n_clusters=3)
         h = Tensor(np.random.default_rng(14).standard_normal((7, 8)))
         ids = np.array([2, 0, 2, 1, 0, 2, 1])
         seen = {}
@@ -202,7 +203,7 @@ class TestEnsembleRouting:
             np.testing.assert_array_equal(seen[f"head{k}"], h.values[ids == k])
 
     def test_empty_cluster_is_skipped(self):
-        model = Model(small_config(head_mode="ensemble", n_clusters=3))
+        model = small_model(heads="per-cluster", n_clusters=3)
         rng = np.random.default_rng(15)
         h = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
         ids = np.array([0, 2, 2, 0, 0])
@@ -222,24 +223,24 @@ class TestEnsembleRouting:
 
 class TestStatePersistence:
     def test_state_dict_roundtrip(self):
-        a = Model(small_config(seed=1))
-        b = Model(small_config(seed=2))
+        a = small_model(seed=1)
+        b = small_model(seed=2)
         x = Tensor(np.random.default_rng(13).standard_normal((3, 5)))
         assert not np.allclose(a.encode(x).z.values, b.encode(x).z.values)
         b.load_state_dict(a.state_dict())
         np.testing.assert_array_equal(a.encode(x).z.values, b.encode(x).z.values)
 
     def test_optimizer_steps_loaded_parameters(self):
-        model = Model(small_config(seed=1))
+        model = small_model(seed=1)
         optimizer = Adam([t for _, t in model.parameters()])
-        loaded = Model(small_config(seed=2)).state_dict()
+        loaded = small_model(seed=2).state_dict()
         model.load_state_dict(loaded)
         for name, t in model.parameters():
             np.testing.assert_array_equal(t.values, loaded[name])
         assert_step_moves_parameters(optimizer, model)
 
     def test_state_dict_does_not_alias_parameters(self):
-        model = Model(small_config(seed=1))
+        model = small_model(seed=1)
         optimizer = Adam([t for _, t in model.parameters()])
         state = model.state_dict()
         kept = {name: arr.copy() for name, arr in state.items()}
@@ -249,29 +250,16 @@ class TestStatePersistence:
             np.testing.assert_array_equal(arr, kept[name])
 
     def test_missing_parameter_rejected(self):
-        a = Model(small_config())
+        a = small_model()
         state = a.state_dict()
         state.pop("enc1.mu.W")
         with pytest.raises(ConfigurationError, match="enc1.mu.W"):
             a.load_state_dict(state)
 
     def test_same_seed_same_init(self):
-        a = Model(small_config(seed=42))
-        b = Model(small_config(seed=42))
+        a = small_model(seed=42)
+        b = small_model(seed=42)
         for (an, at), (bn, bt) in zip(a.parameters(), b.parameters()):
             assert an == bn
             np.testing.assert_array_equal(at.values, bt.values)
 
-
-class TestConfigValidation:
-    def test_bad_head_mode(self):
-        with pytest.raises(ConfigurationError):
-            small_config(head_mode="mixture")
-
-    def test_nonpositive_dims(self):
-        with pytest.raises(ConfigurationError):
-            small_config(latent_dim=0)
-
-    def test_empty_hidden(self):
-        with pytest.raises(ConfigurationError):
-            small_config(encoder_hidden=())

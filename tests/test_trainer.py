@@ -106,7 +106,7 @@ class TestPretrain:
         config = small_config(pretrain_epochs=0)
         data = make_data()
         state = trainer.pretrain(data, config)
-        fresh = Model(trainer._model_config(config, data.X.shape[1]))
+        fresh = Model(config, data.X.shape[1], data.grid.n_bins)
         for (_, got), (_, want) in zip(state.model.parameters(), fresh.parameters()):
             assert np.array_equal(got.values, want.values)
         assert state.logs == []
@@ -148,7 +148,7 @@ class TestPretrain:
         config = small_config(heads="per-cluster", n_clusters=3, pretrain_epochs=1)
         data = make_data()
         state = trainer.pretrain(data, config)
-        fresh = dict(Model(trainer._model_config(config, data.X.shape[1])).parameters())
+        fresh = dict(Model(config, data.X.shape[1], data.grid.n_bins).parameters())
         for name, t in state.model.parameters():
             if name.startswith("head"):
                 assert not np.array_equal(t.values, fresh[name].values), name
@@ -158,7 +158,7 @@ class TestInitClusters:
     def test_requires_pretrained_state(self):
         config = small_config()
         data = make_data()
-        model = Model(trainer._model_config(config, data.X.shape[1]))
+        model = Model(config, data.X.shape[1], data.grid.n_bins)
         from survstrat.tensor import Adam
         bare = trainer.TrainState(
             model=model, optimizer=Adam([t for _, t in model.parameters()]),
