@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, linear, mlp, softmax_rows, take_rows, weighted_sum
+from .tensor import Tensor, concat_cols, concat_rows, mlp, softmax_rows, take_rows, weighted_sum
 
 
 @dataclass
@@ -28,16 +28,14 @@ class EncoderOutput:
 
 
 class Linear:
-    """Affine layer with He-initialized weights and zero biases."""
+    """One affine layer's parameters, He-initialized weights and zero
+    biases; ``mlp`` runs them."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
         scale = np.sqrt(2.0 / n_in)
         self.W = Tensor(rng.standard_normal((n_in, n_out)) * scale, requires_grad=True)
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
         self.name = name
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.W, self.b)
 
     def parameters(self):
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
@@ -110,8 +108,8 @@ class Encoder:
             z = self.net(x)
             return EncoderOutput(mu=z, log_var=None, z=z)
         h = self.trunk(x)
-        mu = self.mu_head(h)
-        log_var = self.logvar_head(h)
+        mu = mlp(h, [(self.mu_head.W, self.mu_head.b)])
+        log_var = mlp(h, [(self.logvar_head.W, self.logvar_head.b)])
         if train:
             if rng is None:
                 raise UsageError("training-mode encoding needs an rng")

@@ -1,12 +1,21 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
-Graphs are built define-by-run: every operation records its parents and a
+Graphs are built define-by-run: every node records its parents and a
 backward closure on the fly, so the tape is rebuilt on each forward pass.
+The nodes are the fused operations the model runs on, each a numpy forward
+with one hand-written backward: ``mlp`` (a stack of affine layers and
+relus), ``concat_cols``, ``take_rows``, ``concat_rows``, ``softmax_rows``,
+``weighted_sum`` and ``Tensor.mean`` here, and the losses and network glue
+that ``losses`` and ``networks`` build with ``Tensor._from_op``. ``Tensor``
+has no general elementwise or matrix algebra; the elementary graphs these
+nodes replaced are composed in the tests, on a reference tape that
+subclasses ``Tensor``.
+
 ``backward()`` must be called on a 1x1 (scalar) tensor; gradients accumulate
 into ``.grad`` buffers until they are explicitly reset (the optimizer's
 ``zero_grad`` clears them before each backward pass).
 
-Every forward op validates that its output is finite; a NaN/Inf result is
+Every node validates that its output is finite; a NaN/Inf result is
 reported as a :class:`NumericError` naming the op.
 """
 
@@ -28,18 +37,6 @@ def _as_matrix(values) -> np.ndarray:
     return arr
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    out = grad
-    if shape[0] == 1 and grad.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and grad.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
 class Tensor:
     """A 2-D float64 value, optionally tracked for autodiff."""
 
@@ -54,12 +51,6 @@ class Tensor:
         self._op = "leaf"
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _lift(other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
 
     @classmethod
     def _from_op(cls, values: np.ndarray, parents: tuple["Tensor", ...], op: str,
@@ -81,18 +72,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def numpy(self) -> np.ndarray:
-        return self.values.copy()
-
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise UsageError(f"item() requires a 1x1 tensor, got {self.shape}")
-        return float(self.values[0, 0])
-
-    def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.values)
 
     def _accumulate(self, delta: np.ndarray) -> None:
         # out of place: a backward may hand one array to several parents
@@ -132,200 +111,7 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    # -- elementwise arithmetic (numpy broadcasting, 2-D only) ---------------
-
-    def __add__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            a = self
-
-            def backward_fn(grad):
-                a._accumulate(grad)
-
-            return Tensor._from_op(a.values + other, (a,), "add", backward_fn)
-        other = Tensor._lift(other)
-        a, b = self, other
-        try:
-            values = a.values + b.values
-        except ValueError:
-            raise ConfigurationError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-        def backward_fn(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad, b.shape))
-
-        return Tensor._from_op(values, (a, b), "add", backward_fn)
-
-    def __radd__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return self + other
-        return Tensor._lift(other) + self
-
-    def __sub__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        try:
-            values = a.values - b.values
-        except ValueError:
-            raise ConfigurationError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-        def backward_fn(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad, b.shape))
-
-        return Tensor._from_op(values, (a, b), "sub", backward_fn)
-
-    def __rsub__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            a = self
-
-            def backward_fn(grad):
-                a._accumulate(-grad)
-
-            return Tensor._from_op(other - a.values, (a,), "sub", backward_fn)
-        return Tensor._lift(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            a = self
-
-            def backward_fn(grad):
-                a._accumulate(grad * other)
-
-            return Tensor._from_op(a.values * other, (a,), "mul", backward_fn)
-        other = Tensor._lift(other)
-        a, b = self, other
-        try:
-            values = a.values * b.values
-        except ValueError:
-            raise ConfigurationError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-        def backward_fn(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * b.values, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * a.values, b.shape))
-
-        return Tensor._from_op(values, (a, b), "mul", backward_fn)
-
-    def __rmul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return self * other
-        return Tensor._lift(other) * self
-
-    def __truediv__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = a.values / b.values
-        except ValueError:
-            raise ConfigurationError(f"div: incompatible shapes {a.shape} and {b.shape}")
-
-        def backward_fn(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad / b.values, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad * a.values / (b.values ** 2), b.shape))
-
-        return Tensor._from_op(values, (a, b), "div", backward_fn)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
-
-    def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward_fn(grad):
-            a._accumulate(-grad)
-
-        return Tensor._from_op(-a.values, (a,), "neg", backward_fn)
-
-    # -- matrix ops ------------------------------------------------------
-
-    def __matmul__(self, other) -> "Tensor":
-        return self.matmul(other)
-
-    def matmul(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        if a.shape[1] != b.shape[0]:
-            raise ConfigurationError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-        values = a.values @ b.values
-
-        def backward_fn(grad):
-            if a.requires_grad:
-                a._accumulate(grad @ b.values.T)
-            if b.requires_grad:
-                b._accumulate(a.values.T @ grad)
-
-        return Tensor._from_op(values, (a, b), "matmul", backward_fn)
-
-    def transpose(self) -> "Tensor":
-        a = self
-
-        def backward_fn(grad):
-            a._accumulate(grad.T)
-
-        return Tensor._from_op(a.values.T.copy(), (a,), "transpose", backward_fn)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    # -- nonlinearities ----------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        a = self
-        with np.errstate(over="ignore"):
-            values = np.exp(a.values)
-        # the finite check in _from_op catches overflow
-
-        def backward_fn(grad):
-            a._accumulate(grad * values)
-
-        return Tensor._from_op(values, (a,), "exp", backward_fn)
-
-    def log(self) -> "Tensor":
-        a = self
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.log(a.values)
-
-        def backward_fn(grad):
-            a._accumulate(grad / a.values)
-
-        return Tensor._from_op(values, (a,), "log", backward_fn)
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        """max(x, floor) elementwise; gradient passes only where x > floor."""
-        a = self
-        values = np.maximum(a.values, floor)
-
-        def backward_fn(grad):
-            a._accumulate(grad * (a.values > floor))
-
-        return Tensor._from_op(values, (a,), "clamp_min", backward_fn)
-
-    # -- reductions --------------------------------------------------------
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        a = self
-        if axis is None:
-            values = np.array([[a.values.sum()]])
-
-            def backward_fn(grad):
-                a._accumulate(np.full_like(a.values, grad[0, 0]))
-
-        else:
-            values = a.values.sum(axis=axis, keepdims=True)
-
-            def backward_fn(grad):
-                a._accumulate(np.broadcast_to(grad, a.shape))
-
-        return Tensor._from_op(values, (a,), "sum", backward_fn)
+    # -- reduction -----------------------------------------------------------
 
     def mean(self, axis: int | None = None, mask: np.ndarray | None = None) -> "Tensor":
         """Mean over all entries or along ``axis``, as one node; with a 0/1
@@ -366,7 +152,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
     """Chained affine maps ``h @ W + b`` over the ``(W, b)`` pairs in ``layers``
     as one node, with relu after every layer but the last (and after the last
-    too when ``relu_last``); each layer's arithmetic is that of ``linear``."""
+    too when ``relu_last``); a one-layer stack is named ``linear``."""
     last = len(layers) - 1
     op = "mlp" if last else "linear"
     hs = [x.values]
@@ -403,11 +189,6 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
 
     parents = (x, *(p for layer in layers for p in layer))
     return Tensor._from_op(hs[-1], parents, op, backward_fn)
-
-
-def linear(x: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """Affine map ``x @ W + b``, optionally followed by relu, as one node."""
-    return mlp(x, [(W, b)], relu)
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
@@ -486,8 +267,8 @@ class Adam:
     ``values`` is a view of its slice, so a step is a few in-place vector
     operations over all parameters at once. Code that replaces parameter
     values must copy into them (as ``Model.load_state_dict`` does), not
-    rebind ``values``; a deep copy or pickle of the parameters does not keep
-    the views either.
+    rebind ``values``. A deep copy or pickle of the optimizer, such as one of
+    a ``TrainState``, binds the copied parameters to the copied buffers.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -503,12 +284,22 @@ class Adam:
         bounds = np.cumsum([0] + [p.values.size for p in self.params])
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._x, self._m, self._v, self._g, self._tmp, self._step = np.zeros((6, bounds[-1]))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Make every parameter's ``values`` a view of its slice of the flat
+        buffer, holding the values it has now."""
         for p, s in zip(self.params, self._slices):
             self._x[s] = p.values.ravel()
             p.values = self._x[s].reshape(p.values.shape)
         # per-parameter views into the flat moment buffers
         self.m = [self._m[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
         self.v = [self._v[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
+
+    def __setstate__(self, state: dict) -> None:
+        # copying turns every view into an array of its own; rebind them
+        self.__dict__.update(state)
+        self._bind()
 
     def zero_grad(self) -> None:
         # ``step`` reads a missing gradient as zeros

@@ -8,6 +8,8 @@ import numpy as np
 
 from survstrat.tensor import Tensor
 
+from reftape import item, zero_grad
+
 CRITERIA = {
     1: "gradient suite matches central finite differences",
     2: "loss-value oracles reproduce hand-derived constants",
@@ -94,13 +96,13 @@ def check_gradients(build_loss, leaves: list[Tensor], tol: float = 1e-4) -> floa
     """
     loss = build_loss()
     for leaf in leaves:
-        leaf.zero_grad()
+        zero_grad(leaf)
     loss = build_loss()
     loss.backward()
     worst = 0.0
     for leaf in leaves:
         analytic = leaf.grad.copy()
-        numeric = numeric_gradient(lambda: build_loss().item(), leaf)
+        numeric = numeric_gradient(lambda: item(build_loss()), leaf)
         worst = max(worst, max_rel_error(analytic, numeric))
     assert worst <= tol, f"gradient mismatch: max rel err {worst:.3e} > {tol}"
     return worst

@@ -2,8 +2,10 @@
 
 Each builder returns (build_loss, leaves): a zero-argument closure producing
 the scalar loss Tensor from the current leaf values, plus the leaf Tensors
-whose gradients get compared against central differences. Shared between the
-gradient test module and the acceptance gate.
+whose gradients get compared against central differences. The leaves are
+package tensors; the weightings that reduce a node's output to a scalar are
+reference-tape ops (``reftape.py``). Shared between the gradient test module
+and the acceptance gate.
 """
 
 from functools import partial
@@ -26,9 +28,9 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
-from survstrat.tensor import (
-    Tensor, concat_rows, linear, mlp, softmax_rows, take_rows, weighted_sum,
-)
+from survstrat.tensor import Tensor, concat_rows, mlp, softmax_rows, take_rows, weighted_sum
+
+from reftape import RefTensor, lift
 
 
 def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
@@ -37,7 +39,7 @@ def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
     for s in range(n_bins):
         cum[s, s:] = 1.0
     probs = softmax_rows(logits)
-    survival = Tensor(np.ones((1, 1))) - probs @ Tensor(cum)
+    survival = RefTensor(np.ones((1, 1))) - lift(probs) @ RefTensor(cum)
     return SurvivalDistribution(probs=probs, survival=survival)
 
 
@@ -79,7 +81,7 @@ def case_reparameterize(seed):
     mu = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     log_var = Tensor(rng.standard_normal((4, 3)) * 0.5, requires_grad=True)
     eps = rng.standard_normal((4, 3))
-    w = Tensor(rng.standard_normal((4, 3)))
+    w = RefTensor(rng.standard_normal((4, 3)))
     return lambda: (reparameterize(mu, log_var, None, eps)[0] * w).sum(), [mu, log_var]
 
 
@@ -88,7 +90,7 @@ def case_soft_assign(seed):
     z = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     centers = rng.standard_normal((3, 3))
     nu = (0.5, 1.0, 3.0)[seed % 3]
-    w = Tensor(rng.standard_normal((6, 3)))
+    w = RefTensor(rng.standard_normal((6, 3)))
     return lambda: (soft_assign_tensor(z, centers, nu) * w).sum(), [z]
 
 
@@ -96,7 +98,7 @@ def case_survival_curve(seed):
     rng = np.random.default_rng(seed)
     logits = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
     cum = np.triu(np.ones((5, 4)))
-    w = Tensor(rng.standard_normal((5, 4)))
+    w = RefTensor(rng.standard_normal((5, 4)))
     return lambda: (survival_curve(softmax_rows(logits), cum) * w).sum(), [logits]
 
 
@@ -104,10 +106,10 @@ def case_weighted_sum(seed):
     rng = np.random.default_rng(seed)
     terms = [Tensor(rng.standard_normal((4, 2)), requires_grad=True) for _ in range(3)]
     weights = rng.standard_normal(3)
-    w = Tensor(rng.standard_normal((4, 2)))
+    w = RefTensor(rng.standard_normal((4, 2)))
 
     def build():
-        out = weighted_sum(list(zip(terms, weights)), 0.7)
+        out = lift(weighted_sum(list(zip(terms, weights)), 0.7))
         return (out * out * w).sum()
 
     return build, terms
@@ -115,13 +117,14 @@ def case_weighted_sum(seed):
 
 def case_mean(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    x = RefTensor(rng.standard_normal((5, 3)), requires_grad=True)
     mask = (rng.random((5, 3)) < 0.6).astype(np.float64)
     mask[0, 0] = 1.0
 
     def build():
         sq = x * x
-        return sq.mean() + sq.mean(axis=0).mean() + sq.mean(axis=1).mean() + sq.mean(mask=mask)
+        return (lift(sq.mean()) + sq.mean(axis=0).mean() + sq.mean(axis=1).mean()
+                + sq.mean(mask=mask))
 
     return build, [x]
 
@@ -228,7 +231,7 @@ def case_take_rows(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     rows = np.array([3, 0, 3, 1])  # row 3 twice: its gradient must add up
-    w = Tensor(rng.standard_normal((4, 3)))
+    w = RefTensor(rng.standard_normal((4, 3)))
     return lambda: (take_rows(a, rows) * w).sum(), [a]
 
 
@@ -236,7 +239,7 @@ def case_take_rows_permutation(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     rows = rng.permutation(5)  # distinct rows: the plain scatter
-    w = Tensor(rng.standard_normal((5, 3)))
+    w = RefTensor(rng.standard_normal((5, 3)))
     return lambda: (take_rows(a, rows) * w).sum(), [a]
 
 
@@ -244,7 +247,7 @@ def case_concat_rows(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    w = Tensor(rng.standard_normal((5, 3)))
+    w = RefTensor(rng.standard_normal((5, 3)))
     return lambda: (concat_rows([a, b]) * w).sum(), [a, b]
 
 
@@ -259,14 +262,15 @@ def case_routed_nll(seed):
     _, bins, events = _survival_batch(rng, 6, 4)
 
     def build():
-        stacked = concat_rows([take_rows(h, g) @ w for g, w in zip(groups, heads)])
+        stacked = concat_rows([lift(take_rows(h, g)) @ w for g, w in zip(groups, heads)])
         return loss_nll(dist_from_logits(take_rows(stacked, back)), bins, events)
 
     return build, [h, *heads]
 
 
 def case_linear(seed, relu=False):
-    """The fused affine(+relu) node feeding a second one, gradients to all."""
+    """A one-layer ``mlp`` (the ``linear`` node, relu optional) feeding a
+    second one, gradients to all."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     w1 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -275,7 +279,7 @@ def case_linear(seed, relu=False):
     b2 = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
 
     def build():
-        out = linear(linear(x, w1, b1, relu), w2, b2)
+        out = lift(mlp(mlp(x, [(w1, b1)], relu), [(w2, b2)]))
         return (out * out).sum()
 
     return build, [x, w1, b1, w2, b2]
@@ -293,7 +297,7 @@ def case_mlp(seed, relu_last=False):
     ]
 
     def build():
-        out = mlp(x, layers, relu_last)
+        out = lift(mlp(x, layers, relu_last))
         return (out * out).sum()
 
     return build, [x, *(p for layer in layers for p in layer)]

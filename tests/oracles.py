@@ -18,6 +18,8 @@ from survstrat.errors import ConfigurationError, DataError
 from survstrat.losses import _paired_nce
 from survstrat.tensor import Tensor
 
+from reftape import RefTensor, lift
+
 
 def cindex_bruteforce(risk, times, events):
     """All-pairs enumeration of Harrell's estimator."""
@@ -278,12 +280,12 @@ def load_csv_rows(path, schema):
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); gradient passes only where x > 0."""
-    return x.clamp_min(0.0)
+    return lift(x).clamp_min(0.0)
 
 
 def mlp_composed(x: Tensor, layers, relu_last: bool = False) -> Tensor:
     """``mlp`` as one matmul, add and relu node per layer."""
-    h = x
+    h = lift(x)
     for i, (W, b) in enumerate(layers):
         h = h.matmul(W) + b
         if i < len(layers) - 1 or relu_last:
@@ -302,11 +304,12 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     def backward_fn(grad):
         a._accumulate(grad * (e / s))
 
-    return Tensor._from_op(values, (a,), "logsumexp_rows", backward_fn)
+    return RefTensor._from_op(values, (a,), "logsumexp_rows", backward_fn)
 
 
 def row_norms(x: Tensor) -> Tensor:
     """Row-wise Euclidean norms -> (N,1)."""
+    x = lift(x)
     sq = (x * x).sum(axis=1)
     a = sq
     values = np.sqrt(a.values)
@@ -317,11 +320,12 @@ def row_norms(x: Tensor) -> Tensor:
         d = np.where(values > 0.0, d, 0.0)
         a._accumulate(d)
 
-    return Tensor._from_op(values, (a,), "sqrt", backward_fn)
+    return RefTensor._from_op(values, (a,), "sqrt", backward_fn)
 
 
 def unit_rows(x: Tensor) -> Tensor:
     """Rows scaled to unit Euclidean norm; norms are floored at 1e-12."""
+    x = lift(x)
     return x / row_norms(x).clamp_min(1e-12)
 
 
@@ -354,15 +358,15 @@ def ivcg_composed(z: Tensor, events, assignments, tau: float) -> Tensor:
     _, cluster = np.unique(assignments, return_inverse=True)
     n_pos = censored * np.bincount(cluster, weights=uncensored)[cluster]
     if n_cens == 0 or n_pos.sum() == 0:
-        return Tensor(np.zeros((1, 1)))
+        return RefTensor(np.zeros((1, 1)))
     anchor_groups = np.zeros((cluster.max() + 1, n))
     anchor_groups[cluster[censored], np.flatnonzero(censored)] = 1.0
     positive_groups = np.zeros((cluster.max() + 1, n))
     positive_groups[cluster[uncensored], np.flatnonzero(uncensored)] = 1.0
     u = unit_rows(z)
     lse = logsumexp_rows(u.matmul(u.T) * (1.0 / tau))
-    positives = ((Tensor(anchor_groups) @ u) * (Tensor(positive_groups) @ u)).sum()
-    total = (lse * Tensor(n_pos[:, None])).sum() - positives * (1.0 / tau)
+    positives = ((RefTensor(anchor_groups) @ u) * (RefTensor(positive_groups) @ u)).sum()
+    total = (lse * RefTensor(n_pos[:, None])).sum() - positives * (1.0 / tau)
     return total * (1.0 / n_cens)
 
 
@@ -377,9 +381,9 @@ def nll_composed(dist, bins, events, floor: float = 1e-12) -> Tensor:
     died = events == 1
     event_mask[rows[died], bins[died]] = 1.0
     surv_mask[rows[~died], bins[~died]] = 1.0
-    log_p = dist.probs.clamp_min(floor).log()
-    log_s = dist.survival.clamp_min(floor).log()
-    picked = (Tensor(event_mask) * log_p).sum() + (Tensor(surv_mask) * log_s).sum()
+    log_p = lift(dist.probs).clamp_min(floor).log()
+    log_s = lift(dist.survival).clamp_min(floor).log()
+    picked = (RefTensor(event_mask) * log_p).sum() + (RefTensor(surv_mask) * log_s).sum()
     return picked * (-1.0 / n)
 
 
@@ -391,28 +395,29 @@ def rank_composed(dist, bins, events, sigma: float) -> Tensor:
     later = n - np.cumsum(np.bincount(bins, minlength=n_bins))
     anchors = np.flatnonzero((events == 1) & (later[bins] > 0))
     if anchors.size == 0:
-        return Tensor(np.zeros((1, 1)))
+        return RefTensor(np.zeros((1, 1)))
     n_pairs = float(later[bins[anchors]].sum())
     is_later = bins[:, None] > np.arange(n_bins)[None, :]
-    x = dist.survival * (-1.0 / sigma)
+    x = lift(dist.survival) * (-1.0 / sigma)
     shift = np.where(is_later, x.values, -np.inf).max(axis=0, keepdims=True)
     shift[:, later == 0] = 0.0
-    y = x - Tensor(shift)
-    mask = Tensor(is_later.astype(np.float64))
+    y = x - RefTensor(shift)
+    mask = RefTensor(is_later.astype(np.float64))
     terms = (y * mask).exp() * mask
-    log_r = (terms.sum(axis=0) + Tensor((later == 0)[None, :].astype(np.float64))).log()
+    log_r = (terms.sum(axis=0) + RefTensor((later == 0)[None, :].astype(np.float64))).log()
     at_bin = np.zeros((n, n_bins))
     at_bin[anchors, bins[anchors]] = 1.0
-    exponent = ((log_r - y) * Tensor(at_bin)).sum(axis=1)
+    exponent = ((log_r - y) * RefTensor(at_bin)).sum(axis=1)
     is_anchor = np.zeros((n, 1))
     is_anchor[anchors] = 1.0
-    return (exponent.exp() * Tensor(is_anchor)).sum() * (1.0 / n_pairs)
+    return (exponent.exp() * RefTensor(is_anchor)).sum() * (1.0 / n_pairs)
 
 
 def squared_distances(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise squared Euclidean distance matrix (N,K) between rows."""
     if a.shape[1] != b.shape[1]:
         raise ConfigurationError(f"squared_distances: column counts differ, {a.shape} vs {b.shape}")
+    a, b = lift(a), lift(b)
     a2 = (a * a).sum(axis=1)            # (N,1)
     b2 = (b * b).sum(axis=1).transpose()  # (1,K)
     cross = a.matmul(b.transpose())     # (N,K)
@@ -423,28 +428,30 @@ def squared_distances(a: Tensor, b: Tensor) -> Tensor:
 
 def mean_composed(a: Tensor, axis=None, mask=None) -> Tensor:
     """``Tensor.mean`` as a sum node times 1/n, or the masked sum over the kept count."""
+    a = lift(a)
     if mask is not None:
-        return (a * Tensor(mask)).sum() * (1.0 / mask.sum())
+        return (a * RefTensor(mask)).sum() * (1.0 / mask.sum())
     return a.sum(axis=axis) * (1.0 / (a.values.size if axis is None else a.shape[axis]))
 
 
 def weighted_sum_composed(terms, scale: float = 1.0) -> Tensor:
     """``weighted_sum`` as one mul node per term, a chain of adds and a final mul."""
-    total = terms[0][0] * terms[0][1]
+    total = lift(terms[0][0]) * terms[0][1]
     for t, w in terms[1:]:
-        total = total + t * w
+        total = total + lift(t) * w
     return total * scale
 
 
 def rec_composed(x, x_hat: Tensor):
     """``loss_rec``: the residual, its square and row sums, then their mean."""
-    diff = x_hat - (x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64)))
+    diff = lift(x_hat) - (x if isinstance(x, Tensor) else RefTensor(np.asarray(x, dtype=np.float64)))
     per_instance = (diff * diff).sum(axis=1)
     return per_instance.mean(), per_instance
 
 
 def kld_composed(mu: Tensor, log_var: Tensor):
     """``loss_kld``: 0.5 * row sums of mu^2 + exp(log_var) - 1 - log_var."""
+    mu, log_var = lift(mu), lift(log_var)
     inner = mu * mu + log_var.exp() - 1.0 - log_var
     per_instance = inner.sum(axis=1) * 0.5
     return per_instance.mean(), per_instance
@@ -453,14 +460,14 @@ def kld_composed(mu: Tensor, log_var: Tensor):
 def clus_composed(z: Tensor, centers, assignments):
     """``loss_clus``: squared distances to the gathered assigned centers."""
     assigned = np.asarray(centers, dtype=np.float64)[np.asarray(assignments, dtype=np.int64)]
-    diff = z - Tensor(assigned)
+    diff = lift(z) - RefTensor(assigned)
     per_instance = (diff * diff).sum(axis=1)
     return per_instance.mean(), per_instance
 
 
 def soft_assign_composed(z: Tensor, centers, nu: float = 1.0) -> Tensor:
     """``soft_assign_tensor`` through ``squared_distances``, log, exp and a row division."""
-    d2 = squared_distances(z, Tensor(np.asarray(centers, dtype=np.float64)))
+    d2 = squared_distances(z, RefTensor(np.asarray(centers, dtype=np.float64)))
     base = d2 * (1.0 / nu) + 1.0
     unnorm = (base.log() * (-(nu + 1.0) / 2.0)).exp()
     return unnorm / unnorm.sum(axis=1)
@@ -470,14 +477,14 @@ def reparameterize_composed(mu: Tensor, log_var: Tensor, rng, eps=None):
     """``networks.reparameterize`` as mul, exp, mul and add nodes."""
     if eps is None:
         eps = rng.standard_normal(mu.values.shape)
-    return mu + (log_var * 0.5).exp() * Tensor(eps), eps
+    return lift(mu) + (lift(log_var) * 0.5).exp() * RefTensor(eps), eps
 
 
 def survival_curve_composed(probs: Tensor, cum) -> Tensor:
     """``networks.survival_curve``: a matmul node and a subtraction from 1."""
-    return 1.0 - probs @ Tensor(cum)
+    return 1.0 - lift(probs) @ RefTensor(cum)
 
 
 def ivcw_transposed(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
     """``loss_ivcw`` through two transpose nodes into the row-wise InfoNCE node."""
-    return _paired_nce(q1.T, q2.T, tau)
+    return _paired_nce(lift(q1).T, lift(q2).T, tau)

@@ -28,6 +28,7 @@ from survstrat.networks import SurvivalDistribution, reparameterize, survival_cu
 from survstrat.tensor import Tensor, mlp, softmax_rows, weighted_sum
 
 from gradcases import dist_from_logits
+from reftape import RefTensor, lift, zero_grad
 from oracles import (
     clus_composed,
     ivcg_composed,
@@ -195,7 +196,7 @@ def test_paired_nce_matches_composed_graph(n, cols):
     a = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
     b = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
     if cols:
-        composed = lambda: paired_nce_composed(a.T, b.T, 0.5)  # noqa: E731
+        composed = lambda: paired_nce_composed(lift(a).T, lift(b).T, 0.5)  # noqa: E731
     else:
         composed = lambda: paired_nce_composed(a, b, 0.5)  # noqa: E731
     got, got_grads = _value_and_grads(lambda: _paired_nce(a, b, 0.5, cols), [a, b])
@@ -501,7 +502,7 @@ def _fused_and_composed(kind, rng):
     q1 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
     q2 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
     return (lambda: loss_ivcw(q1, q2, tau),
-            lambda: paired_nce_composed(q1.T, q2.T, tau), [q1, q2])
+            lambda: paired_nce_composed(lift(q1).T, lift(q2).T, tau), [q1, q2])
 
 
 def _step_node_and_composed(kind, rng):
@@ -510,14 +511,14 @@ def _step_node_and_composed(kind, rng):
     n, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
 
     def leaf(shape, scale=1.0):
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+        return RefTensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
     def weighted(make):
         # the per-instance or matrix output of ``make``, weighted and summed
         out = make()
         if isinstance(out, tuple):
-            return out[0] + (out[1] * Tensor(w[:, :1])).sum()
-        return (out * Tensor(w[:, :out.values.shape[1]])).sum()
+            return out[0] + (out[1] * RefTensor(w[:, :1])).sum()
+        return (out * RefTensor(w[:, :out.values.shape[1]])).sum()
 
     w = rng.standard_normal((n, d + 2))
     a, b = leaf((n, d)), leaf((n, d), 0.5)
@@ -560,7 +561,7 @@ def _step_node_and_composed(kind, rng):
         mask = (rng.random((n, d)) < 0.5).astype(np.float64)
         mask[0, 0] = 1.0
         axis = [None, 0, 1][int(rng.integers(0, 3))]
-        return (lambda: a.mean(axis=axis).mean() + (a * a).mean(mask=mask),
+        return (lambda: lift(a.mean(axis=axis).mean()) + (a * a).mean(mask=mask),
                 lambda: mean_composed(mean_composed(a, axis)) + mean_composed(a * a, mask=mask),
                 [a])
     # ivcw: the columns of n x d soft assignments
@@ -578,7 +579,7 @@ def _smallest_norm(values):
 
 def _value_and_grads(build, leaves):
     for leaf in leaves:
-        leaf.zero_grad()
+        zero_grad(leaf)
     out = build()
     out.backward()
     return scalar(out), [leaf.grad.copy() for leaf in leaves]
@@ -622,7 +623,7 @@ class TestFusedNodes:
             for a, b in zip(widths, widths[1:])
         ]
         leaves = [x, *(p for layer in layers for p in layer)]
-        weight = Tensor(rng.standard_normal((4, widths[-1])))
+        weight = RefTensor(rng.standard_normal((4, widths[-1])))
         got, got_grads = _value_and_grads(lambda: (mlp(x, layers, relu_last) * weight).sum(), leaves)
         np.testing.assert_array_equal(
             mlp(x, layers, relu_last).values, mlp_composed(x, layers, relu_last).values

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_step_moves_parameters, check_gradients
+from reftape import lift
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, UsageError
 from survstrat.networks import Mlp, Model, reparameterize
@@ -39,7 +40,7 @@ class TestReparameterize:
         mu = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         log_var = Tensor(np.array([[0.2, -0.3]]), requires_grad=True)
         z, _ = reparameterize(mu, log_var, None, eps=eps)
-        z.sum().backward()
+        lift(z).sum().backward()
         np.testing.assert_array_equal(mu.grad, [[1.0, 1.0]])
         assert log_var.grad is not None and np.all(log_var.grad != 0)
 
@@ -112,7 +113,7 @@ class TestDecoder:
 
         def loss():
             x_hat = model.decode(model.encode(Tensor(x)).z)
-            diff = x_hat - Tensor(x)
+            diff = lift(x_hat) - Tensor(x)
             return (diff * diff).sum()
 
         check_gradients(loss, [w])
@@ -210,13 +211,13 @@ class TestEnsembleRouting:
         dist = model.survival_forward(h, cluster_ids=ids)
         assert dist.probs.values.shape == (5, 5)
         assert dist.survival.values.shape == (5, 4)
-        dist.survival.sum().backward()
+        lift(dist.survival).sum().backward()
         assert all(np.all(t.grad == 0) for _, t in model.heads[1].parameters())
         w0 = model.heads[0].layers[0].W
         w2 = model.heads[2].layers[-1].W
 
         def loss():
-            return model.survival_forward(h, cluster_ids=ids).survival.sum()
+            return lift(model.survival_forward(h, cluster_ids=ids).survival).sum()
 
         check_gradients(loss, [h, w0, w2])
 

@@ -1,4 +1,10 @@
-"""Tensor core: forward oracles, backward rules, Adam, and autodiff properties."""
+"""Tensor core and the reference tape: forward oracles, backward rules,
+Adam, autodiff properties and the package tensor's surface."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,24 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survstrat.errors import ConfigurationError, NumericError, UsageError
-from survstrat.tensor import (
-    Adam,
-    Tensor,
-    concat_cols,
-    linear,
-    mlp,
-    softmax_rows,
-    take_rows,
-)
+from survstrat.tensor import Adam, Tensor, concat_cols, mlp, softmax_rows, take_rows
 
 from conftest import check_gradients
+from reftape import RefTensor, item, lift
 from oracles import cosine_similarity, logsumexp_rows, relu, row_norms, squared_distances
 
 
 class TestForwardOps:
     def test_matmul_identity(self):
         a = Tensor(np.arange(9.0).reshape(3, 3))
-        out = Tensor(np.eye(3)).matmul(a)
+        out = RefTensor(np.eye(3)).matmul(a)
         np.testing.assert_array_equal(out.values, a.values)
 
     def test_row_softmax_symmetry(self):
@@ -32,7 +31,7 @@ class TestForwardOps:
 
     def test_cosine_orthogonal(self):
         s = cosine_similarity(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]))
-        assert abs(s.item()) < 1e-15
+        assert abs(item(s)) < 1e-15
 
     def test_squared_distances_hand(self):
         d = squared_distances(Tensor([[0.0, 0.0], [3.0, 4.0]]), Tensor([[0.0, 0.0]]))
@@ -55,31 +54,31 @@ class TestForwardOps:
 
     def test_logsumexp_no_overflow(self):
         out = logsumexp_rows(Tensor([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.item(), 1000.0 + np.log(2.0))
+        np.testing.assert_allclose(item(out), 1000.0 + np.log(2.0))
 
     def test_shape_mismatch_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            Tensor(np.zeros((2, 3))).matmul(Tensor(np.zeros((2, 3))))
+            RefTensor(np.zeros((2, 3))).matmul(Tensor(np.zeros((2, 3))))
         with pytest.raises(ConfigurationError):
-            Tensor(np.zeros((2, 3))) + Tensor(np.zeros((3, 2)))
+            RefTensor(np.zeros((2, 3))) + Tensor(np.zeros((3, 2)))
 
     def test_nonfinite_output_names_op(self):
         with pytest.raises(NumericError, match="log"):
-            Tensor([[0.0]]).log()
+            RefTensor([[0.0]]).log()
         with pytest.raises(NumericError, match="exp"):
-            Tensor([[1e9]]).exp()
+            RefTensor([[1e9]]).exp()
 
     def test_linear_overflow_names_linear(self):
         x = Tensor([[1e200, 1e200]])
         w = Tensor([[1e200], [1e200]], requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="'linear'"):
-            linear(x, w, Tensor([[0.0]]), relu=True)
+            mlp(x, [(w, Tensor([[0.0]]))], relu_last=True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_values_with_overflowing_sum_pass(self):
         # their sum overflows; the check looks at each element, and warns of nothing
         big = np.finfo(np.float64).max
-        out = Tensor([[big, big, 1e308]]) * 1.0
+        out = RefTensor([[big, big, 1e308]]) * 1.0
         np.testing.assert_array_equal(out.values, [[big, big, 1e308]])
 
     @pytest.mark.parametrize("n_layers,op", [(1, "'linear'"), (2, "'mlp'")])
@@ -95,35 +94,35 @@ class TestForwardOps:
         rng = np.random.default_rng(4)
         x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (1, 3)))
         for relu in (False, True):
-            out = linear(Tensor(x), Tensor(w), Tensor(b), relu)
+            out = mlp(Tensor(x), [(Tensor(w), Tensor(b))], relu)
             want = x @ w + b
             np.testing.assert_array_equal(out.values, np.maximum(want, 0.0) if relu else want)
 
 
 class TestBackward:
     def test_square_derivative(self):
-        x = Tensor([[3.0]], requires_grad=True)
+        x = RefTensor([[3.0]], requires_grad=True)
         (x * x).backward()
         assert x.grad[0, 0] == pytest.approx(6.0)
 
     def test_relu_piecewise(self):
-        x = Tensor([[-1.0, 2.0]], requires_grad=True)
+        x = RefTensor([[-1.0, 2.0]], requires_grad=True)
         relu(x).sum().backward()
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0]])
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = RefTensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(UsageError):
             (x * x).backward()
 
     def test_grad_accumulates_across_calls(self):
-        x = Tensor([[2.0]], requires_grad=True)
+        x = RefTensor([[2.0]], requires_grad=True)
         (x * x).backward()
         (x * x).backward()
         assert x.grad[0, 0] == pytest.approx(8.0)
 
     def test_unused_parameter_gets_zero_grad(self):
-        x = Tensor([[1.0]], requires_grad=True)
+        x = RefTensor([[1.0]], requires_grad=True)
         y = Tensor([[5.0]], requires_grad=True)
         (x * x).backward()
         np.testing.assert_array_equal(y.grad, [[0.0]])
@@ -131,8 +130,8 @@ class TestBackward:
     def test_shared_grad_array_not_mutated(self):
         # add hands one grad array to both parents; a second contribution
         # to one parent must not write into the array the other holds
-        p = Tensor([[1.0, 2.0]], requires_grad=True) * 2.0
-        q = Tensor([[3.0, 4.0]], requires_grad=True) * 3.0
+        p = RefTensor([[1.0, 2.0]], requires_grad=True) * 2.0
+        q = RefTensor([[3.0, 4.0]], requires_grad=True) * 3.0
         s = p + q
         g = np.array([[1.0, 1.0]])
         s._backward_fn(g)
@@ -143,7 +142,7 @@ class TestBackward:
 
     def test_diamond_graph_fanout(self):
         # z = x*x + x*x: both uses must contribute, d/dx = 4x
-        x = Tensor([[3.0]], requires_grad=True)
+        x = RefTensor([[3.0]], requires_grad=True)
         y = x * x
         (y + y).backward()
         assert x.grad[0, 0] == pytest.approx(12.0)
@@ -151,12 +150,12 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        x = Tensor(rng.standard_normal((5, 4)))
+        w = RefTensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x = RefTensor(rng.standard_normal((5, 4)))
 
         def build():
             h = relu(x.matmul(w))
-            s = softmax_rows(h + 0.3)
+            s = lift(softmax_rows(h + 0.3))
             return (s * s).sum() + logsumexp_rows(h).mean()
 
         check_gradients(build, [w])
@@ -164,8 +163,8 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(3))
     def test_cosine_and_distance_grads(self, seed):
         rng = np.random.default_rng(100 + seed)
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        a = RefTensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = RefTensor(rng.standard_normal((2, 4)), requires_grad=True)
 
         def build():
             return cosine_similarity(a, b).sum() + squared_distances(a, b).mean()
@@ -174,9 +173,9 @@ class TestBackward:
 
     def test_broadcast_grads(self):
         rng = np.random.default_rng(7)
-        bias = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
-        col = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
-        x = Tensor(rng.standard_normal((4, 3)))
+        bias = RefTensor(rng.standard_normal((1, 3)), requires_grad=True)
+        col = RefTensor(rng.standard_normal((4, 1)), requires_grad=True)
+        x = RefTensor(rng.standard_normal((4, 3)))
 
         def build():
             return ((x + bias) * col).sum()
@@ -189,13 +188,13 @@ class TestProperties:
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(2, 6))
     def test_softmax_rows_are_distributions(self, seed, n, k):
         rng = np.random.default_rng(seed)
-        out = softmax_rows(Tensor(rng.standard_normal((n, k)) * 5.0))
+        out = softmax_rows(RefTensor(rng.standard_normal((n, k)) * 5.0))
         assert np.all(out.values > 0.0)
         np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_backward_visits_each_node_once(self):
         # if a shared node were visited twice the gradient would double
-        x = Tensor([[2.0]], requires_grad=True)
+        x = RefTensor([[2.0]], requires_grad=True)
         shared = x * 3.0
         ((shared + shared) + shared).backward()
         assert x.grad[0, 0] == pytest.approx(9.0)
@@ -209,7 +208,7 @@ class TestTakeRows:
         rng = np.random.default_rng(0)
         a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         grad = rng.standard_normal((len(rows), 3))
-        (take_rows(a, rows) * Tensor(grad)).sum().backward()
+        (take_rows(a, rows) * RefTensor(grad)).sum().backward()
         want = np.zeros((5, 3))
         np.add.at(want, np.asarray(rows), grad)
         np.testing.assert_array_equal(a.grad, want)
@@ -267,3 +266,32 @@ class TestAdam:
         p.grad = np.zeros((2, 2))
         with pytest.raises(UsageError):
             opt.step()
+
+
+class TestPackageSurface:
+    """The package tensor carries the fused nodes only; the generic algebra
+    lives on the tests' reference tape and is never added to it."""
+
+    REMOVED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__", "__matmul__", "matmul", "transpose",
+               "T", "exp", "log", "clamp_min", "sum", "_lift", "item", "numpy", "zero_grad")
+
+    def test_generic_ops_are_not_on_the_package_tensor(self):
+        from survstrat import networks, tensor
+
+        assert [name for name in self.REMOVED if hasattr(tensor.Tensor, name)] == []
+        for name in ("linear", "_unbroadcast"):
+            assert not hasattr(tensor, name), name
+        assert "__call__" not in vars(networks.Linear)
+
+    def test_importing_the_reference_tape_leaves_the_package_tensor_unchanged(self):
+        script = (
+            "from survstrat.tensor import Tensor\n"
+            "before = dict(vars(Tensor))\n"
+            "import reftape\n"
+            "assert dict(vars(Tensor)) == before\n"
+        )
+        tests = pathlib.Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)

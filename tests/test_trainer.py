@@ -1,5 +1,8 @@
 """Three-stage trainer: self-paced thresholds, cluster freezing, determinism."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from survstrat.networks import Model
 
 import oracles
 from conftest import assert_step_moves_parameters
+from reftape import zero_grad
 
 
 def small_config(**overrides):
@@ -293,6 +297,17 @@ class TestStage3:
         assert len(restores) == 1
         assert_step_moves_parameters(state.optimizer, state.model)
 
+    @pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+    def test_copied_state_steps_its_own_model(self, route):
+        state = trainer.pretrain(make_data(), small_config(siamese=True, heads="per-cluster"))
+        copied = (copy.deepcopy(state) if route == "deepcopy"
+                  else pickle.loads(pickle.dumps(state)))
+        before = state.model.state_dict()
+        assert_step_moves_parameters(copied.optimizer, copied.model)
+        for name, t in state.model.parameters():
+            np.testing.assert_array_equal(t.values, before[name], err_msg=name)
+        assert_step_moves_parameters(state.optimizer, state.model)
+
     def test_patience_limits_epochs(self):
         config = small_config(max_epochs=40, early_stopping=True, patience=2)
         data = make_data(val=True)
@@ -355,7 +370,7 @@ class TestFusedStepNodes:
             (networks, "weighted_sum", oracles.weighted_sum_composed),
             (trainer, "weighted_sum", oracles.weighted_sum_composed),
             (tensor.Tensor, "mean", oracles.mean_composed),
-            (tensor.Adam, "zero_grad", lambda opt: [p.zero_grad() for p in opt.params]),
+            (tensor.Adam, "zero_grad", lambda opt: [zero_grad(p) for p in opt.params]),
         ]:
             monkeypatch.setattr(module, name, oracle)
         composed = trainer.fit(make_data(), config)
