@@ -444,7 +444,8 @@ def weighted_sum_composed(terms, scale: float = 1.0) -> Tensor:
 
 def rec_composed(x, x_hat: Tensor):
     """``loss_rec``: the residual, its square and row sums, then their mean."""
-    diff = lift(x_hat) - (x if isinstance(x, Tensor) else RefTensor(np.asarray(x, dtype=np.float64)))
+    target = x if isinstance(x, Tensor) else RefTensor(np.asarray(x, dtype=np.float64))
+    diff = lift(x_hat) - target
     per_instance = (diff * diff).sum(axis=1)
     return per_instance.mean(), per_instance
 

@@ -2,28 +2,29 @@
 
 Each case runs ``survstrat train`` on a seeded synthetic cohort and compares
 what it writes with the committed run in ``tests/fixtures/golden/<case>/``:
-every weight and cluster centre of ``checkpoint.json`` (format 2, exact
-binary blobs), every number of ``epochs.csv`` and of ``metrics.txt``. The
+every float of ``checkpoint.json`` (the weights and cluster centres are
+format-2 blobs, exact binary), and every number of ``epochs.csv`` and of
+``metrics.txt``. The
 cases are the three configurations that simplicity and speed changes are
 held to: a GBSG-shaped shared variational model, a METABRIC-shaped Siamese
 model with per-cluster heads and both cross-view losses, and a
 deterministic (``variational: false``) encoder.
 
-Cluster ids, the grid and every non-numeric field must be equal. Numbers
-must be equal too on the build that wrote the fixtures (``build.json``: the
-numpy version, its BLAS, the CPU's SIMD extensions), because a one-ulp change
-anywhere in the arithmetic, such as adding a weighted sum's terms in another
-order, moves them by far less than any useful tolerance. Other builds round
-some kernels differently, so there every number must agree to ``RTOL``
-relative to the pinned value, element by element. Each case prints its
-largest relative deviation, which ``pytest -rA`` shows.
+Cluster ids and every other integer or non-numeric field must be equal.
+Floats must be equal too on the build that wrote the fixtures
+(``build.json``: the numpy version, its BLAS, the CPU's SIMD extensions),
+because a one-ulp change anywhere in the arithmetic, such as adding a
+weighted sum's terms in another order, moves them by far less than any
+useful tolerance. Other builds round some kernels differently, so there
+every float must agree to ``RTOL`` relative to the pinned value, element by
+element. Each case prints its largest relative deviation, which
+``pytest -rA`` shows.
 
 A change that alters the training arithmetic on purpose regenerates the
 fixtures with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
 CHANGES.md.
 """
 
-import base64
 import contextlib
 import io
 import json
@@ -35,6 +36,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from survstrat.checkpoint import _decode
 from survstrat.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "golden"
@@ -104,25 +106,23 @@ def run_case(case: str, work: pathlib.Path) -> pathlib.Path:
     return work / "run"
 
 
-def _blob(value) -> np.ndarray:
-    raw = base64.b64decode(value["data"])
-    return np.frombuffer(raw, dtype=value["dtype"]).reshape(value["shape"])
-
-
-def _checkpoint_numbers(path):
-    """(float arrays by field, everything else) of a format-2 checkpoint."""
-    payload = json.loads(path.read_text())
-    floats = {f"state.{k}": _blob(v) for k, v in payload.pop("state").items()}
-    for v, entry in enumerate(payload["clusters"]):
-        floats[f"clusters.{v}.centers"] = _blob(entry.pop("centers"))
-    exact = {
-        "assignments": [_blob(a).tolist() for a in payload.pop("assignments")],
-        "grid_edges": _blob(payload.pop("grid_edges")).tolist(),
-        "train_times": _blob(payload.pop("train_times")).tolist(),
-        "train_events": _blob(payload.pop("train_events")).tolist(),
-        **payload,
-    }
-    return floats, exact
+def _json_numbers(value, numbers: list):
+    """``value`` with every float, as a JSON number or in a float64 blob,
+    blanked and appended to ``numbers``; integer blobs become lists."""
+    if isinstance(value, dict) and set(value) == {"dtype", "shape", "data"}:
+        array = _decode(value, value["dtype"], "golden")
+        if value["dtype"] != "float64":
+            return array.tolist()
+        numbers.extend(array.ravel().tolist())
+        return ["#", value["shape"]]
+    if isinstance(value, dict):
+        return {k: _json_numbers(v, numbers) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_numbers(v, numbers) for v in value]
+    if isinstance(value, float):
+        numbers.append(value)
+        return "#"
+    return value
 
 
 def _table_numbers(text: str, sep: str):
@@ -151,19 +151,21 @@ def relative_deviation(got, want) -> float:
 
 
 def compare_runs(got: pathlib.Path, want: pathlib.Path) -> dict:
-    """The largest relative deviation of each numeric output of ``got`` from
-    ``want``; asserts that everything else is equal."""
+    """The largest relative deviation of each output of ``got`` from
+    ``want``; asserts that everything but the floats is equal."""
     deviations = {}
-    got_floats, got_exact = _checkpoint_numbers(got / "checkpoint.json")
-    want_floats, want_exact = _checkpoint_numbers(want / "checkpoint.json")
-    assert got_exact == want_exact
-    assert sorted(got_floats) == sorted(want_floats)
-    deviations["checkpoint"] = max(
-        relative_deviation(got_floats[k], want_floats[k]) for k in want_floats)
-    for name, sep in (("epochs.csv", ","), ("metrics.txt", ": ")):
-        got_nums, got_text = _table_numbers((got / name).read_text(), sep)
-        want_nums, want_text = _table_numbers((want / name).read_text(), sep)
-        assert got_text == want_text, name
+    for name in OUTPUTS:
+        parsed = []
+        for run in (got, want):
+            text = (run / name).read_text()
+            if name.endswith(".json"):
+                numbers = []
+                rest = _json_numbers(json.loads(text), numbers)
+                parsed.append((np.array(numbers), rest))
+            else:
+                parsed.append(_table_numbers(text, "," if name.endswith(".csv") else ": "))
+        (got_nums, got_rest), (want_nums, want_rest) = parsed
+        assert got_rest == want_rest, name
         deviations[name] = relative_deviation(got_nums, want_nums)
     return deviations
 
