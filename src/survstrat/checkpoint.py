@@ -12,14 +12,13 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import math
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .clustering import ClusterModel
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _is_number
 from .errors import ConfigurationError
 from .metrics import TimeGrid
 from .trainer import TrainState, _new_state
@@ -192,20 +191,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(state=state, transforms=transforms, feature_names=names)
 
 
-def _finite_number(x) -> bool:
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 def _check_transform(col: str, tr) -> None:
     """A column's preprocessing entry must be numeric, with a finite mean and
     median and a finite std > 0, or categorical, with a list of strings."""
     kind = tr.get("kind") if isinstance(tr, dict) else None
     if kind == "numeric":
         stats = [tr.get(k) for k in ("mean", "std", "median")]
-        if all(map(_finite_number, stats)) and stats[1] > 0:
+        if all(map(_is_number, stats)) and stats[1] > 0:
             return
         why = "needs a finite mean and median and a finite std > 0"
     elif kind == "categorical":

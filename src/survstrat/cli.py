@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _is_int, _is_number
 from .errors import ConfigurationError, SurvstratError, UsageError
 from .metrics import interpolate_curve, kaplan_meier, log_rank_test
 
@@ -249,32 +249,36 @@ def load_search_space(path: str) -> dict:
             space = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"search-space file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"search-space file {path} is not valid JSON: {exc}")
-    if not isinstance(space.get("space"), dict) or not space["space"]:
+    rules = space.get("space") if isinstance(space, dict) else None
+    if not isinstance(rules, dict) or not rules:
         raise ConfigurationError("search space needs a non-empty 'space' mapping")
-    for name, rule in space["space"].items():
-        kind = rule.get("type")
+    for name, rule in rules.items():
+        kind = rule.get("type") if isinstance(rule, dict) else None
         if kind == "choice":
-            if not rule.get("values"):
-                raise ConfigurationError(f"search space '{name}': empty choices")
-        elif kind in ("uniform", "log_uniform", "int_range"):
-            if "low" not in rule or "high" not in rule or rule["low"] >= rule["high"]:
+            if not isinstance(rule.get("values"), list) or not rule["values"]:
                 raise ConfigurationError(
-                    f"search space '{name}': needs low < high bounds"
+                    f"search space {name!r}: empty choices; 'values' must be a non-empty list"
                 )
-            if kind == "log_uniform" and rule["low"] <= 0:
+        elif kind in ("uniform", "log_uniform", "int_range"):
+            low, high = rule.get("low"), rule.get("high")
+            if not (_is_number(low) and _is_number(high) and low < high):
                 raise ConfigurationError(
-                    f"search space '{name}': log_uniform needs positive bounds"
+                    f"search space {name!r}: needs numeric bounds low < high"
+                )
+            if kind == "log_uniform" and low <= 0:
+                raise ConfigurationError(
+                    f"search space {name!r}: log_uniform needs positive bounds"
                 )
         else:
             raise ConfigurationError(
-                f"search space '{name}': unknown type {kind!r}; use choice, "
+                f"search space {name!r}: unknown type {kind!r}; use choice, "
                 "uniform, log_uniform, or int_range"
             )
     budget = space.get("budget")
-    if budget is not None and budget < 1:
-        raise ConfigurationError(f"budget must be >= 1, got {budget}")
+    if budget is not None and not (_is_int(budget) and budget >= 1):
+        raise ConfigurationError(f"budget must be an integer >= 1, got {budget!r}")
     return space
 
 

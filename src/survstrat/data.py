@@ -57,16 +57,17 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
+        if not isinstance(d, dict):
+            raise ConfigurationError("a schema must be a JSON object")
         for key in ("time", "event"):
-            if key not in d:
-                raise ConfigurationError(f"schema is missing the '{key}' column name")
+            if not isinstance(d.get(key), str):
+                raise ConfigurationError(f"schema needs the '{key}' column name as a string")
         feats = d.get("features")
-        if feats is not None:
-            for col, kind in feats.items():
-                if kind not in ("numeric", "categorical"):
-                    raise ConfigurationError(
-                        f"schema feature '{col}' has unknown kind '{kind}'"
-                    )
+        if feats is not None and not isinstance(feats, dict):
+            raise ConfigurationError("schema 'features' must map column names to kinds")
+        for col, kind in (feats or {}).items():
+            if kind not in ("numeric", "categorical"):
+                raise ConfigurationError(f"schema feature {col!r} has unknown kind {kind!r}")
         return cls(time=d["time"], event=d["event"], features=feats)
 
     @classmethod
@@ -84,7 +85,7 @@ class Schema:
                 return cls.from_dict(json.load(fh))
         except FileNotFoundError:
             raise ConfigurationError(f"schema file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"schema file {path} is not valid JSON: {exc}")
 
 

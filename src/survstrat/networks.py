@@ -28,35 +28,27 @@ class EncoderOutput:
 
 
 class Linear:
-    """One affine layer's parameters, He-initialized weights and zero
-    biases; ``mlp`` runs them."""
+    """One affine layer's weights ``W`` and biases ``b``; ``mlp`` runs them
+    and ``Model`` binds them to its store."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
-        scale = np.sqrt(2.0 / n_in)
-        self.W = Tensor(rng.standard_normal((n_in, n_out)) * scale, requires_grad=True)
+    def __init__(self, n_in: int, n_out: int, name: str):
+        self.W = Tensor(np.zeros((n_in, n_out)), requires_grad=True)
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
         self.name = name
-
-    def parameters(self):
-        return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
 
 
 class Mlp:
     """Stack of Linear layers, relu between them and a linear output (a relu
     output with ``relu_last``), as one tape node."""
 
-    def __init__(self, widths, rng: np.random.Generator, name: str, relu_last: bool = False):
+    def __init__(self, widths, name: str, relu_last: bool = False):
         self.layers = [
-            Linear(widths[i], widths[i + 1], rng, f"{name}.{i}")
-            for i in range(len(widths) - 1)
+            Linear(widths[i], widths[i + 1], f"{name}.{i}") for i in range(len(widths) - 1)
         ]
         self.relu_last = relu_last
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp(x, [(layer.W, layer.b) for layer in self.layers], relu_last=self.relu_last)
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: np.random.Generator,
@@ -89,18 +81,17 @@ def survival_curve(probs: Tensor, cum: np.ndarray) -> Tensor:
 class Encoder:
     """Feature encoder; variational mode has separate mu and log-var heads."""
 
-    def __init__(self, config: ExperimentConfig, input_dim: int, rng: np.random.Generator,
-                 name: str):
+    def __init__(self, config: ExperimentConfig, input_dim: int, name: str):
         self.variational = config.variational
         if self.variational:
-            self.trunk = Mlp((input_dim, *config.encoder_hidden), rng, f"{name}.trunk",
-                             relu_last=True)
+            self.trunk = Mlp((input_dim, *config.encoder_hidden), f"{name}.trunk", relu_last=True)
             width_last = config.encoder_hidden[-1]
-            self.mu_head = Linear(width_last, config.latent_dim, rng, f"{name}.mu")
-            self.logvar_head = Linear(width_last, config.latent_dim, rng, f"{name}.logvar")
+            self.mu_head = Linear(width_last, config.latent_dim, f"{name}.mu")
+            self.logvar_head = Linear(width_last, config.latent_dim, f"{name}.logvar")
+            self.layers = [*self.trunk.layers, self.mu_head, self.logvar_head]
         else:
-            widths = (input_dim, *config.encoder_hidden, config.latent_dim)
-            self.net = Mlp(widths, rng, f"{name}.net")
+            self.net = Mlp((input_dim, *config.encoder_hidden, config.latent_dim), f"{name}.net")
+            self.layers = self.net.layers
 
     def __call__(self, x: Tensor, train: bool,
                  rng: np.random.Generator | None = None) -> EncoderOutput:
@@ -117,38 +108,61 @@ class Encoder:
             return EncoderOutput(mu=mu, log_var=log_var, z=z, eps=eps)
         return EncoderOutput(mu=mu, log_var=log_var, z=mu)
 
-    def parameters(self):
-        if self.variational:
-            return (self.trunk.parameters() + self.mu_head.parameters()
-                    + self.logvar_head.parameters())
-        return self.net.parameters()
-
 
 class Model:
     """Full assembly: encoder(s), decoder(s), and one or K survival heads.
 
     ``config`` is a validated ExperimentConfig; ``n_bins`` is the fitted
-    grid's count, which tied times can make smaller than ``config.n_bins``."""
+    grid's count, which tied times can make smaller than ``config.n_bins``.
+
+    Every weight and bias is a view of one flat buffer, ``flat``, in
+    ``parameters()`` order; it starts at zero until ``initialize`` or
+    ``load_state_dict`` fills it. Code that replaces weights writes into the
+    buffer or the views and never rebinds a parameter's ``values``."""
 
     def __init__(self, config: ExperimentConfig, input_dim: int, n_bins: int):
         if input_dim < 1:
             raise ConfigurationError("the model needs at least one feature column")
         self.config = config
-        children = np.random.SeedSequence(config.seed).spawn(4 + config.n_clusters)
-        rngs = [np.random.default_rng(s) for s in children]
-        self.encoders = [Encoder(config, input_dim, rngs[0], "enc1")]
+        self.encoders = [Encoder(config, input_dim, "enc1")]
         dec_widths = (config.latent_dim, *reversed(config.encoder_hidden), input_dim)
-        self.decoders = [Mlp(dec_widths, rngs[1], "dec1")]
+        self.decoders = [Mlp(dec_widths, "dec1")]
         if config.siamese:
-            self.encoders.append(Encoder(config, input_dim, rngs[2], "enc2"))
-            self.decoders.append(Mlp(dec_widths, rngs[3], "dec2"))
+            self.encoders.append(Encoder(config, input_dim, "enc2"))
+            self.decoders.append(Mlp(dec_widths, "dec2"))
         head_widths = (config.latent_dim + input_dim, *config.head_hidden, n_bins + 1)
         n_heads = config.n_clusters if config.heads == "per-cluster" else 1
-        self.heads = [
-            Mlp(head_widths, rngs[4 + k], f"head{k}") for k in range(n_heads)
-        ]
+        self.heads = [Mlp(head_widths, f"head{k}") for k in range(n_heads)]
         # constant cumulative-sum matrix: survival_t = 1 - sum_{s<=t} prob_s
         self._cum = np.triu(np.ones((n_bins + 1, n_bins)))
+        self.flat = np.zeros(sum(t.values.size for _, t in self.parameters()))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Make every parameter's ``values`` a view of its slice of ``flat``."""
+        start = 0
+        for _, t in self.parameters():
+            size = t.values.size
+            t.values = self.flat[start:start + size].reshape(t.values.shape)
+            start += size
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy or pickle turns every view into an array of its own
+        self.__dict__.update(state)
+        self._bind()
+
+    def initialize(self) -> None:
+        """He-initialized weights and zero biases, drawn from the config seed:
+        view v's encoder and decoder from its children 2v-2 and 2v-1, head k
+        from child 4+k, each module's layers in order."""
+        children = np.random.SeedSequence(self.config.seed).spawn(4 + self.config.n_clusters)
+        views = [m for pair in zip(self.encoders, self.decoders) for m in pair]
+        for seed, module in [*zip(children, views), *zip(children[4:], self.heads)]:
+            rng = np.random.default_rng(seed)
+            for layer in module.layers:
+                n_in, n_out = layer.W.values.shape
+                layer.W.values[...] = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / n_in)
+                layer.b.values[...] = 0.0
 
     def encode(self, x: Tensor, view: int = 1, train: bool = False,
                rng: np.random.Generator | None = None) -> EncoderOutput:
@@ -199,15 +213,14 @@ class Model:
         """Eval-mode latent codes (mu for variational encoders) as numpy."""
         return self.encode(Tensor(X), view=view, train=False).mu.values.copy()
 
-    def parameters(self):
-        params = []
-        for enc in self.encoders:
-            params.extend(enc.parameters())
-        for dec in self.decoders:
-            params.extend(dec.parameters())
-        for head in self.heads:
-            params.extend(head.parameters())
-        return params
+    def parameters(self) -> list:
+        """(name, tensor) of every weight and bias: encoders, decoders, heads."""
+        return [
+            (f"{layer.name}.{kind}", t)
+            for module in (*self.encoders, *self.decoders, *self.heads)
+            for layer in module.layers
+            for kind, t in (("W", layer.W), ("b", layer.b))
+        ]
 
     def state_dict(self) -> dict:
         """A copy of every parameter array, by name."""
@@ -223,7 +236,6 @@ class Model:
                     f"checkpoint parameter '{name}' has shape {arr.shape}, "
                     f"expected {t.values.shape}"
                 )
-            # a copy into the array, which may be a view of the optimizer's buffer
             np.copyto(t.values, arr)
 
 

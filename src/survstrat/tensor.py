@@ -260,46 +260,26 @@ def weighted_sum(terms, scale: float = 1.0) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over a fixed list of parameter tensors.
+    """Adam with bias correction over one flat parameter buffer.
 
-    The parameters, the first- and second-moment buffers and a step's
-    gradient and scratch each live in one flat array: every parameter's
-    ``values`` is a view of its slice, so a step is a few in-place vector
-    operations over all parameters at once. Code that replaces parameter
-    values must copy into them (as ``Model.load_state_dict`` does), not
-    rebind ``values``. A deep copy or pickle of the optimizer, such as one of
-    a ``TrainState``, binds the copied parameters to the copied buffers.
+    ``flat`` holds every parameter, and ``params`` are the tensors whose
+    ``values`` view it, in order; a step reads their gradients and updates
+    ``flat`` in place with a few vector operations. The moments ``m`` and
+    ``v`` are flat arrays of the same size.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, flat: np.ndarray, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise UsageError(f"learning rate must be > 0, got {lr}")
+        self.flat = flat
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        bounds = np.cumsum([0] + [p.values.size for p in self.params])
-        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self._x, self._m, self._v, self._g, self._tmp, self._step = np.zeros((6, bounds[-1]))
-        self._bind()
-
-    def _bind(self) -> None:
-        """Make every parameter's ``values`` a view of its slice of the flat
-        buffer, holding the values it has now."""
-        for p, s in zip(self.params, self._slices):
-            self._x[s] = p.values.ravel()
-            p.values = self._x[s].reshape(p.values.shape)
-        # per-parameter views into the flat moment buffers
-        self.m = [self._m[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
-        self.v = [self._v[s].reshape(p.values.shape) for s, p in zip(self._slices, self.params)]
-
-    def __setstate__(self, state: dict) -> None:
-        # copying turns every view into an array of its own; rebind them
-        self.__dict__.update(state)
-        self._bind()
+        self.m, self.v, self._g, self._tmp, self._step = np.zeros((5, flat.size))
 
     def zero_grad(self) -> None:
         # ``step`` reads a missing gradient as zeros
@@ -320,7 +300,7 @@ class Adam:
             elif g.shape != p.values.shape:
                 raise UsageError(f"gradient shape {g.shape} does not match parameter {p.values.shape}")
             parts.append(g.ravel())
-        g, m, v, tmp, step = self._g, self._m, self._v, self._tmp, self._step
+        g, m, v, tmp, step = self._g, self.m, self.v, self._tmp, self._step
         np.concatenate(parts, out=g)
         # same arithmetic as p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.multiply(g, 1.0 - self.beta1, out=tmp)
@@ -336,4 +316,4 @@ class Adam:
         np.divide(m, bc1, out=step)
         step *= self.lr
         step /= tmp
-        self._x -= step
+        self.flat -= step

@@ -110,9 +110,9 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _new_state(config: ExperimentConfig, input_dim: int, grid: TimeGrid) -> TrainState:
-    """Untrained state: a model sized from the fitted grid and a fresh optimizer."""
+    """Untrained state: a zero model sized from the fitted grid and a fresh optimizer."""
     model = Model(config, input_dim, grid.n_bins)
-    optimizer = Adam([t for _, t in model.parameters()], lr=config.learning_rate)
+    optimizer = Adam(model.flat, [t for _, t in model.parameters()], lr=config.learning_rate)
     return TrainState(model=model, optimizer=optimizer, config=config, grid=grid)
 
 
@@ -185,6 +185,7 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
     state = _new_state(config, data.X.shape[1], data.grid)
     state.train_times, state.train_events = data.t.copy(), data.e.copy()
     model = state.model
+    model.initialize()
     rng = _training_rng(config.seed)
     w = config.weights
 
@@ -293,7 +294,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     rng = _training_rng(config.seed + 1)
     frozen = [cm.centers.copy() for cm in state.cluster_models]
     best_c = -np.inf
-    best_params = None
+    best_flat = None
     stale = 0
 
     # step reads the current `epoch` and `lam_dataset` of the loop below
@@ -338,14 +339,14 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         if config.early_stopping and val_c is not None:
             if val_c > best_c:
                 best_c = val_c
-                best_params = model.state_dict()
+                best_flat = model.flat.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
-    if best_params is not None:
-        model.load_state_dict(best_params)
+    if best_flat is not None:
+        model.flat[...] = best_flat
         _reassign(state, data, frozen)
     state.stage = 3
     return state

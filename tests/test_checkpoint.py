@@ -14,6 +14,9 @@ from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpo
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
 from survstrat.metrics import TimeGrid
+from survstrat.networks import Model
+
+from conftest import assert_step_moves_parameters
 
 
 def fitted_state(**overrides):
@@ -350,6 +353,19 @@ class TestFormatTwo:
             assert bits(a.values) == bits(b.values), name
         for a, b in zip(state.cluster_models, restored.cluster_models):
             assert bits(a.centers) == bits(b.centers)
+
+    def test_loading_fills_the_store_without_initializing(self, tmp_path, monkeypatch):
+        state, _ = fitted_state(siamese=True, heads="per-cluster")
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+
+        def initialize(model):
+            raise AssertionError("load_checkpoint drew weights that it then replaces")
+
+        monkeypatch.setattr(Model, "initialize", initialize)
+        restored = load_checkpoint(str(path)).state
+        assert bits(restored.model.flat) == bits(state.model.flat)
+        assert_step_moves_parameters(restored.optimizer, restored.model)
 
     def test_format_one_lists_load_to_the_same_state(self, tmp_path):
         state, X = fitted_state(siamese=True, heads="per-cluster")

@@ -200,12 +200,25 @@ class TestSearchSpace:
             ({"space": {"x": {"type": "log_uniform", "low": 0, "high": 1}}}, "positive"),
             ({"space": {"x": {"type": "gaussian", "low": 0, "high": 1}}}, "unknown type"),
             ({"space": {"x": {"type": "choice", "values": [1]}}, "budget": 0}, "budget"),
+            ([{"space": {"x": {"type": "choice", "values": [1]}}}], "non-empty"),
+            ({"space": {"lr": 5}}, "unknown type"),
+            ({"space": {"x": {"type": "uniform", "low": "a", "high": 1}}}, "low < high"),
+            ({"space": {"x": {"type": "choice", "values": [1]}}, "budget": "3"}, "budget"),
+            ({"space": {"x": {"type": "choice", "values": [1]}}, "budget": 2.5}, "budget"),
+            ({"space": {"x": {"type": "choice", "values": 5}}}, "empty choices"),
         ]
         for payload, match in cases:
             path = tmp_path / "space.json"
             path.write_text(json.dumps(payload))
             with pytest.raises(ConfigurationError, match=match):
                 load_search_space(str(path))
+
+    def test_malformed_space_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"space": {"x": {"type": "uniform", "low": "a", "high": 1}}}))
+        assert main(["hpo", "--space", str(path), "--out", str(tmp_path / "hpo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: search space 'x'") and err.count("\n") == 1
 
 
 class TestReportAndSmd:

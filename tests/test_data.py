@@ -1,5 +1,6 @@
 """Ingestion, preprocessing, and split protocol behavior."""
 
+import json
 import warnings
 
 import numpy as np
@@ -153,6 +154,20 @@ class TestSchema:
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="ordinal"):
             Schema.from_dict({"time": "t", "event": "e", "features": {"x": "ordinal"}})
+
+    @pytest.mark.parametrize("raw,message", [
+        (json.dumps(["time", "event"]).encode(), "JSON object"),
+        (json.dumps({"time": "t", "event": "e", "features": ["x"]}).encode(), "'features'"),
+        (json.dumps({"time": 1, "event": "e"}).encode(), "'time'"),
+        (json.dumps({"time": "t", "event": ["e"]}).encode(), "'event'"),
+        (b"\xff\xfe", "not valid JSON"),
+    ])
+    def test_malformed_schema_file_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "schema.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigurationError, match=message) as info:
+            Schema.from_file(str(path))
+        assert "\n" not in str(info.value)
 
 
 class TestPreprocess:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, NumericError, UsageError
+from survstrat.networks import Model
 from survstrat.tensor import Adam, Tensor, concat_cols, mlp, softmax_rows, take_rows
 
 from conftest import check_gradients
@@ -214,18 +216,27 @@ class TestTakeRows:
         np.testing.assert_array_equal(a.grad, want)
 
 
+def store(*arrays):
+    """A flat buffer holding ``arrays`` in order and one parameter tensor
+    viewing each, the layout ``Model`` gives its weights."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
+    bounds = np.cumsum([0] + [np.size(a) for a in arrays])
+    return flat, [Tensor(flat[lo:hi].reshape(np.shape(a)), requires_grad=True)
+                  for a, lo, hi in zip(arrays, bounds, bounds[1:])]
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        p = Tensor([[1.0, -2.0]], requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        flat, (p,) = store([[1.0, -2.0]])
+        opt = Adam(flat, [p], lr=0.1)
         opt.zero_grad()
         opt.step()
         np.testing.assert_array_equal(p.values, [[1.0, -2.0]])
 
     def test_first_step_moves_by_lr_sign(self):
         # bias-corrected first step: m_hat/sqrt(v_hat) = g/|g| exactly
-        p = Tensor([[1.0, 1.0]], requires_grad=True)
-        opt = Adam([p], lr=0.01)
+        flat, (p,) = store([[1.0, 1.0]])
+        opt = Adam(flat, [p], lr=0.01)
         p.grad = np.array([[0.5, -3.0]])
         opt.step()
         expected = 1.0 - 0.01 * np.array([0.5, -3.0]) / (np.abs([0.5, -3.0]) + 1e-8)
@@ -233,8 +244,8 @@ class TestAdam:
 
     def test_two_identical_steps_closed_form(self):
         g = 2.0
-        p = Tensor([[0.0]], requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        flat, (p,) = store([[0.0]])
+        opt = Adam(flat, [p], lr=0.1)
         for _ in range(2):
             p.grad = np.array([[g]])
             opt.step()
@@ -242,27 +253,32 @@ class TestAdam:
         b1, b2 = 0.9, 0.999
         m_expect = (1 - b1) * g * b1 + (1 - b1) * g   # EMA after two equal grads
         v_expect = (1 - b2) * g * g * b2 + (1 - b2) * g * g
-        np.testing.assert_allclose(opt.m[0], [[m_expect]], rtol=1e-12)
-        np.testing.assert_allclose(opt.v[0], [[v_expect]], rtol=1e-12)
+        np.testing.assert_allclose(opt.m, [m_expect], rtol=1e-12)
+        np.testing.assert_allclose(opt.v, [v_expect], rtol=1e-12)
 
     def test_parameters_live_in_one_flat_buffer(self):
-        a = Tensor([[1.0, 2.0]], requires_grad=True)
-        b = Tensor([[3.0], [4.0]], requires_grad=True)
-        opt = Adam([a, b], lr=0.1)
-        np.testing.assert_array_equal(opt._x, [1.0, 2.0, 3.0, 4.0])
-        assert np.shares_memory(a.values, opt._x) and np.shares_memory(b.values, opt._x)
-        a.grad, b.grad = np.ones((1, 2)), -np.ones((2, 1))
+        """``Model`` lays every parameter out in its store in ``parameters()``
+        order, and a step over the store moves what the views read."""
+        model = Model(ExperimentConfig(latent_dim=2, encoder_hidden=(3,), head_hidden=(2,)), 2, 3)
+        model.initialize()
+        params = [t for _, t in model.parameters()]
+        assert all(np.shares_memory(t.values, model.flat) for t in params)
+        np.testing.assert_array_equal(np.concatenate([t.values.ravel() for t in params]), model.flat)
+        before = model.flat.copy()
+        opt = Adam(model.flat, params, lr=0.1)
+        for t in params:
+            t.grad = np.ones_like(t.values)
         opt.step()
-        np.testing.assert_allclose(a.values, [[0.9, 1.9]], rtol=1e-8)
-        np.testing.assert_allclose(b.values, [[3.1], [4.1]], rtol=1e-8)
+        np.testing.assert_allclose(model.flat, before - 0.1, rtol=1e-8, atol=1e-8)
+        np.testing.assert_array_equal(np.concatenate([t.values.ravel() for t in params]), model.flat)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(UsageError):
-            Adam([Tensor([[1.0]], requires_grad=True)], lr=0.0)
+            Adam(*store([[1.0]]), lr=0.0)
 
     def test_shape_mismatch_rejected(self):
-        p = Tensor([[1.0, 2.0]], requires_grad=True)
-        opt = Adam([p])
+        flat, (p,) = store([[1.0, 2.0]])
+        opt = Adam(flat, [p])
         p.grad = np.zeros((2, 2))
         with pytest.raises(UsageError):
             opt.step()

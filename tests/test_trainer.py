@@ -111,6 +111,7 @@ class TestPretrain:
         data = make_data()
         state = trainer.pretrain(data, config)
         fresh = Model(config, data.X.shape[1], data.grid.n_bins)
+        fresh.initialize()
         for (_, got), (_, want) in zip(state.model.parameters(), fresh.parameters()):
             assert np.array_equal(got.values, want.values)
         assert state.logs == []
@@ -152,7 +153,9 @@ class TestPretrain:
         config = small_config(heads="per-cluster", n_clusters=3, pretrain_epochs=1)
         data = make_data()
         state = trainer.pretrain(data, config)
-        fresh = dict(Model(config, data.X.shape[1], data.grid.n_bins).parameters())
+        model = Model(config, data.X.shape[1], data.grid.n_bins)
+        model.initialize()
+        fresh = dict(model.parameters())
         for name, t in state.model.parameters():
             if name.startswith("head"):
                 assert not np.array_equal(t.values, fresh[name].values), name
@@ -165,7 +168,7 @@ class TestInitClusters:
         model = Model(config, data.X.shape[1], data.grid.n_bins)
         from survstrat.tensor import Adam
         bare = trainer.TrainState(
-            model=model, optimizer=Adam([t for _, t in model.parameters()]),
+            model=model, optimizer=Adam(model.flat, [t for _, t in model.parameters()]),
             config=config, grid=data.grid,
         )
         with pytest.raises(UsageError):
@@ -285,16 +288,19 @@ class TestStage3:
     def test_optimizer_steps_parameters_after_restore(self, monkeypatch):
         config = small_config(max_epochs=4, early_stopping=True, patience=1)
         data = make_data(val=True)
-        restores = []
-        load = Model.load_state_dict
+        scored = []
+        score = trainer.validation_c_index
 
-        def recording_load(model, state):
-            restores.append(state)
-            load(model, state)
+        def recording_score(state, data):
+            val_c = score(state, data)
+            scored.append((val_c, state.model.flat.copy()))
+            return val_c
 
-        monkeypatch.setattr(Model, "load_state_dict", recording_load)
+        monkeypatch.setattr(trainer, "validation_c_index", recording_score)
         state = trainer.fit(data, config)
-        assert len(restores) == 1
+        best = max(range(len(scored)), key=lambda i: scored[i][0])
+        assert not np.array_equal(scored[-1][1], scored[best][1])  # a later epoch moved them
+        np.testing.assert_array_equal(state.model.flat, scored[best][1])
         assert_step_moves_parameters(state.optimizer, state.model)
 
     @pytest.mark.parametrize("route", ["deepcopy", "pickle"])
