@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .config import ExperimentConfig, _is_number
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 from .metrics import TimeGrid
 from .trainer import TrainState, _new_state
 
@@ -126,13 +126,7 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"checkpoint file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}")
+    payload = read_json(path, "checkpoint file")
     if not isinstance(payload, dict):
         raise ConfigurationError(f"checkpoint {path} must hold a JSON object")
     version = payload.get("version")

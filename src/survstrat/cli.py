@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, _is_int, _is_number
-from .errors import ConfigurationError, SurvstratError, UsageError
+from .errors import ConfigurationError, SurvstratError, UsageError, read_json
 from .metrics import interpolate_curve, kaplan_meier, log_rank_test
 
 DEFAULT_BUDGET = 50
@@ -244,13 +244,7 @@ def cmd_evaluate(args) -> int:
 
 
 def load_search_space(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            space = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"search-space file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"search-space file {path} is not valid JSON: {exc}")
+    space = read_json(path, "search-space file")
     rules = space.get("space") if isinstance(space, dict) else None
     if not isinstance(rules, dict) or not rules:
         raise ConfigurationError("search space needs a non-empty 'space' mapping")
@@ -270,6 +264,13 @@ def load_search_space(path: str) -> dict:
             if kind == "log_uniform" and low <= 0:
                 raise ConfigurationError(
                     f"search space {name!r}: log_uniform needs positive bounds"
+                )
+            if kind == "uniform" and not _is_number(float(high) - float(low)):
+                raise ConfigurationError(f"search space {name!r}: range high - low overflows")
+            if kind == "int_range" and not (_is_int(low) and _is_int(high)
+                                            and -2 ** 63 <= low and high < 2 ** 63):
+                raise ConfigurationError(
+                    f"search space {name!r}: int_range needs integer bounds within int64"
                 )
         else:
             raise ConfigurationError(
@@ -305,7 +306,7 @@ def sample_trials(space: dict, budget: int, seed: int) -> list:
                 value = float(rng.uniform(rule["low"], rule["high"]))
             elif kind == "log_uniform":
                 value = float(np.exp(rng.uniform(
-                    np.log(rule["low"]), np.log(rule["high"])
+                    np.log(float(rule["low"])), np.log(float(rule["high"]))
                 )))
             else:
                 value = int(rng.integers(rule["low"], rule["high"] + 1))

@@ -8,7 +8,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .clustering import SUPPORTED_ALGORITHMS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 from .losses import LossWeights
 
 HEAD_MODES = ("shared", "per-cluster")
@@ -139,10 +139,18 @@ class ExperimentConfig:
             problems.append(f"patience must be >= 1, got {checked.patience}")
         if checked.spl_scope not in ("batch", "dataset"):
             problems.append(f"spl_scope must be 'batch' or 'dataset', got '{checked.spl_scope}'")
-        try:
-            checked.weights.validate(checked.siamese)
-        except ConfigurationError as exc:
-            problems.append(str(exc))
+        for f in fields(weights):
+            value = getattr(weights, f.name)
+            if f.name in ("tau", "sigma_rank"):
+                if value <= 0:
+                    problems.append(f"{f.name} must be positive, got {value}")
+            elif value < 0:
+                problems.append(f"{f.name} must be non-negative, got {value}")
+        if not checked.siamese and (weights.alpha_iviw != 0 or weights.alpha_ivcw != 0):
+            problems.append(
+                "alpha_iviw and alpha_ivcw require a Siamese encoder pair; "
+                "set them to 0 in single-encoder mode"
+            )
         if problems:
             raise ConfigurationError(
                 "invalid configuration: " + "; ".join(problems)
@@ -181,14 +189,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigurationError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "config file"))
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)

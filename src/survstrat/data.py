@@ -8,13 +8,13 @@ of the validation or test rows can leak into the model inputs.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, UsageError
+from .errors import ConfigurationError, DataError, UsageError, read_json, read_text
 
 _MISSING_TOKENS = {"", "na", "nan", "none", "null", "?"}
 
@@ -80,13 +80,7 @@ class Schema:
 
     @classmethod
     def from_file(cls, path: str) -> "Schema":
-        try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except FileNotFoundError:
-            raise ConfigurationError(f"schema file not found: {path}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"schema file {path} is not valid JSON: {exc}")
+        return cls.from_dict(read_json(path, "schema file"))
 
 
 @dataclass
@@ -159,17 +153,13 @@ def load_csv(path: str, schema: Schema) -> RawTable:
     within a row, the time, the event and then the features in order.
     Non-finite values are reported only when every row parses.
     """
+    text = read_text(path, "data file", DataError, newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty")
-        rows = list(reader)
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty")
+    rows = list(reader)
 
     col_index = {name: i for i, name in enumerate(header)}
     for required in (schema.time, schema.event):
@@ -406,11 +396,9 @@ def save_splits(split_set: SplitSet, path: str) -> None:
 def load_splits(path: str, n_rows: int | None = None) -> SplitSet:
     """Read a ``save_splits`` file. A token that is not an integer, or a
     negative index, or one not below ``n_rows`` when given, is a DataError."""
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except FileNotFoundError:
-        raise DataError(f"split file not found: {path}")
+    # universal newlines: a file with bare \r line endings splits into lines too
+    text = read_text(path, "split file", DataError)
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     seed = 0
     splits = []
     for ln in lines:

@@ -23,7 +23,8 @@ _CLAMP = 1e-12
 
 @dataclass
 class LossWeights:
-    """Objective weights plus the contrastive and ranking scales."""
+    """Objective weights plus the contrastive and ranking scales; their
+    values are checked by ``ExperimentConfig.validate``."""
 
     alpha_rec: float = 1.0
     alpha_kld: float = 1.0
@@ -37,22 +38,6 @@ class LossWeights:
     beta: float = 1.0
     tau: float = 0.5
     sigma_rank: float = 0.1
-
-    def validate(self, siamese: bool) -> None:
-        if self.tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if self.sigma_rank <= 0:
-            raise ConfigurationError(f"sigma_rank must be positive, got {self.sigma_rank}")
-        for name in ("alpha_rec", "alpha_kld", "alpha_clus", "alpha_spl",
-                     "alpha_cl", "alpha_surv", "alpha_ivcg", "alpha_iviw",
-                     "alpha_ivcw", "beta"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        if not siamese and (self.alpha_iviw != 0 or self.alpha_ivcw != 0):
-            raise ConfigurationError(
-                "alpha_iviw and alpha_ivcw require a Siamese encoder pair; "
-                "set them to 0 in single-encoder mode"
-            )
 
 
 def _squared_error(a: Tensor, target: np.ndarray, op: str) -> tuple[Tensor, Tensor]:

@@ -349,6 +349,12 @@ def paired_nce_composed(a: Tensor, b: Tensor, tau: float) -> Tensor:
 def ivcg_composed(z: Tensor, events, assignments, tau: float) -> Tensor:
     """Cluster-guided InfoNCE: n_pos(i) * lse_i summed over censored anchors,
     minus the per-cluster (censored u) . (uncensored u) / tau, over n_cens."""
+    return ivcg_of_units(unit_rows(z), events, assignments, tau)
+
+
+def ivcg_of_units(u: RefTensor, events, assignments, tau: float) -> Tensor:
+    """``ivcg_composed`` after the row normalisation, as a graph of the unit
+    rows ``u``: its gradient is the loss's d/du."""
     events = np.asarray(events).ravel()
     assignments = np.asarray(assignments).ravel()
     n = events.size
@@ -363,7 +369,6 @@ def ivcg_composed(z: Tensor, events, assignments, tau: float) -> Tensor:
     anchor_groups[cluster[censored], np.flatnonzero(censored)] = 1.0
     positive_groups = np.zeros((cluster.max() + 1, n))
     positive_groups[cluster[uncensored], np.flatnonzero(uncensored)] = 1.0
-    u = unit_rows(z)
     lse = logsumexp_rows(u.matmul(u.T) * (1.0 / tau))
     positives = ((RefTensor(anchor_groups) @ u) * (RefTensor(positive_groups) @ u)).sum()
     total = (lse * RefTensor(n_pos[:, None])).sum() - positives * (1.0 / tau)

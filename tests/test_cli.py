@@ -206,12 +206,31 @@ class TestSearchSpace:
             ({"space": {"x": {"type": "choice", "values": [1]}}, "budget": "3"}, "budget"),
             ({"space": {"x": {"type": "choice", "values": [1]}}, "budget": 2.5}, "budget"),
             ({"space": {"x": {"type": "choice", "values": 5}}}, "empty choices"),
+            ({"space": {"x": {"type": "uniform", "low": -1e308, "high": 1e308}}}, "overflows"),
+            ({"space": {"x": {"type": "int_range", "low": 0, "high": 2 ** 70}}}, "within int64"),
+            ({"space": {"x": {"type": "int_range", "low": 0.5, "high": 3.5}}}, "integer bounds"),
         ]
         for payload, match in cases:
             path = tmp_path / "space.json"
             path.write_text(json.dumps(payload))
             with pytest.raises(ConfigurationError, match=match):
                 load_search_space(str(path))
+
+    def test_readme_space_loads_and_samples(self, tmp_path):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        path = tmp_path / "space.json"
+        path.write_text(readme.split("cat > space.json <<'EOF'\n")[1].split("EOF\n")[0])
+        space = load_search_space(str(path))
+        assert {d["n_clusters"] for d in sample_trials(space, 50, seed=0)} == {2, 3, 4, 5}
+
+    def test_integer_bounds_beyond_int64_sample(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"space": {
+            "a": {"type": "uniform", "low": 0, "high": 2 ** 70},
+            "b": {"type": "log_uniform", "low": 1, "high": 2 ** 70},
+        }}))
+        (d,) = sample_trials(load_search_space(str(path)), 1, seed=0)
+        assert 0 <= d["a"] <= 2.0 ** 70 and 1 <= d["b"] <= 2.0 ** 70
 
     def test_malformed_space_exits_1_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "space.json"
@@ -760,6 +779,59 @@ class TestOutputPaths:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+
+
+def _input_argv(which, bad, workspace, tmp_path):
+    """A command line that reads ``bad`` as its ``which`` input, every other
+    input being the workspace's good one."""
+    config, data = str(workspace / "config.json"), str(workspace / "toy.csv")
+    checkpoint = str(workspace / "run" / "checkpoint.json")
+    if which == "schema":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_config(bad)))
+    return {
+        "config": ["train", "--config", bad, "--data", data],
+        "schema": ["train", "--config", str(config), "--data", data],
+        "search space": ["hpo", "--space", bad, "--data", data],
+        "checkpoint": ["evaluate", "--checkpoint", bad, "--data", data],
+        "data CSV": ["evaluate", "--checkpoint", checkpoint, "--data", bad],
+        "split file": ["evaluate", "--checkpoint", checkpoint, "--data", data,
+                       "--splits-file", bad],
+    }[which] + (["--out", str(tmp_path / "out")] if which != "checkpoint" else [])
+
+
+_INPUT_CODES = {"config": 1, "schema": 1, "search space": 1, "checkpoint": 1,
+                "data CSV": 2, "split file": 2}
+_JSON_INPUTS = ("config", "schema", "search space", "checkpoint")
+# fault -> the file's bytes, None for no file
+_FAULTS = {"missing": None, "not UTF-8": b"\xff", "not JSON": b"{not json",
+           "nested too deeply": b"[" * 100_000}
+
+
+class TestInputFiles:
+    """Every input file that is missing, holds bytes that are not UTF-8 or,
+    for a JSON input, does not parse exits with its input's code and one
+    line naming the file."""
+
+    @pytest.mark.parametrize("which,fault", [
+        (which, fault) for which in _INPUT_CODES for fault in _FAULTS
+        if fault in ("missing", "not UTF-8") or which in _JSON_INPUTS
+    ])
+    def test_exit_code_and_one_line(self, workspace, tmp_path, capsys, which, fault):
+        bad = tmp_path / "input"
+        content = _FAULTS[fault]
+        if content is not None:
+            bad.write_bytes(content)
+        rc = main(_input_argv(which, str(bad), workspace, tmp_path))
+        err = capsys.readouterr().err
+        assert rc == _INPUT_CODES[which]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if content is None:
+            assert f"not found: {bad}" in err
+        elif which in _JSON_INPUTS:
+            assert f"{bad} is not valid JSON: " in err
+        else:
+            assert f"{bad} is not UTF-8 text: " in err
 
 
 class TestStratifyCommand:

@@ -67,6 +67,29 @@ class TestValidate:
         assert "latent_dim" in text
         assert "spl_scope" in text
 
+    def test_every_weight_violation_reported(self):
+        config = ExperimentConfig.from_dict(
+            {"n_bins": 0, "weights": {"tau": -1, "sigma_rank": -1, "alpha_rec": -1,
+                                      "alpha_iviw": 0.5}}
+        )
+        with pytest.raises(ConfigurationError) as err:
+            config.validate()
+        text = str(err.value)
+        for part in ("n_bins must be >= 1", "tau must be positive, got -1",
+                     "sigma_rank must be positive, got -1",
+                     "alpha_rec must be non-negative, got -1", "Siamese encoder pair"):
+            assert part in text
+
+    def test_single_encoder_cross_view_weights_rejected(self):
+        with pytest.raises(ConfigurationError, match="Siamese encoder pair"):
+            ExperimentConfig(weights=LossWeights(alpha_ivcw=0.1)).validate()
+
+    def test_bad_scales_rejected(self):
+        for weights in (LossWeights(tau=0.0), LossWeights(sigma_rank=-1.0),
+                        LossWeights(alpha_rec=-0.1)):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(weights=weights).validate()
+
     def test_types_checked_with_values_in_one_error(self):
         config = ExperimentConfig.from_dict({
             "n_clusters": "2", "batch_size": 2.5, "early_stopping": "yes",

@@ -276,6 +276,18 @@ class TestSplits:
             for role in ("train", "val", "test"):
                 np.testing.assert_array_equal(x[role], y[role])
 
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_other_line_endings_load_the_same_splits(self, tmp_path, ending):
+        ss = make_splits(37, seed=5)
+        path = tmp_path / "splits.txt"
+        save_splits(ss, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+        back = load_splits(str(path))
+        assert back.seed == 5 and len(back.splits) == 5
+        for x, y in zip(ss.splits, back.splits):
+            for role in ("train", "val", "test"):
+                np.testing.assert_array_equal(x[role], y[role])
+
     def test_with_replacement_resamples_train(self):
         ss = make_splits(50, seed=7, with_replacement=True)
         sp = ss.splits[0]

@@ -1,4 +1,4 @@
-"""Loss hand values, symmetry properties, and weight validation."""
+"""Loss hand values, symmetry properties, and the fused nodes against their oracles."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from reftape import RefTensor, lift, zero_grad
 from oracles import (
     clus_composed,
     ivcg_composed,
+    ivcg_of_units,
     ivcg_pairwise,
     ivcw_transposed,
     kld_composed,
@@ -45,6 +46,7 @@ from oracles import (
     reparameterize_composed,
     soft_assign_composed,
     survival_curve_composed,
+    unit_rows,
     weighted_sum_composed,
 )
 
@@ -417,21 +419,6 @@ class TestCombine:
         out = combine_surv(w, Tensor(np.array([[1.0]])), Tensor(np.array([[0.4]])))
         assert scalar(out) == pytest.approx(1.2, abs=TOL)
 
-    def test_single_encoder_cross_view_weights_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LossWeights(alpha_ivcw=0.1).validate(siamese=False)
-
-    def test_siamese_mode_accepts_cross_view_weights(self):
-        LossWeights(alpha_iviw=0.5, alpha_ivcw=0.5).validate(siamese=True)
-
-    def test_bad_scales_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LossWeights(tau=0.0).validate(False)
-        with pytest.raises(ConfigurationError):
-            LossWeights(sigma_rank=-1.0).validate(False)
-        with pytest.raises(ConfigurationError):
-            LossWeights(alpha_rec=-0.1).validate(False)
-
 
 class TestNllReference:
     def test_matches_per_row_loop(self):
@@ -469,8 +456,10 @@ class TestNonNegativity:
 
 
 def _fused_and_composed(kind, rng):
-    """(fused loss, composed-oracle loss, leaves) on one random batch; both
-    builders rebuild the graph from the leaves."""
+    """(fused loss, composed-oracle loss, leaves, d loss / d u) on one random
+    batch; both builders rebuild the graph from the leaves. The last is None,
+    or for ``ivcg`` a function giving the oracle's gradient with respect to
+    the floored unit rows u of its one leaf."""
     n = int(rng.integers(1, 9))
     if kind in ("nll", "rank"):
         n_bins = int(rng.integers(1, 5))
@@ -481,10 +470,11 @@ def _fused_and_composed(kind, rng):
         logits.values[0, bins[0]] -= 40.0
         if kind == "nll":
             return (lambda: loss_nll(dist_from_logits(logits), bins, events),
-                    lambda: nll_composed(dist_from_logits(logits), bins, events), [logits])
+                    lambda: nll_composed(dist_from_logits(logits), bins, events), [logits], None)
         sigma = float(rng.choice([0.05, 0.3, 2.0]))
         return (lambda: loss_rank(dist_from_logits(logits), bins, events, sigma),
-                lambda: rank_composed(dist_from_logits(logits), bins, events, sigma), [logits])
+                lambda: rank_composed(dist_from_logits(logits), bins, events, sigma), [logits],
+                None)
     tau = float(rng.choice([0.1, 0.5, 2.0]))
     d = int(rng.integers(1, 5))
     # a zero row exercises the norm floor
@@ -493,16 +483,22 @@ def _fused_and_composed(kind, rng):
     if kind == "ivcg":
         events = rng.integers(0, 2, size=n)
         assign = rng.integers(0, 3, size=n)
+
+        def unit_grad():
+            u = RefTensor(unit_rows(z1).values, requires_grad=True)
+            ivcg_of_units(u, events, assign, tau).backward()
+            return u.grad
+
         return (lambda: loss_ivcg(z1, events, assign, tau),
-                lambda: ivcg_composed(z1, events, assign, tau), [z1])
+                lambda: ivcg_composed(z1, events, assign, tau), [z1], unit_grad)
     if kind == "iviw":
         return (lambda: loss_iviw(z1, z2, tau),
-                lambda: paired_nce_composed(z1, z2, tau), [z1, z2])
+                lambda: paired_nce_composed(z1, z2, tau), [z1, z2], None)
     # ivcw: soft assignments of n rows over d clusters
     q1 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
     q2 = Tensor(rng.uniform(0.05, 1.0, size=(n, d)), requires_grad=True)
     return (lambda: loss_ivcw(q1, q2, tau),
-            lambda: paired_nce_composed(lift(q1).T, lift(q2).T, tau), [q1, q2])
+            lambda: paired_nce_composed(lift(q1).T, lift(q2).T, tau), [q1, q2], None)
 
 
 def _step_node_and_composed(kind, rng):
@@ -570,6 +566,9 @@ def _step_node_and_composed(kind, rng):
     return (lambda: loss_ivcw(q1, q2, 0.5), lambda: ivcw_transposed(q1, q2, 0.5), [q1, q2])
 
 
+_FLOOR = 1e-12  # the norm floor of the fused nodes' row normalisation
+
+
 def _smallest_norm(values):
     """The smallest nonzero row or column norm, at most 1: the composed
     oracle's rounding in a gradient through x / ||x|| grows as 1 / ||x||."""
@@ -590,14 +589,27 @@ class TestFusedNodes:
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["nll", "rank", "ivcg", "iviw", "ivcw"]), st.integers(0, 2 ** 32 - 1))
+    # ivcg seeds at which the two graphs' zero-row gradients differ by 3e-9 to 3e-8
+    @example("ivcg", 5635)
+    @example("ivcg", 11908)
+    @example("ivcg", 13130)
+    @example("ivcg", 16313)
+    @example("ivcg", 18085)
     def test_value_and_gradient_match_composed_graph(self, kind, seed):
-        fused, composed, leaves = _fused_and_composed(kind, np.random.default_rng(seed))
+        fused, composed, leaves, unit_grad = _fused_and_composed(kind, np.random.default_rng(seed))
         got, got_grads = _value_and_grads(fused, leaves)
         want, want_grads = _value_and_grads(composed, leaves)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         for leaf, g, w in zip(leaves, got_grads, want_grads):
             scale = max(np.abs(w).max(), 1.0) / _smallest_norm(leaf.values)
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+            floored = np.zeros(len(g), dtype=bool)
+            if unit_grad is not None:
+                floored = np.linalg.norm(leaf.values, axis=1) <= _FLOOR
+                # there d loss / d x is (d loss / d u) / floor: compare d loss / d u,
+                # whose rounding is relative to its largest entry
+                np.testing.assert_allclose(_FLOOR * g[floored], _FLOOR * w[floored], rtol=1e-12,
+                                           atol=1e-12 * np.abs(unit_grad()).max())
+            np.testing.assert_allclose(g[~floored], w[~floored], rtol=1e-12, atol=1e-12 * scale)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["reparameterize", "rec", "kld", "clus", "soft_assign",
