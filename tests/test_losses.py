@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survstrat.clustering import soft_assign
+from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
 from survstrat.losses import (
     LossWeights,
@@ -418,6 +419,13 @@ class TestCombine:
         w = LossWeights(beta=0.5)
         out = combine_surv(w, Tensor(np.array([[1.0]])), Tensor(np.array([[0.4]])))
         assert scalar(out) == pytest.approx(1.2, abs=TOL)
+
+    def test_siamese_mode_accepts_cross_view_weights(self):
+        w = LossWeights(alpha_ivcg=1.0, alpha_iviw=0.5, alpha_ivcw=0.5)
+        ExperimentConfig(siamese=True, weights=w).validate()
+        out = combine_cl(w, Tensor(np.array([[1.0]])), Tensor(np.array([[2.0]])),
+                         Tensor(np.array([[4.0]])))
+        assert scalar(out) == pytest.approx(4.0, abs=TOL)
 
 
 class TestNllReference:
