@@ -8,13 +8,12 @@ of the validation or test rows can leak into the model inputs.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, UsageError, read_json, read_text
+from .errors import ConfigurationError, DataError, UsageError, open_text, read_json, read_text
 
 _MISSING_TOKENS = {"", "na", "nan", "none", "null", "?"}
 
@@ -153,13 +152,12 @@ def load_csv(path: str, schema: Schema) -> RawTable:
     within a row, the time, the event and then the features in order.
     Non-finite values are reported only when every row parses.
     """
-    text = read_text(path, "data file", DataError, newline="")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
+    with open_text(path, "data file", DataError, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(reader)
+    if header is None:
         raise DataError(f"{path} is empty")
-    rows = list(reader)
 
     col_index = {name: i for i, name in enumerate(header)}
     for required in (schema.time, schema.event):

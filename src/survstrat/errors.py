@@ -1,10 +1,12 @@
 """Exception taxonomy shared across the package.
 
 Each class maps to one CLI exit code: usage/config -> 1, data -> 2,
-numeric -> 3. Every input file is read through ``read_text`` or
-``read_json``, so a missing or undecodable file maps to these in one place.
+numeric -> 3. Every input file is read through ``open_text``, directly or
+by ``read_text`` or ``read_json``, so a missing, unreadable or undecodable
+file maps to these in one place.
 """
 
+import contextlib
 import json
 
 
@@ -38,18 +40,29 @@ class NumericError(SurvstratError):
     exit_code = 3
 
 
-def read_text(path: str, what: str, error: type[SurvstratError], newline: str | None = None,
-              expected: str = "UTF-8 text") -> str:
-    """The whole file at ``path`` decoded as UTF-8. A missing file or bytes
-    that do not decode raise ``error`` with one line naming ``what`` and
-    ``path``; ``newline`` is passed to ``open`` (None: universal newlines)."""
+@contextlib.contextmanager
+def open_text(path: str, what: str, error: type[SurvstratError], newline: str | None = None,
+              expected: str = "UTF-8 text"):
+    """The file at ``path`` open for reading as UTF-8 text. A missing file, a
+    directory, a file without read permission or bytes that do not decode,
+    wherever the block reads them, raise ``error`` with one line naming
+    ``what`` and ``path``; ``newline`` is passed to ``open``."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+            yield fh
     except FileNotFoundError:
         raise error(f"{what} not found: {path}")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise error(f"{what} {path} cannot be read: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not {expected}: {exc}")
+
+
+def read_text(path: str, what: str, error: type[SurvstratError], newline: str | None = None,
+              expected: str = "UTF-8 text") -> str:
+    """The whole file at ``path``, read through ``open_text``."""
+    with open_text(path, what, error, newline, expected) as fh:
+        return fh.read()
 
 
 def read_json(path: str, what: str):

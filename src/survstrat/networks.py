@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, mlp, softmax_rows, take_rows, weighted_sum
+from .tensor import Tensor, concat_cols, concat_rows, mlp, no_tape, softmax_rows, take_rows, weighted_sum
 
 
 @dataclass
@@ -75,7 +75,9 @@ def survival_curve(probs: Tensor, cum: np.ndarray) -> Tensor:
     def backward_fn(grad):
         probs._accumulate(-grad @ cum.T)
 
-    return Tensor._from_op(1.0 - probs.values @ cum, (probs,), "survival", backward_fn)
+    values = probs.values @ cum
+    return Tensor._from_op(np.subtract(1.0, values, out=values), (probs,), "survival",
+                           backward_fn)
 
 
 class Encoder:
@@ -210,8 +212,9 @@ class Model:
         return SurvivalDistribution(probs=probs, survival=survival_curve(probs, self._cum))
 
     def latents(self, X: np.ndarray, view: int = 1) -> np.ndarray:
-        """Eval-mode latent codes (mu for variational encoders) as numpy."""
-        return self.encode(Tensor(X), view=view, train=False).mu.values.copy()
+        """Eval-mode latent codes (mu for variational encoders) as numpy, untaped."""
+        with no_tape():
+            return self.encode(Tensor(X), view=view, train=False).mu.values
 
     def parameters(self) -> list:
         """(name, tensor) of every weight and bias: encoders, decoders, heads."""

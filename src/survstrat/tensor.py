@@ -16,10 +16,13 @@ into ``.grad`` buffers until they are explicitly reset (the optimizer's
 ``zero_grad`` clears them before each backward pass).
 
 Every node validates that its output is finite; a NaN/Inf result is
-reported as a :class:`NumericError` naming the op.
+reported as a :class:`NumericError` naming the op. Under ``no_tape()`` a
+node records no parents and no backward closure, so it frees its inputs.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -35,6 +38,20 @@ def _as_matrix(values) -> np.ndarray:
     elif arr.ndim != 2:
         raise ConfigurationError(f"tensors are 2-D; got ndim={arr.ndim}")
     return arr
+
+
+_taping = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build no tape inside the block (process-local); restored on every exit."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
 
 
 class Tensor:
@@ -59,7 +76,7 @@ class Tensor:
             raise NumericError(f"non-finite output in op '{op}'")
         out = cls.__new__(cls)
         out.values = values
-        needs = any(p.requires_grad for p in parents)
+        needs = _taping and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         out.grad = None
         out._parents = parents if needs else ()
@@ -225,9 +242,9 @@ def concat_rows(parts: list) -> Tensor:
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax using the log-sum-exp shift for overflow safety."""
     a = x
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    values = e / e.sum(axis=1, keepdims=True)
+    values = a.values - a.values.max(axis=1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=1, keepdims=True)
 
     def backward_fn(grad):
         inner = (grad * values).sum(axis=1, keepdims=True)

@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .errors import DataError, NumericError, UsageError
 from .metrics import TimeGrid, build_time_grid, concordance_index, expected_event_time
 from .networks import Model
-from .tensor import Adam, Tensor, weighted_sum
+from .tensor import Adam, Tensor, no_tape, weighted_sum
 
 LOG_COLUMNS = (
     "epoch", "stage", "loss_total", "loss_rec", "loss_kld", "loss_clus",
@@ -28,6 +28,8 @@ LOG_COLUMNS = (
     "val_c_index",
 )
 _STAGE_NAMES = {1: "pretraining", 3: "stage 3"}
+# rows per eval-mode forward in encode and predict: bounds their working memory
+CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -257,11 +259,11 @@ def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weig
 def _dataset_spl_threshold(state, data, epoch, max_epochs):
     """Full-dataset eval-mode per-instance loss statistics, for spl_scope=dataset."""
     x = Tensor(data.X)
-    outs = _encode_views(state.model, x, train=False, rng=None)
     centers = [cm.centers for cm in state.cluster_models]
-    *_, per = _curriculum_losses(
-        state.model, x, outs, state.assignments, centers, state.config.weights
-    )
+    with no_tape():
+        outs = _encode_views(state.model, x, train=False, rng=None)
+        *_, per = _curriculum_losses(state.model, x, outs, state.assignments, centers,
+                                     state.config.weights)
     return spl_threshold(per.values, epoch, max_epochs)
 
 
@@ -360,37 +362,48 @@ def fit(data: TrainData, config: ExperimentConfig) -> TrainState:
     return state
 
 
-def encode(state: TrainState, X) -> dict:
-    """Eval-mode encoding without the survival heads: view 1's latent means
-    and the cluster labels (None without cluster models), plus the input
-    tensor ``x`` and each view's encoder output ``views`` for the heads."""
-    x = Tensor(np.asarray(X, dtype=np.float64))
-    outs = _encode_views(state.model, x, train=False, rng=None)
-    labels = None
+def _eval_chunk(state: TrainState, X: np.ndarray, heads: bool) -> dict:
+    """``encode``'s outputs for the rows of one chunk; a function of its own so
+    that the chunk's intermediates are freed before the next chunk runs."""
+    model = state.model
+    x = Tensor(X)
+    outs = _encode_views(model, x, train=False, rng=None)
+    part = {"latents": outs[0].mu.values}
     if state.cluster_models:
         view = state.config.routing_view
-        latents = outs[view - 1].mu.values
-        labels = clustering.assign_nearest(latents, state.cluster_models[view - 1].centers)
-    return {"x": x, "views": outs, "latents": outs[0].mu.values.copy(), "labels": labels}
+        part["labels"] = clustering.assign_nearest(
+            outs[view - 1].mu.values, state.cluster_models[view - 1].centers)
+    if heads:
+        # shared heads ignore the labels; per-cluster heads route by them
+        dist = model.survival_forward(model.survival_input(x, outs),
+                                      cluster_ids=part.get("labels"))
+        part.update(probs=dist.probs.values, survival=dist.survival.values)
+    return part
+
+
+def encode(state: TrainState, X, heads: bool = False) -> dict:
+    """Untaped eval-mode forward, ``CHUNK_ROWS`` rows at a time, each chunk
+    written into the outputs as it is done: view 1's latent means, cluster
+    labels (None without cluster models) and, with ``heads``, the survival
+    heads' ``probs`` and ``survival``."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = {"labels": None}
+    with no_tape():
+        # an empty X still runs one (empty) chunk
+        for start in range(0, max(len(X), 1), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            for k, v in _eval_chunk(state, X[rows], heads).items():
+                if out.get(k) is None:
+                    out[k] = np.empty((len(X), *v.shape[1:]), v.dtype)
+                out[k][rows] = v
+    return out
 
 
 def predict(state: TrainState, X) -> dict:
     """Eval-mode prediction: probabilities, survival, risk, cluster labels."""
-    model = state.model
-    enc = encode(state, X)
-    # shared heads ignore the labels; per-cluster heads route by them
-    dist = model.survival_forward(model.survival_input(enc["x"], enc["views"]),
-                                  cluster_ids=enc["labels"])
-    probs = dist.probs.values.copy()
-    survival = dist.survival.values.copy()
-    risk = -expected_event_time(probs, state.grid)
-    return {
-        "probs": probs,
-        "survival": survival,
-        "risk": risk,
-        "labels": enc["labels"],
-        "latents": enc["latents"],
-    }
+    pred = encode(state, X, heads=True)
+    pred["risk"] = -expected_event_time(pred["probs"], state.grid)
+    return pred
 
 
 def score(state: TrainState, pred: dict, t, e, require_pairs: bool = True) -> dict:

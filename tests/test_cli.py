@@ -803,35 +803,57 @@ def _input_argv(which, bad, workspace, tmp_path):
 _INPUT_CODES = {"config": 1, "schema": 1, "search space": 1, "checkpoint": 1,
                 "data CSV": 2, "split file": 2}
 _JSON_INPUTS = ("config", "schema", "search space", "checkpoint")
-# fault -> the file's bytes, None for no file
+# fault -> the file's bytes, None for no file; a directory takes its place
+# for "directory" (no permission case: tests may run as root)
 _FAULTS = {"missing": None, "not UTF-8": b"\xff", "not JSON": b"{not json",
-           "nested too deeply": b"[" * 100_000}
+           "nested too deeply": b"[" * 100_000, "directory": None}
 
 
 class TestInputFiles:
-    """Every input file that is missing, holds bytes that are not UTF-8 or,
-    for a JSON input, does not parse exits with its input's code and one
-    line naming the file."""
+    """Every input file that is missing, is a directory, holds bytes that are
+    not UTF-8 or, for a JSON input, does not parse exits with its input's
+    code and one line naming the file."""
 
     @pytest.mark.parametrize("which,fault", [
         (which, fault) for which in _INPUT_CODES for fault in _FAULTS
-        if fault in ("missing", "not UTF-8") or which in _JSON_INPUTS
+        if fault in ("missing", "not UTF-8", "directory") or which in _JSON_INPUTS
     ])
     def test_exit_code_and_one_line(self, workspace, tmp_path, capsys, which, fault):
         bad = tmp_path / "input"
         content = _FAULTS[fault]
-        if content is not None:
+        if fault == "directory":
+            bad.mkdir()
+        elif content is not None:
             bad.write_bytes(content)
         rc = main(_input_argv(which, str(bad), workspace, tmp_path))
         err = capsys.readouterr().err
         assert rc == _INPUT_CODES[which]
         assert err.startswith("error: ") and err.count("\n") == 1
-        if content is None:
+        if fault == "directory":
+            assert f"{bad} cannot be read: " in err
+        elif content is None:
             assert f"not found: {bad}" in err
         elif which in _JSON_INPUTS:
             assert f"{bad} is not valid JSON: " in err
         else:
             assert f"{bad} is not UTF-8 text: " in err
+
+    def test_csv_bytes_far_into_the_stream_still_map_to_exit_2(self, workspace, tmp_path,
+                                                                capsys):
+        # the data CSV is decoded as it is parsed; a 0xff at row 5,000 lies
+        # far beyond the first buffer the reader decodes
+        header, *rows = (workspace / "toy.csv").read_bytes().splitlines(keepends=True)
+        rows = (rows * 40)[:6000]
+        head = header + b"".join(rows[:4999])
+        assert len(head) > 1 << 16
+        bad = tmp_path / "late.csv"
+        bad.write_bytes(head + b"\xff" + b"".join(rows[4999:]))
+        rc = main(["evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                   "--data", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: data file {bad} is not UTF-8 text: ")
+        assert err.count("\n") == 1
 
 
 class TestStratifyCommand:

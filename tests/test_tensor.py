@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, NumericError, UsageError
 from survstrat.networks import Model
-from survstrat.tensor import Adam, Tensor, concat_cols, mlp, softmax_rows, take_rows
+from survstrat import trainer
+from survstrat.tensor import Adam, Tensor, concat_cols, mlp, no_tape, softmax_rows, take_rows
 
 from conftest import check_gradients
 from reftape import RefTensor, item, lift
@@ -282,6 +283,36 @@ class TestAdam:
         p.grad = np.zeros((2, 2))
         with pytest.raises(UsageError):
             opt.step()
+
+
+class TestNoTape:
+    def test_nodes_keep_no_parents_and_no_closure(self):
+        rng = np.random.default_rng(0)
+        layers = [(Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                   Tensor(rng.standard_normal((1, 4)), requires_grad=True))]
+        x = Tensor(rng.standard_normal((5, 3)))
+        with no_tape():
+            untaped = softmax_rows(mlp(x, layers))
+        taped = softmax_rows(mlp(x, layers))
+        assert (untaped._parents, untaped._backward_fn, untaped.requires_grad) == ((), None, False)
+        assert taped._parents and taped._backward_fn is not None and taped.requires_grad
+        np.testing.assert_array_equal(untaped.values, taped.values)
+
+    def test_training_gets_gradients_after_a_numeric_error_in_the_block(self):
+        # a switch left off would let training run on without any gradient
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((40, 4))
+        data = trainer.prepare_training_data(X, rng.exponential(5.0, 40) + 0.1,
+                                             rng.integers(2, size=40), 4)
+        config = ExperimentConfig(latent_dim=2, n_bins=4, encoder_hidden=(8,), head_hidden=(8,),
+                                  pretrain_epochs=1, batch_size=16, seed=2)
+        state = trainer.pretrain(data, config)
+        state.model.flat[...] = 1e200
+        with pytest.raises(NumericError):
+            state.model.latents(X)  # overflows inside its no_tape block
+        state = trainer.pretrain(data, config)
+        for name, t in state.model.parameters():
+            assert t.grad is not None and np.any(t.grad), name
 
 
 class TestPackageSurface:
