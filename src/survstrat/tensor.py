@@ -17,7 +17,7 @@ into ``.grad`` buffers until they are explicitly reset (the optimizer's
 
 Every node validates that its output is finite; a NaN/Inf result is
 reported as a :class:`NumericError` naming the op. Under ``no_tape()`` a
-node records no parents and no backward closure, so it frees its inputs.
+node records no parents and no backward closure, so it keeps no input alive.
 """
 
 from __future__ import annotations
