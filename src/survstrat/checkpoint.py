@@ -17,7 +17,6 @@ from math import prod
 
 import numpy as np
 
-from .clustering import ClusterModel
 from .config import ExperimentConfig, _is_number
 from .errors import ConfigurationError, read_json
 from .metrics import TimeGrid
@@ -106,11 +105,11 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
         },
         "clusters": [
             {
-                "algorithm": cm.algorithm,
-                "nu": cm.nu,
-                "centers": _encode(cm.centers, "float64"),
+                "algorithm": state.config.clustering,
+                "nu": state.config.nu,
+                "centers": _encode(centers, "float64"),
             }
-            for cm in state.cluster_models
+            for centers in state.centers
         ],
         "assignments": [_encode(a, "int64") for a in state.assignments],
         "grid_edges": _encode(state.grid.edges, "float64"),
@@ -172,8 +171,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 "expected two 1-D arrays of one length"
             )
     n_train = None if state.train_times is None else state.train_times.size
-    state.cluster_models = _read_clusters(payload, config, n_train)
-    state.assignments = [cm.assignments.copy() for cm in state.cluster_models]
+    state.centers, state.assignments = _read_clusters(payload, config, n_train)
     transforms = payload.get("transforms", {})
     names = payload.get("feature_names", [])
     if not isinstance(transforms, dict) or not isinstance(names, list):
@@ -204,15 +202,20 @@ def _check_transform(col: str, tr) -> None:
     raise ConfigurationError(f"checkpoint transform for column {col!r} {why}")
 
 
-def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None) -> list:
-    """One ClusterModel per view from the "clusters" and "assignments" fields."""
+def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None) -> tuple:
+    """Each view's cluster centers and assignments, from the "clusters" and
+    "assignments" fields, which hold one entry per view."""
     assignments = payload.get("assignments", [])
     clusters = payload.get("clusters", [])
     if not isinstance(assignments, list) or not isinstance(clusters, list):
         raise ConfigurationError("checkpoint fields 'clusters' and 'assignments' must be lists")
-    if len(clusters) != len(assignments):
-        raise ConfigurationError("checkpoint needs one assignment list per cluster entry")
-    models = []
+    n_views = 2 if config.siamese else 1
+    if len(clusters) != n_views or len(assignments) != n_views:
+        raise ConfigurationError(
+            f"checkpoint needs one cluster entry and one assignment list per view ({n_views}), "
+            f"got {len(clusters)} and {len(assignments)}"
+        )
+    all_centers, all_labels = [], []
     # format 1 also wrote a per-cluster "assignments" copy; it is ignored
     for v, (entry, value) in enumerate(zip(clusters, assignments)):
         if not isinstance(entry, dict) or "centers" not in entry:
@@ -234,12 +237,11 @@ def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None)
                 f"checkpoint field 'assignments.{v}' holds cluster ids outside "
                 f"[0, {config.n_clusters - 1}]"
             )
-        nu = entry.get("nu", 1.0)
-        if type(nu) not in (int, float):
+        if type(entry.get("nu", 1.0)) not in (int, float):
             raise ConfigurationError(f"checkpoint field 'clusters.{v}.nu' must be a number")
-        models.append(ClusterModel(centers=centers, assignments=labels, nu=float(nu),
-                                   algorithm=entry.get("algorithm", "kmeans")))
-    return models
+        all_centers.append(centers)
+        all_labels.append(labels)
+    return all_centers, all_labels
 
 
 def _infer_input_dim(params: dict, config: ExperimentConfig) -> int:

@@ -1,8 +1,8 @@
 """Latent-space partitioning: K-means, diagonal GMM, Ward agglomerative.
 
 All fits are deterministic given (Z, K, seed) and return a
-:class:`ClusterModel` with K centers, hard assignments, and the Student's-t
-degrees of freedom used for soft assignment. Assignments are 0-based.
+:class:`ClusterModel` with K centers and hard assignments. Assignments are
+0-based.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ SUPPORTED_ALGORITHMS = ("kmeans", "gmm", "agglomerative")
 class ClusterModel:
     centers: np.ndarray          # (K, d)
     assignments: np.ndarray      # (N,) ints in [0, K)
-    nu: float = 1.0
     algorithm: str = "kmeans"
     extra: dict = field(default_factory=dict)
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centers.shape[0]
 
 
 def _validate_algorithm(name: str) -> None:
@@ -39,17 +34,14 @@ def _validate_algorithm(name: str) -> None:
         raise ConfigurationError(f"unknown clustering algorithm {name!r}; choose one of {SUPPORTED_ALGORITHMS}")
 
 
-def fit(Z: np.ndarray, algorithm: str, K: int, seed: int, nu: float = 1.0) -> ClusterModel:
+def fit(Z: np.ndarray, algorithm: str, K: int, seed: int) -> ClusterModel:
     """Dispatch to the requested clustering algorithm."""
     _validate_algorithm(algorithm)
     if algorithm == "kmeans":
-        model = kmeans_fit(Z, K, seed)
-    elif algorithm == "gmm":
-        model = gmm_fit(Z, K, seed)
-    else:
-        model = agglomerative_fit(Z, K)
-    model.nu = nu
-    return model
+        return kmeans_fit(Z, K, seed)
+    if algorithm == "gmm":
+        return gmm_fit(Z, K, seed)
+    return agglomerative_fit(Z, K)
 
 
 def assign_nearest(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:

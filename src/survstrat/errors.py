@@ -58,10 +58,10 @@ def open_text(path: str, what: str, error: type[SurvstratError], newline: str | 
         raise error(f"{what} {path} is not {expected}: {exc}")
 
 
-def read_text(path: str, what: str, error: type[SurvstratError], newline: str | None = None,
+def read_text(path: str, what: str, error: type[SurvstratError],
               expected: str = "UTF-8 text") -> str:
     """The whole file at ``path``, read through ``open_text``."""
-    with open_text(path, what, error, newline, expected) as fh:
+    with open_text(path, what, error, expected=expected) as fh:
         return fh.read()
 
 

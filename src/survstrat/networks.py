@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, UsageError
-from .tensor import Tensor, concat_cols, concat_rows, mlp, no_tape, softmax_rows, take_rows, weighted_sum
+from .tensor import Tensor, concat_cols, mlp, no_tape, scatter_rows, softmax_rows, take_rows, weighted_sum
 
 
 @dataclass
@@ -183,29 +183,27 @@ class Model:
         return concat_cols(zbar, x)
 
     def survival_forward(self, h: Tensor, cluster_ids=None) -> "SurvivalDistribution":
-        """One head for all rows, or (per-cluster) each row through its cluster's head."""
-        if self.config.heads == "shared":
+        """One head for all rows, or (per-cluster) each row through its
+        cluster's head: each group of rows is gathered, run through its head
+        and scattered back; a lone head or a lone group runs on ``h`` itself."""
+        if self.config.heads == "per-cluster":
+            if cluster_ids is None:
+                raise UsageError("per-cluster heads need cluster ids for routing")
+            ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
+            if ids.size != h.values.shape[0]:
+                raise UsageError("one cluster id per row is required")
+            # zero rows run through head 0
+            first, last = (ids.min(), ids.max()) if ids.size else (0, 0)
+            if first < 0 or last >= len(self.heads):
+                raise UsageError(f"cluster ids must lie in [0, {len(self.heads) - 1}]")
+        if len(self.heads) == 1:
             return self._distribution(self.heads[0](h))
-        if cluster_ids is None:
-            raise UsageError("per-cluster heads need cluster ids for routing")
-        ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
-        if ids.size != h.values.shape[0]:
-            raise UsageError("one cluster id per row is required")
-        if ids.min() < 0 or ids.max() >= len(self.heads):
-            raise UsageError(
-                f"cluster ids must lie in [0, {len(self.heads) - 1}]"
-            )
+        if first == last:
+            return self._distribution(self.heads[first](h))
         groups = [np.flatnonzero(ids == k) for k in range(len(self.heads))]
-        stacked = concat_rows(
-            [head(take_rows(h, rows)) for head, rows in zip(self.heads, groups) if rows.size]
-        )
-        # stacked row j holds original row order[j]; argsort inverts that
-        order = np.concatenate(groups)
-        return self._distribution(take_rows(stacked, np.argsort(order)))
-
-    def head_distributions(self, h: Tensor) -> list:
-        """Every head's distribution over every row of ``h``."""
-        return [self._distribution(head(h)) for head in self.heads]
+        used = [k for k, rows in enumerate(groups) if rows.size]
+        parts = [self.heads[k](take_rows(h, groups[k])) for k in used]
+        return self._distribution(scatter_rows(parts, [groups[k] for k in used], ids.size))
 
     def _distribution(self, logits: Tensor) -> "SurvivalDistribution":
         probs = softmax_rows(logits)

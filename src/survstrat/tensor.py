@@ -4,7 +4,7 @@ Graphs are built define-by-run: every node records its parents and a
 backward closure on the fly, so the tape is rebuilt on each forward pass.
 The nodes are the fused operations the model runs on, each a numpy forward
 with one hand-written backward: ``mlp`` (a stack of affine layers and
-relus), ``concat_cols``, ``take_rows``, ``concat_rows``, ``softmax_rows``,
+relus), ``concat_cols``, ``take_rows``, ``scatter_rows``, ``softmax_rows``,
 ``weighted_sum`` and ``Tensor.mean`` here, and the losses and network glue
 that ``losses`` and ``networks`` build with ``Tensor._from_op``. ``Tensor``
 has no general elementwise or matrix algebra; the elementary graphs these
@@ -215,8 +215,8 @@ def take_rows(a: Tensor, rows) -> Tensor:
 
     def backward_fn(grad):
         delta = np.zeros_like(a.values)
-        # distinct rows, as head routing's groups and inverse permutation are,
-        # scatter to the same values as add.at; a negative index aliases row n - i
+        # distinct rows, as head routing's groups are, scatter to the same
+        # values as add.at; a negative index aliases row n - i
         if np.bincount(rows % delta.shape[0]).max(initial=0) <= 1:
             delta[rows] = grad
         else:
@@ -226,17 +226,19 @@ def take_rows(a: Tensor, rows) -> Tensor:
     return Tensor._from_op(values, (a,), "take_rows", backward_fn)
 
 
-def concat_rows(parts: list) -> Tensor:
-    """Row-wise stack of tensors with equal column counts, in list order."""
-    values = np.concatenate([p.values for p in parts], axis=0)
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+def scatter_rows(parts: list, rows: list, n: int) -> Tensor:
+    """An ``n``-row tensor whose rows ``rows[k]`` hold ``parts[k]``; the index
+    vectors are disjoint and together cover every row."""
+    values = np.empty((n, parts[0].shape[1]))
+    for p, r in zip(parts, rows):
+        values[r] = p.values
 
     def backward_fn(grad):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        for p, r in zip(parts, rows):
             if p.requires_grad:
-                p._accumulate(grad[lo:hi])
+                p._accumulate(grad[r])
 
-    return Tensor._from_op(values, tuple(parts), "concat_rows", backward_fn)
+    return Tensor._from_op(values, tuple(parts), "scatter_rows", backward_fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

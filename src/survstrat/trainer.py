@@ -44,7 +44,6 @@ class TrainData:
     X_val: np.ndarray | None = None
     t_val: np.ndarray | None = None
     e_val: np.ndarray | None = None
-    val_bins: np.ndarray | None = None
 
 
 @dataclass
@@ -55,8 +54,8 @@ class TrainState:
     optimizer: Adam
     config: ExperimentConfig
     grid: TimeGrid
-    cluster_models: list = field(default_factory=list)
-    assignments: list = field(default_factory=list)
+    centers: list = field(default_factory=list)       # frozen (K, d) centers, one per view
+    assignments: list = field(default_factory=list)   # current cluster ids, one per view
     logs: list = field(default_factory=list)
     stage: int = 0
     train_times: np.ndarray | None = None
@@ -73,7 +72,6 @@ def prepare_training_data(X, t, e, n_bins, X_val=None, t_val=None, e_val=None) -
         data.X_val = np.asarray(X_val, dtype=np.float64)
         data.t_val = np.asarray(t_val, dtype=np.float64).ravel()
         data.e_val = np.asarray(e_val, dtype=np.int64).ravel()
-        data.val_bins = grid.bin_of(data.t_val)
     return data
 
 
@@ -193,7 +191,8 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
 
     def step(idx, x, outs):
         rec, _, kld, _ = _rec_and_kld(model, x, outs)
-        dists = model.head_distributions(model.survival_input(x, outs))
+        h = model.survival_input(x, outs)
+        dists = [model.survival_forward(h, np.full(len(idx), k)) for k in range(len(model.heads))]
         surv = losses.average_views(
             [_survival_loss(d, data.bins[idx], data.e[idx], w) for d in dists]
         )
@@ -212,16 +211,14 @@ def init_clusters(state: TrainState, data: TrainData) -> TrainState:
     if state.stage < 1:
         raise UsageError("init_clusters requires a pretrained state")
     config = state.config
-    state.cluster_models = []
+    state.centers = []
     state.assignments = []
     n_views = 2 if config.siamese else 1
     for view in range(1, n_views + 1):
         latents = state.model.latents(data.X, view=view)
-        cm = clustering.fit(
-            latents, config.clustering, config.n_clusters, seed=config.seed, nu=config.nu
-        )
-        state.cluster_models.append(cm)
-        state.assignments.append(cm.assignments.copy())
+        cm = clustering.fit(latents, config.clustering, config.n_clusters, seed=config.seed)
+        state.centers.append(cm.centers)
+        state.assignments.append(cm.assignments)
     state.stage = 2
     return state
 
@@ -259,17 +256,16 @@ def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weig
 def _dataset_spl_threshold(state, data, epoch, max_epochs):
     """Full-dataset eval-mode per-instance loss statistics, for spl_scope=dataset."""
     x = Tensor(data.X)
-    centers = [cm.centers for cm in state.cluster_models]
     with no_tape():
         outs = _encode_views(state.model, x, train=False, rng=None)
-        *_, per = _curriculum_losses(state.model, x, outs, state.assignments, centers,
+        *_, per = _curriculum_losses(state.model, x, outs, state.assignments, state.centers,
                                      state.config.weights)
     return spl_threshold(per.values, epoch, max_epochs)
 
 
-def _reassign(state: TrainState, data: TrainData, centers) -> None:
+def _reassign(state: TrainState, data: TrainData) -> None:
     """Nearest-center assignments of the full training set, per view."""
-    for v, c in enumerate(centers):
+    for v, c in enumerate(state.centers):
         state.assignments[v] = clustering.assign_nearest(
             state.model.latents(data.X, view=v + 1), c
         )
@@ -294,7 +290,6 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     w = config.weights
     model = state.model
     rng = _training_rng(config.seed + 1)
-    frozen = [cm.centers.copy() for cm in state.cluster_models]
     best_c = -np.inf
     best_flat = None
     stale = 0
@@ -303,14 +298,14 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     def step(idx, x, outs):
         batch_assign = [a[idx] for a in state.assignments]
         rec, kld, clus, per_instance = _curriculum_losses(
-            model, x, outs, batch_assign, frozen, w
+            model, x, outs, batch_assign, state.centers, w
         )
         lam = lam_dataset if lam_dataset is not None else spl_threshold(
             per_instance.values, epoch, config.max_epochs
         )
         mask, _ = spl_filter(per_instance.values, lam)
         l_spl = per_instance.mean(mask=mask.astype(np.float64)[:, None])
-        l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, frozen, config)
+        l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, state.centers, config)
         ids = batch_assign[config.routing_view - 1]
         dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=ids)
         l_surv = _survival_loss(dist, data.bins[idx], data.e[idx], w)
@@ -335,7 +330,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         if config.spl_scope == "dataset":
             lam_dataset = _dataset_spl_threshold(state, data, epoch, config.max_epochs)
         row = _run_epoch(state, data, rng, epoch, 3, step)
-        _reassign(state, data, frozen)
+        _reassign(state, data)
         val_c = validation_c_index(state, data)
         row["val_c_index"] = "" if val_c is None else val_c
         if config.early_stopping and val_c is not None:
@@ -349,7 +344,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
                     break
     if best_flat is not None:
         model.flat[...] = best_flat
-        _reassign(state, data, frozen)
+        _reassign(state, data)
     state.stage = 3
     return state
 
@@ -369,10 +364,10 @@ def _eval_chunk(state: TrainState, X: np.ndarray, heads: bool) -> dict:
     x = Tensor(X)
     outs = _encode_views(model, x, train=False, rng=None)
     part = {"latents": outs[0].mu.values}
-    if state.cluster_models:
+    if state.centers:
         view = state.config.routing_view
         part["labels"] = clustering.assign_nearest(
-            outs[view - 1].mu.values, state.cluster_models[view - 1].centers)
+            outs[view - 1].mu.values, state.centers[view - 1])
     if heads:
         # shared heads ignore the labels; per-cluster heads route by them
         dist = model.survival_forward(model.survival_input(x, outs),
@@ -384,7 +379,7 @@ def _eval_chunk(state: TrainState, X: np.ndarray, heads: bool) -> dict:
 def encode(state: TrainState, X, heads: bool = False) -> dict:
     """Untaped eval-mode forward, ``CHUNK_ROWS`` rows at a time, each chunk
     written into the outputs as it is done: view 1's latent means, cluster
-    labels (None without cluster models) and, with ``heads``, the survival
+    labels (None without cluster centers) and, with ``heads``, the survival
     heads' ``probs`` and ``survival``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = {"labels": None}

@@ -28,7 +28,7 @@ from survstrat.losses import (
     soft_assign_tensor,
 )
 from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
-from survstrat.tensor import Tensor, concat_rows, mlp, softmax_rows, take_rows, weighted_sum
+from survstrat.tensor import Tensor, mlp, scatter_rows, softmax_rows, take_rows, weighted_sum
 
 from reftape import RefTensor, lift
 
@@ -243,27 +243,27 @@ def case_take_rows_permutation(seed):
     return lambda: (take_rows(a, rows) * w).sum(), [a]
 
 
-def case_concat_rows(seed):
+def case_scatter_rows(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    rows = [np.array([3, 0]), np.array([1, 4, 2])]  # interleaved, out of order
     w = RefTensor(rng.standard_normal((5, 3)))
-    return lambda: (concat_rows([a, b]) * w).sum(), [a, b]
+    return lambda: (scatter_rows([a, b], rows, 5) * w).sum(), [a, b]
 
 
 def case_routed_nll(seed):
-    """Rows split between two linear heads, stacked, and put back in order."""
+    """Rows split between two linear heads and scattered back to their places."""
     rng = np.random.default_rng(seed)
     h = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     heads = [Tensor(rng.standard_normal((3, 5)), requires_grad=True) for _ in range(2)]
     ids = np.array([1, 0, 1, 1, 0, 1])
     groups = [np.flatnonzero(ids == k) for k in range(2)]
-    back = np.argsort(np.concatenate(groups))
     _, bins, events = _survival_batch(rng, 6, 4)
 
     def build():
-        stacked = concat_rows([lift(take_rows(h, g)) @ w for g, w in zip(groups, heads)])
-        return loss_nll(dist_from_logits(take_rows(stacked, back)), bins, events)
+        parts = [lift(take_rows(h, g)) @ w for g, w in zip(groups, heads)]
+        return loss_nll(dist_from_logits(scatter_rows(parts, groups, 6)), bins, events)
 
     return build, [h, *heads]
 
@@ -322,7 +322,7 @@ ALL_CASES = [
     ("combined_instance", case_combined_instance),
     ("take_rows", case_take_rows),
     ("take_rows_permutation", case_take_rows_permutation),
-    ("concat_rows", case_concat_rows),
+    ("scatter_rows", case_scatter_rows),
     ("routed_nll", case_routed_nll),
     ("linear", case_linear),
     ("linear_relu", partial(case_linear, relu=True)),

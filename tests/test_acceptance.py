@@ -267,9 +267,9 @@ def test_criterion_7_structural_invariants():
         data = trainer.prepare_training_data(X, t, e, config.n_bins)
         state = trainer.pretrain(data, config)
         state = trainer.init_clusters(state, data)
-        centers_before = [cm.centers.tobytes() for cm in state.cluster_models]
+        centers_before = [c.tobytes() for c in state.centers]
         state = trainer.train_stage3(state, data)
-        centers_after = [cm.centers.tobytes() for cm in state.cluster_models]
+        centers_after = [c.tobytes() for c in state.centers]
         assert centers_before == centers_after, "stage-3 centers moved"
         rows = [r for r in state.logs if r["stage"] == 3]
         assert rows and all(r["admitted_frac"] > 0 for r in rows), (

@@ -109,8 +109,9 @@ class TestRoundTrip:
         path = tmp_path / "ck.json"
         save_checkpoint(state, str(path))
         payload = json.loads(path.read_text())
-        for entry, cm in zip(payload["clusters"], state.cluster_models):
-            entry["assignments"] = cm.assignments.tolist()
+        # format 1's per-cluster copy; the reader ignores it
+        for entry, labels in zip(payload["clusters"], state.assignments):
+            entry["assignments"] = labels[::-1].tolist()
         path.write_text(json.dumps(payload))
         restored = load_checkpoint(str(path)).state
         for got, want in zip(restored.assignments, state.assignments):
@@ -351,8 +352,8 @@ class TestFormatTwo:
         restored = load_checkpoint(str(path)).state
         for (name, a), (_, b) in zip(state.model.parameters(), restored.model.parameters()):
             assert bits(a.values) == bits(b.values), name
-        for a, b in zip(state.cluster_models, restored.cluster_models):
-            assert bits(a.centers) == bits(b.centers)
+        for a, b in zip(state.centers, restored.centers):
+            assert bits(a) == bits(b)
 
     def test_loading_fills_the_store_without_initializing(self, tmp_path, monkeypatch):
         state, _ = fitted_state(siamese=True, heads="per-cluster")
@@ -400,6 +401,7 @@ class TestFormatTwo:
         ("state", [1.0], "state"),
         ("feature_names", 5, "feature_names"),
         ("transforms", [], "transforms"),
+        ("assignments", [], "one assignment list per view"),
     ])
     def test_malformed_field_is_a_configuration_error(self, tmp_path, field, value, message):
         state, _ = fitted_state()

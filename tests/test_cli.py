@@ -1064,6 +1064,21 @@ class TestSplitFiles:
         assert rc == 2
         assert "test index -1 is outside [0, 150)" in err
 
+    @pytest.mark.parametrize("heads", ["shared", "per-cluster"])
+    def test_empty_role_has_no_comparable_pairs(self, workspace, tmp_path, capsys, heads):
+        """Zero rows to score exit 2, also where per-cluster heads route them."""
+        if heads == "shared":
+            checkpoint, data, n = workspace / "run" / "checkpoint.json", workspace / "toy.csv", 150
+        else:
+            checkpoint, data, n = FORMAT1_CHECKPOINT, FORMAT1_CSV, 60
+        splits = tmp_path / "s.txt"
+        splits.write_text("train:" + ",".join(map(str, range(n - 10))) + " val:"
+                          + ",".join(map(str, range(n - 10, n))) + " test:\n")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                   "--splits-file", str(splits), "--role", "test"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: concordance undefined: no comparable pairs\n"
+
     def test_train_rejects_an_index_beyond_the_data(self, workspace, tmp_path, capsys):
         splits = write_split_file(tmp_path / "s.txt", [str(i) for i in range(120, 150)] + ["150"])
         rc = main(["train", "--config", str(workspace / "config.json"),
@@ -1228,6 +1243,25 @@ def broken_payloads(draw, payload):
 
 
 class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("command", ["evaluate", "stratify"])
+    @pytest.mark.parametrize("views", ["none", "one_of_two"])
+    def test_cluster_state_of_each_view_required(self, format2_checkpoint, tmp_path, capsys,
+                                                 command, views):
+        """A Siamese checkpoint needs one cluster entry and one assignment
+        list per view, also where routing reads view 2."""
+        payload = json.loads(format2_checkpoint.read_text())
+        keep = 0 if views == "none" else 1
+        payload["config"]["routing_view"] = 2
+        del payload["clusters"][keep:], payload["assignments"][keep:]
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(payload))
+        rc = main([command, "--checkpoint", str(path), "--data", str(FORMAT1_CSV),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error: checkpoint needs one cluster entry and one assignment "
+                              f"list per view (2), got {keep} and {keep}")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_evaluate_exits_1_with_one_line(self, format2_checkpoint, tmp_path_factory, data):

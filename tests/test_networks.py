@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_step_moves_parameters, check_gradients
-from reftape import lift
+from reftape import RefTensor, lift
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, UsageError
 from survstrat.networks import Mlp, Model, reparameterize
@@ -223,6 +223,65 @@ class TestEnsembleRouting:
             return lift(model.survival_forward(h, cluster_ids=ids).survival).sum()
 
         check_gradients(loss, [h, w0, w2])
+
+
+    @pytest.mark.parametrize("ids", [
+        [2, 0, 2, 1, 0, 2, 1],
+        [1, 1, 1, 1, 1, 1, 1],
+        [0, 2, 2, 0, 0, 2, 0],
+    ], ids=["every_head", "one_head_has_every_row", "one_head_has_no_rows"])
+    def test_routing_equals_each_head_alone_bit_for_bit(self, ids):
+        """Values, and gradients of ``h`` and of every head weight, equal
+        those of each head run by itself on its own rows."""
+        model = small_model(heads="per-cluster", n_clusters=3)
+        rng = np.random.default_rng(16)
+        ids = np.array(ids)
+        h = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
+        g_probs, g_surv = rng.standard_normal((7, 5)), rng.standard_normal((7, 4))
+
+        def backward(dist, rows):
+            """Backward of sum(probs * g_probs) + sum(survival * g_surv) over
+            ``rows``; returns the gradients of every head weight."""
+            for _, t in model.parameters():
+                t.grad = None
+            loss = ((lift(dist.probs) * RefTensor(g_probs[rows])).sum()
+                    + (lift(dist.survival) * RefTensor(g_surv[rows])).sum())
+            loss.backward()
+            return {name: t.grad for name, t in model.parameters() if name.startswith("head")}
+
+        routed = model.survival_forward(h, cluster_ids=ids)
+        routed_grads = backward(routed, slice(None))
+        for k in range(3):
+            rows = np.flatnonzero(ids == k)
+            own = [name for name in routed_grads if name.startswith(f"head{k}.")]
+            if rows.size == 0:
+                assert all(routed_grads[name] is None for name in own)
+                continue
+            alone = Tensor(h.values[rows], requires_grad=True)
+            dist = model._distribution(model.heads[k](alone))
+            grads = backward(dist, rows)
+            assert np.array_equal(routed.probs.values[rows], dist.probs.values)
+            assert np.array_equal(routed.survival.values[rows], dist.survival.values)
+            assert np.array_equal(h.grad[rows], alone.grad)
+            for name in own:
+                assert np.array_equal(routed_grads[name], grads[name]), name
+
+    def test_zero_rows_give_an_empty_distribution(self):
+        model = small_model(heads="per-cluster", n_clusters=3)
+        dist = model.survival_forward(Tensor(np.zeros((0, 8))), cluster_ids=[])
+        assert dist.probs.values.shape == (0, 5)
+        assert dist.survival.values.shape == (0, 4)
+
+    def test_routed_forward_records_one_scatter(self):
+        """A forward over K groups records K gathers, K heads and one scatter
+        below the softmax."""
+        model = small_model(heads="per-cluster", n_clusters=3)
+        h = Tensor(np.random.default_rng(17).standard_normal((6, 8)), requires_grad=True)
+        dist = model.survival_forward(h, cluster_ids=[0, 1, 2, 2, 1, 0])
+        scatter = dist.probs._parents[0]
+        assert scatter._op == "scatter_rows" and len(scatter._parents) == 3
+        assert [p._op for p in scatter._parents] == ["mlp"] * 3
+        assert [q._op for p in scatter._parents for q in p._parents[:1]] == ["take_rows"] * 3
 
 
 class TestStatePersistence:

@@ -179,7 +179,7 @@ class TestInitClusters:
         data = make_data()
         state = trainer.pretrain(data, small_config())
         state = trainer.init_clusters(state, data)
-        assert len(state.cluster_models) == 1
+        assert len(state.centers) == 1
         counts = np.bincount(state.assignments[0], minlength=2)
         assert (counts > 0).all()
         assert state.stage == 2
@@ -188,15 +188,15 @@ class TestInitClusters:
         data = make_data()
         state = trainer.pretrain(data, small_config())
         state = trainer.init_clusters(state, data)
-        first = state.cluster_models[0].centers.copy()
+        first = state.centers[0].copy()
         state = trainer.init_clusters(state, data)
-        assert np.array_equal(state.cluster_models[0].centers, first)
+        assert np.array_equal(state.centers[0], first)
 
     def test_siamese_gets_one_model_per_view(self):
         data = make_data()
         state = trainer.pretrain(data, small_config(siamese=True))
         state = trainer.init_clusters(state, data)
-        assert len(state.cluster_models) == 2
+        assert len(state.centers) == 2
         assert len(state.assignments) == 2
 
     def test_assignments_match_nearest_center(self):
@@ -204,7 +204,7 @@ class TestInitClusters:
         state = trainer.pretrain(data, small_config())
         state = trainer.init_clusters(state, data)
         latents = state.model.latents(data.X, view=1)
-        want = clustering.assign_nearest(latents, state.cluster_models[0].centers)
+        want = clustering.assign_nearest(latents, state.centers[0])
         assert np.array_equal(state.assignments[0], want)
 
 
@@ -224,9 +224,9 @@ class TestStage3:
 
     def test_centers_bitwise_frozen(self):
         state, data = self.fitted()
-        before = [cm.centers.tobytes() for cm in state.cluster_models]
+        before = [c.tobytes() for c in state.centers]
         state = trainer.train_stage3(state, data)
-        after = [cm.centers.tobytes() for cm in state.cluster_models]
+        after = [c.tobytes() for c in state.centers]
         assert before == after
 
     def test_assignments_refreshed_to_nearest_center(self):
@@ -234,7 +234,7 @@ class TestStage3:
         initial = state.assignments[0].copy()
         state = trainer.train_stage3(state, data)
         latents = state.model.latents(data.X, view=1)
-        want = clustering.assign_nearest(latents, state.cluster_models[0].centers)
+        want = clustering.assign_nearest(latents, state.centers[0])
         assert np.array_equal(state.assignments[0], want)
         # the encoder moved, so at least the invariant (not staleness) is what held
         assert state.assignments[0].shape == initial.shape
@@ -344,7 +344,7 @@ class TestFit:
 
     def test_single_cluster_is_valid(self):
         state = trainer.fit(make_data(), small_config(n_clusters=1))
-        assert state.cluster_models[0].centers.shape[0] == 1
+        assert state.centers[0].shape[0] == 1
         assert (state.assignments[0] == 0).all()
 
     def test_ensemble_heads_route_by_cluster(self):
@@ -462,7 +462,7 @@ class TestPredictEvaluate:
         assert np.array_equal(enc["latents"], pred["latents"])
         assert np.array_equal(enc["labels"], pred["labels"])
         assert enc["labels"].tolist() == clustering.assign_nearest(
-            state.model.latents(data.X[:15], view=2), state.cluster_models[1].centers).tolist()
+            state.model.latents(data.X[:15], view=2), state.centers[1]).tolist()
 
 class TestChunkedInference:
     """``predict`` and ``encode`` run tape-free over ``CHUNK_ROWS``-row chunks."""
@@ -477,7 +477,7 @@ class TestChunkedInference:
         outs = trainer._encode_views(model, x, train=False, rng=None)
         view = state.config.routing_view
         labels = clustering.assign_nearest(outs[view - 1].mu.values,
-                                           state.cluster_models[view - 1].centers)
+                                           state.centers[view - 1])
         dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=labels)
         assert dist.survival._parents
         return {"latents": outs[0].mu.values, "labels": labels, "probs": dist.probs.values,
