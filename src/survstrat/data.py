@@ -8,6 +8,7 @@ of the validation or test rows can leak into the model inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -144,21 +145,12 @@ def _parse_column(tokens) -> tuple:
     return values, missing, failed & ~missing
 
 
-def load_csv(path: str, schema: Schema) -> RawTable:
-    """Read a headered CSV into a RawTable, dropping rows without time/event.
-
-    Rows are parsed column by column, yet a malformed file raises the error
-    a row-by-row reading meets first: the earliest faulty row wins and,
-    within a row, the time, the event and then the features in order.
-    Non-finite values are reported only when every row parses.
-    """
-    with open_text(path, "data file", DataError, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
+def _columns(path: str, header, schema: Schema) -> tuple:
+    """The column index, the feature order and the declared kinds (None for
+    an inferred one) of a CSV header. A missing header or schema column, or
+    a used column named twice, is a DataError."""
     if header is None:
         raise DataError(f"{path} is empty")
-
     col_index = {name: i for i, name in enumerate(header)}
     for required in (schema.time, schema.event):
         if required not in col_index:
@@ -175,6 +167,84 @@ def load_csv(path: str, schema: Schema) -> RawTable:
     for col in [schema.time, schema.event] + feature_order:
         if header.count(col) > 1:
             raise DataError(f"column '{col}' appears {header.count(col)} times in the header of {path}")
+    return col_index, feature_order, kinds
+
+
+def _checked_lines(fh):
+    """The remaining lines of ``fh``. ``np.loadtxt`` skips a blank line, where
+    the csv module reads a row of no fields, and takes a field of any length,
+    where the csv module raises beyond its field size limit; both end the
+    clean path with a ValueError."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if line.isspace() or len(line) > limit:
+            raise ValueError("a line the csv module reads differently")
+        yield line
+
+
+def _load_clean(fh, path: str, schema: Schema) -> RawTable | None:
+    """The table of a clean file, its data rows parsed by numpy's C reader,
+    or None for any other file, which ``load_csv`` then parses from the start.
+
+    A file is clean when no feature is declared categorical, the header has
+    every used column once, and every data line holds as many fields as the
+    header, each a finite float, with times above 0 and events 0 or 1. Such
+    a file has no missing value, dropped row or error, and gives the bytes
+    the column-wise parser gives: numpy and ``float`` parse the same
+    numerals to the same doubles and strip the same whitespace, and every
+    token one of them rejects sends the file back to that parser.
+    """
+    try:
+        header = next(csv.reader(fh), None)
+        col_index, feature_order, kinds = _columns(path, header, schema)
+        if "categorical" in kinds.values():
+            return None
+        lines = _checked_lines(fh)
+        first = next(lines, None)
+        if first is None:  # np.loadtxt warns about a file with no data line
+            return None
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                          quotechar=None, ndmin=2)
+    # a decode error is a ValueError; load_csv meets it again from the start
+    except (csv.Error, DataError, ValueError):
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    time, event = data[:, col_index[schema.time]], data[:, col_index[schema.event]]
+    if not ((time > 0).all() and ((event == 0) | (event == 1)).all()):
+        return None
+    return RawTable(
+        time=time.copy(),
+        event=event.astype(np.int64),
+        features={col: data[:, col_index[col]].tolist() for col in feature_order},
+        kinds={col: "numeric" for col in feature_order},
+        feature_order=feature_order,
+    )
+
+
+def load_csv(path: str, schema: Schema) -> RawTable:
+    """Read a headered CSV into a RawTable, dropping rows without time/event.
+
+    A clean all-numeric file (see ``_load_clean``) is parsed by numpy's C
+    reader. Any other file is parsed column by column, yet a malformed file
+    raises the error a row-by-row reading meets first: the earliest faulty
+    row wins and, within a row, the time, the event and then the features
+    in order. Non-finite values are reported only when every row parses.
+    """
+    with open_text(path, "data file", DataError, newline="") as fh:
+        # a pipe cannot be rewound for the column-wise parser
+        if fh.seekable():
+            table = _load_clean(fh, path, schema)
+            if table is not None:
+                return table
+            fh.seek(0)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"data file {path}, line {reader.line_num}: {exc}") from None
+    col_index, feature_order, kinds = _columns(path, header, schema)
 
     # rows after the first ragged one are never read
     width = len(header)

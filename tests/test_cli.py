@@ -806,17 +806,21 @@ _JSON_INPUTS = ("config", "schema", "search space", "checkpoint")
 # fault -> the file's bytes, None for no file; a directory takes its place
 # for "directory" (no permission case: tests may run as root)
 _FAULTS = {"missing": None, "not UTF-8": b"\xff", "not JSON": b"{not json",
-           "nested too deeply": b"[" * 100_000, "directory": None}
+           "nested too deeply": b"[" * 100_000, "directory": None,
+           "field over the csv limit": b"t,e\n" + b"1" * 200_000 + b",1\n"}
+# fault -> the inputs it applies to, when not every input
+_FAULT_INPUTS = {"not JSON": _JSON_INPUTS, "nested too deeply": _JSON_INPUTS,
+                 "field over the csv limit": ("data CSV",)}
 
 
 class TestInputFiles:
     """Every input file that is missing, is a directory, holds bytes that are
-    not UTF-8 or, for a JSON input, does not parse exits with its input's
-    code and one line naming the file."""
+    not UTF-8 or does not parse (as JSON, or for the data CSV, as CSV) exits
+    with its input's code and one line naming the file."""
 
     @pytest.mark.parametrize("which,fault", [
         (which, fault) for which in _INPUT_CODES for fault in _FAULTS
-        if fault in ("missing", "not UTF-8", "directory") or which in _JSON_INPUTS
+        if which in _FAULT_INPUTS.get(fault, _INPUT_CODES)
     ])
     def test_exit_code_and_one_line(self, workspace, tmp_path, capsys, which, fault):
         bad = tmp_path / "input"
@@ -833,6 +837,8 @@ class TestInputFiles:
             assert f"{bad} cannot be read: " in err
         elif content is None:
             assert f"not found: {bad}" in err
+        elif fault == "field over the csv limit":
+            assert f"data file {bad}, line 2: field larger than field limit" in err
         elif which in _JSON_INPUTS:
             assert f"{bad} is not valid JSON: " in err
         else:

@@ -1,12 +1,15 @@
 """Ingestion, preprocessing, and split protocol behavior."""
 
 import json
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from survstrat import data
 from survstrat.data import (
     RawTable,
     Schema,
@@ -134,6 +137,13 @@ class TestLoadCsvRobustness:
         p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "note", "note"], [[5, 1, 60, "a", "b"]])
         table = load_csv(p, Schema(time="t", event="e", features={"age": "numeric"}))
         assert table.features == {"age": [60.0]}
+
+    @pytest.mark.parametrize("digits", ["1" * 200_000, "0" * 200_000 + "1"])
+    def test_field_over_the_csv_limit_named(self, tmp_path, digits):
+        path = tmp_path / "d.csv"
+        path.write_text(f"t,e,age\n5,1,60\n3,0,{digits}\n")
+        with pytest.raises(DataError, match=r"^data file .*d\.csv, line 3: field larger than field limit"):
+            load_csv(str(path), Schema(time="t", event="e", features=None))
 
     def test_missing_numeric_still_allowed(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, "NA", "II"], [3, 0, 41, "I"]])
@@ -322,6 +332,18 @@ class TestLoadCsvMatchesRowReader:
     @example(case=("t,e,f0\n5,1,inf\n4,1\nabc,0,1\n", Schema("t", "e", None)))
     @example(case=("t,e,f0\n5,1,inf\n1e999,0,2\n", Schema("t", "e", {"f0": "numeric"})))
     @example(case=("e,f0,t\n1,\" 2 ,x\",3\n0, NA ,\t4\x1c\n1,-nan,1e999\n", Schema("t", "e", None)))
+    # files numpy's C reader would read differently, which must fall back
+    @example(case=("t,e,f0\n5,1,2\n\n3,0,4\n", Schema("t", "e", None)))
+    @example(case=("t,e,f0\n5,1,2\n3,0,4\n\n", Schema("t", "e", None)))
+    @example(case=("t,e,f0\n", Schema("t", "e", None)))
+    @example(case=("t,e,f0\n5,1,2\n3,0,4\n", Schema("t", "e", {"f0": "categorical"})))
+    @example(case=("t,e,f0,note\n5,1,2,a\n3,0,4,b\n", Schema("t", "e", {"f0": "numeric"})))
+    @example(case=("t,e,f0\n5,1,2\n-0,0,4\n", Schema("t", "e", None)))
+    @example(case=("t,e,f0\n5,1,2\n3,0.5,4\n", Schema("t", "e", None)))
+    # clean files: other line endings, and \x1c padding, which float() alone rejects
+    @example(case=("t,e,f0\r5,1,2\r3,0,4\r", Schema("t", "e", None)))
+    @example(case=("t,e,f0\r\n5,1,2\r\n3,0,4\r\n", Schema("t", "e", {"f0": "numeric"})))
+    @example(case=("t,e,f0,f1\n5,1,-0,1e-320\n\x1c3\x1c,-0,\x1c-0, 4\x1c\n", Schema("t", "e", None)))
     def test_same_table_or_same_error(self, tmp_path_factory, case):
         text, schema = case
         path = tmp_path_factory.getbasetemp() / "property.csv"
@@ -340,3 +362,70 @@ class TestLoadCsvMatchesRowReader:
         assert new.kinds == old.kinds
         assert new.feature_order == old.feature_order
         assert new.n_dropped == old.n_dropped
+
+
+def _clean_cohort(path, n, ending):
+    """A clean GBSG-shaped CSV of ``n`` rows written with ``repr`` floats."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((n, 7))
+    times = rng.exponential(5.0, n) + 0.05
+    events = rng.integers(0, 2, n)
+    lines = [",".join([f"x{j}" for j in range(7)] + ["duration", "event"])]
+    lines += [",".join(map(repr, row + [t])) + f",{e}"
+              for row, t, e in zip(X.tolist(), times.tolist(), events.tolist())]
+    path.write_bytes((ending.join(lines) + ending).encode())
+    return str(path)
+
+
+class TestCleanFiles:
+    """Clean all-numeric files take numpy's C reader and still give the
+    row reader's table byte for byte."""
+
+    def spy(self, monkeypatch):
+        """The results of every ``_load_clean`` call, None for a fallback."""
+        real, results = data._load_clean, []
+        monkeypatch.setattr(data, "_load_clean",
+                            lambda *args: results.append(real(*args)) or results[-1])
+        return results
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_many_rows_match_the_row_reader(self, tmp_path, monkeypatch, ending):
+        path = _clean_cohort(tmp_path / "cohort.csv", 30_000, ending)
+        schema = Schema.from_preset("gbsg")
+        results = self.spy(monkeypatch)
+        new, old = load_csv(path, schema), load_csv_rows(path, schema)
+        assert results[0] is not None
+        for name in ("time", "event"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.flags.c_contiguous
+        assert repr(new.features) == repr(old.features)
+        assert (new.kinds, new.feature_order, new.n_dropped) == (
+            old.kinds, old.feature_order, old.n_dropped)
+
+    def test_peak_memory_is_at_most_twice_what_is_kept(self, tmp_path):
+        path = _clean_cohort(tmp_path / "cohort.csv", 20_000, "\n")
+        schema = Schema.from_preset("gbsg")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = load_csv(path, schema)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 20_000
+        assert peak - base <= 2 * (kept - base)
+
+    def test_a_pipe_is_parsed_without_rewinding(self, monkeypatch):
+        results = self.spy(monkeypatch)
+        for text, ages in [("t,e,age\n5,1,60\n3,0,41\n", [60.0, 41.0]),
+                           ("t,e,age\n5,1,NA\n3,0,41\n", [None, 41.0])]:
+            read, write = os.pipe()
+            try:
+                os.write(write, text.encode())
+                os.close(write)
+                table = load_csv(f"/dev/fd/{read}", Schema("t", "e", None))
+            finally:
+                os.close(read)
+            assert table.features == {"age": ages}
+        assert results == []
