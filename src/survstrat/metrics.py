@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,33 +129,60 @@ def expected_event_time(probs, grid: TimeGrid) -> np.ndarray:
     return probs @ supports
 
 
+def _same_length(**columns) -> None:
+    """UsageError naming the lengths when per-row arrays differ in length."""
+    if len({c.size for c in columns.values()}) > 1:
+        sizes = ", ".join(f"{name} {c.size}" for name, c in columns.items())
+        raise UsageError(f"per-row arrays differ in length: {sizes}")
+
+
 def concordance_index(risk, times, events) -> float:
     """Harrell's C over pairs (i, j) with e_i = 1 and t_i < t_j.
 
-    Concordant when risk_i > risk_j; risk ties score half. A sweep over the
-    distinct times, latest first, bisects the sorted risks of the rows that
-    outlived each tied-time block before inserting the block.
+    Concordant when risk_i > risk_j; risk ties score half. The concordant,
+    tied and comparable pairs are exact integer counts, so the result is
+    the same float as an all-pairs count.
+
+    The rows, sorted by time and ranked densely by risk, form a wavelet
+    matrix: one level per rank bit from the top, each a stable partition
+    with the 0 bits first. Each event row carries its range of later rows
+    down the levels by prefix counts of the 1 bits; where its own bit is 1,
+    the range's rows with a 0 bit have lower risk. The range left after
+    the last level holds its risk ties. O(n log n) time, O(n) memory, and
+    no Python loop over rows.
     """
     risk = np.asarray(risk, dtype=np.float64).ravel()
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
-    order = np.argsort(-times, kind="stable")
-    bounds = np.unique(-times[order], return_index=True)[1].tolist() + [times.size]
-    r = risk[order].tolist()
-    dead = (events[order] == 1).tolist()
-    outlived = []
-    less = ties = pairs = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        for i in range(lo, hi):
-            if dead[i]:
-                below = bisect_left(outlived, r[i])
-                less += below
-                ties += bisect_right(outlived, r[i]) - below
-                pairs += lo
-        for x in r[lo:hi]:
-            insort(outlived, x)
+    _same_length(risk=risk, times=times, events=events)
+    if not (np.isfinite(risk).all() and np.isfinite(times).all()):
+        raise UsageError("concordance_index needs finite risk and times")
+    n = times.size
+    order = np.argsort(times)
+    t = times[order]
+    dead = events[order] == 1
+    lo = np.searchsorted(t, t[dead], side="right")  # each event row's later rows: [lo, n)
+    pairs = n * lo.size - int(lo.sum())
     if pairs == 0:
         raise DataError("concordance undefined: no comparable pairs")
+    rank = np.unique(risk[order], return_inverse=True)[1].ravel()
+    query = rank[dead]
+    hi = np.full(lo.size, n)
+    ones = np.zeros(n + 1, dtype=np.intp)
+    less = 0
+    for level in reversed(range(int(rank.max()).bit_length())):
+        is_one = ((rank >> level) & 1).astype(bool)
+        np.cumsum(is_one, out=ones[1:])
+        up = ((query >> level) & 1).astype(bool)
+        lo_ones, hi_ones = ones[lo], ones[hi]
+        lo -= lo_ones
+        hi -= hi_ones
+        less += int(np.dot(hi - lo, up))
+        zeros = n - int(ones[-1])
+        np.copyto(lo, lo_ones + zeros, where=up)
+        np.copyto(hi, hi_ones + zeros, where=up)
+        rank = rank[np.argsort(is_one, kind="stable")]
+    ties = int((hi - lo).sum())
     return float((less + 0.5 * ties) / pairs)
 
 
@@ -170,6 +196,7 @@ def kaplan_meier(times, events) -> StepCurve:
     """Product-limit estimator under right censoring, from cumulative counts."""
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
+    _same_length(times=times, events=events)
     if times.size == 0:
         raise UsageError("kaplan_meier needs at least one observation")
     uniq, inv = np.unique(times, return_inverse=True)
@@ -192,12 +219,14 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
+    _same_length(times=times, events=events)
     if surv.ndim != 2 or surv.shape[0] != times.size or surv.shape[1] != grid.n_bins:
         raise UsageError("surv must be (n_patients, n_bins)")
     if censor_times is None:
         censor_times, censor_events = times, events
     censor_times = np.asarray(censor_times, dtype=np.float64).ravel()
     censor_events = np.asarray(censor_events).ravel()
+    _same_length(censor_times=censor_times, censor_events=censor_events)
     G = kaplan_meier(censor_times, 1 - censor_events)
 
     pts = np.linspace(0.0, grid.horizon, n_points)
@@ -241,6 +270,7 @@ def log_rank_test(labels, times, events) -> tuple[float, float]:
     labels = np.asarray(labels).ravel()
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
+    _same_length(labels=labels, times=times, events=events)
     groups = np.unique(labels)
     if groups.size != 2:
         raise UsageError(f"log-rank test needs exactly 2 nonempty groups, got {groups.size}")

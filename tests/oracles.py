@@ -10,6 +10,7 @@ arithmetic in the same order.
 import csv
 import math
 import warnings
+from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
@@ -36,6 +37,35 @@ def cindex_bruteforce(risk, times, events):
                 elif risk[i] == risk[j]:
                     score += 0.5
     return score / pairs
+
+
+def cindex_sweep(risk, times, events):
+    """Harrell's estimator by a sweep over the distinct times, latest first:
+    each event row bisects the sorted risks of the rows that outlived its
+    tied-time block, and the block is inserted only after it is queried.
+    Quadratic only through ``insort``'s memmoves, so it is the oracle that
+    stays fast enough at tens of thousands of rows."""
+    risk = np.asarray(risk, dtype=np.float64).ravel()
+    times = np.asarray(times, dtype=np.float64).ravel()
+    events = np.asarray(events).ravel()
+    order = np.argsort(-times, kind="stable")
+    bounds = np.unique(-times[order], return_index=True)[1].tolist() + [times.size]
+    r = risk[order].tolist()
+    dead = (events[order] == 1).tolist()
+    outlived = []
+    less = ties = pairs = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for i in range(lo, hi):
+            if dead[i]:
+                below = bisect_left(outlived, r[i])
+                less += below
+                ties += bisect_right(outlived, r[i]) - below
+                pairs += lo
+        for x in r[lo:hi]:
+            insort(outlived, x)
+    if pairs == 0:
+        raise DataError("concordance undefined: no comparable pairs")
+    return float((less + 0.5 * ties) / pairs)
 
 
 def km_scan(times, events, query):

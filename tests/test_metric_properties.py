@@ -1,5 +1,6 @@
-"""Property tests: the sorted-sweep metrics against the scalar-loop oracles
-on small cohorts with heavy ties in times and risks."""
+"""Property tests: the metrics against the scalar-loop oracles on small
+cohorts with heavy ties in times and risks, and the C-index to exact
+equality on up to 300 rows."""
 
 import warnings
 
@@ -52,6 +53,40 @@ def test_concordance_matches_bruteforce(cohort):
         return
     got = concordance_index(risk, times, events)
     assert got == pytest.approx(cindex_bruteforce(risk, times, events), abs=1e-12)
+
+
+@st.composite
+def wide_cohorts(draw, kind):
+    """n <= 300 rows of one of three kinds: distinct float risks, integer
+    risks with 1 to 512 distinct values, or times from three values."""
+    n = draw(st.integers(0, 300))
+
+    def column(elements, **kw):
+        return np.asarray(draw(st.lists(elements, min_size=n, max_size=n, **kw)))
+
+    if kind == "distinct":
+        risk = column(st.floats(-1e6, 1e6, allow_subnormal=False), unique=True)
+        times = column(st.floats(0.01, 100.0))
+    elif kind == "integer":
+        risk = column(st.integers(0, draw(st.integers(0, 511))))
+        times = column(st.integers(1, 60))
+    else:
+        risk = column(st.integers(-40, 40)) / 8.0
+        times = column(st.integers(1, 3))
+    events = column(st.integers(0, 1))
+    return risk.astype(np.float64), times.astype(np.float64), events
+
+
+@pytest.mark.parametrize("kind", ["distinct", "integer", "tied_times"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_concordance_equals_bruteforce_exactly(kind, data):
+    risk, times, events = data.draw(wide_cohorts(kind))
+    if not any(events[i] == 1 and (times > times[i]).any() for i in range(times.size)):
+        with pytest.raises(DataError):
+            concordance_index(risk, times, events)
+        return
+    assert concordance_index(risk, times, events) == cindex_bruteforce(risk, times, events)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Metrics against hand calculations and independently coded oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from survstrat.metrics import (
     log_rank_test,
 )
 
-from oracles import cindex_bruteforce, ibs_direct, km_scan, reg_upper_gamma_half
+from oracles import cindex_bruteforce, cindex_sweep, ibs_direct, km_scan, reg_upper_gamma_half
 
 
 class TestTimeGrid:
@@ -121,6 +122,80 @@ class TestConcordance:
         with pytest.raises(DataError):
             concordance_index([1.0, 2.0], [5.0, 6.0], [0, 0])
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, n):
+        with pytest.raises(DataError, match="no comparable pairs"):
+            concordance_index(np.zeros(n), np.ones(n), np.ones(n))
+
+    # the rank bit loop gains a level at 2^k distinct risks
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257])
+    def test_level_boundaries_match_bruteforce(self, distinct):
+        rng = np.random.default_rng(distinct)
+        n = 2 * distinct + 3
+        risk = rng.permutation(np.arange(n) % distinct).astype(float)
+        times = rng.integers(1, 12, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        events[:2] = 1
+        times[:2] = [1.0, 11.0]
+        assert concordance_index(risk, times, events) == cindex_bruteforce(risk, times, events)
+
+    def test_all_risks_tied_score_half(self):
+        times = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
+        assert concordance_index(np.full(5, 0.25), times, [1, 1, 0, 1, 0]) == 0.5
+
+    def test_one_distinct_time_has_no_pairs(self):
+        with pytest.raises(DataError, match="no comparable pairs"):
+            concordance_index([3.0, 1.0, 2.0], [4.0, 4.0, 4.0], [1, 1, 1])
+
+    def test_single_event_row(self):
+        risk = np.array([0.3, 0.9, -1.0, 0.3, 0.3])
+        times = np.array([2.0, 1.0, 4.0, 5.0, 2.0])
+        events = [0, 0, 1, 0, 0]
+        assert concordance_index(risk, times, events) == 0.0
+        events = [1, 0, 0, 0, 0]  # rows 2 and 3 outlive row 0; row 4 shares its time
+        assert concordance_index(risk, times, events) == cindex_bruteforce(risk, times, events) == 0.75
+
+    def test_50k_cohort_matches_sweep(self):
+        rng = np.random.default_rng(50_000)
+        risk = rng.standard_normal(50_000)
+        times = np.round(rng.exponential(5.0, size=50_000), 1) + 0.1
+        events = rng.integers(0, 2, size=50_000)
+        assert concordance_index(risk, times, events) == cindex_sweep(risk, times, events)
+
+    def test_peak_memory_is_linear(self):
+        # a (levels x n) int64 table alone would be 128 B/row at 50k rows
+        rng = np.random.default_rng(9)
+        n = 50_000
+        risk, times = rng.standard_normal(n), rng.exponential(5.0, size=n)
+        events = rng.integers(0, 2, size=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            concordance_index(risk, times, events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 160 * n
+
+    @pytest.mark.parametrize("risk, times, events", [
+        ([1.0, 2.0, 3.0, 9.0], [1.0, 2.0, 3.0], [1, 1, 1]),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], [1, 1, 1]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 1]),
+    ])
+    def test_mismatched_lengths_rejected(self, risk, times, events):
+        with pytest.raises(UsageError, match="differ in length"):
+            concordance_index(risk, times, events)
+
+    @pytest.mark.parametrize("risk, times", [
+        ([np.nan, 2.0, 1.0, 0.5], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, np.inf, 0.5], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 0.5], [1.0, np.nan, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, np.inf]),
+    ])
+    def test_non_finite_rejected(self, risk, times):
+        with pytest.raises(UsageError, match="finite"):
+            concordance_index(risk, times, [1, 1, 1, 1])
+
 
 class TestKaplanMeier:
     def test_no_events_flat(self):
@@ -155,6 +230,10 @@ class TestKaplanMeier:
         curve = kaplan_meier(times, events)
         for q in [0.0, 3.0, 7.5, 14.0, 20.0]:
             assert curve.evaluate(q) == pytest.approx(km_scan(list(times), list(events), q))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(UsageError, match="times 3, events 2"):
+            kaplan_meier([1.0, 2.0, 3.0], [1, 0])
 
     def test_left_limit(self):
         curve = StepCurve([2.0, 5.0], [0.8, 0.4])
@@ -232,6 +311,20 @@ class TestBrierScore:
         assert np.isfinite(ibs)
 
 
+    def test_mismatched_event_length_rejected(self):
+        grid = TimeGrid([2.0, 4.0])
+        surv = np.full((3, 2), 0.5)
+        with pytest.raises(UsageError, match="times 3, events 2"):
+            integrated_brier_score(surv, grid, [1.0, 2.0, 3.0], [1, 0])
+
+    def test_mismatched_censoring_lengths_rejected(self):
+        grid = TimeGrid([2.0, 4.0])
+        surv = np.full((3, 2), 0.5)
+        with pytest.raises(UsageError, match="censor_times 3, censor_events 4"):
+            integrated_brier_score(surv, grid, [1.0, 2.0, 3.0], [1, 0, 1],
+                                   [1.0, 2.0, 3.0], [1, 0, 1, 1])
+
+
 class TestLogRank:
     def test_identical_groups(self):
         times = np.array([1.0, 2.0, 3.0, 4.0] * 2)
@@ -267,6 +360,10 @@ class TestLogRank:
     def test_single_group_rejected(self):
         with pytest.raises(UsageError):
             log_rank_test([0, 0, 0], [1.0, 2.0, 3.0], [1, 1, 1])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(UsageError, match="labels 3, times 4, events 4"):
+            log_rank_test([0, 1, 0], [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
 
     def test_label_swap_invariance(self):
         rng = np.random.default_rng(5)
