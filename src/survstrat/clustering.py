@@ -1,13 +1,11 @@
 """Latent-space partitioning: K-means, diagonal GMM, Ward agglomerative.
 
-All fits are deterministic given (Z, K, seed) and return a
-:class:`ClusterModel` with K centers and hard assignments. Assignments are
-0-based.
+All fits are deterministic given (Z, K, seed) and return ``(centers,
+assignments)``: a (K, d) array of centers and an (N,) array of 0-based hard
+assignments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,33 +13,20 @@ from .errors import ConfigurationError, NumericError, UsageError
 
 SUPPORTED_ALGORITHMS = ("kmeans", "gmm", "agglomerative")
 
-
-@dataclass
-class ClusterModel:
-    centers: np.ndarray          # (K, d)
-    assignments: np.ndarray      # (N,) ints in [0, K)
-    algorithm: str = "kmeans"
-    extra: dict = field(default_factory=dict)
+KMEANS_MAX_ITER = 300
+GMM_MAX_ITER = 200
+GMM_TOL = 1e-8
 
 
-def _validate_algorithm(name: str) -> None:
-    if name == "spectral":
-        raise ConfigurationError(
-            "spectral clustering is deliberately unsupported; "
-            f"choose one of {SUPPORTED_ALGORITHMS}"
-        )
-    if name not in SUPPORTED_ALGORITHMS:
-        raise ConfigurationError(f"unknown clustering algorithm {name!r}; choose one of {SUPPORTED_ALGORITHMS}")
-
-
-def fit(Z: np.ndarray, algorithm: str, K: int, seed: int) -> ClusterModel:
+def fit(Z: np.ndarray, algorithm: str, K: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch to the requested clustering algorithm."""
-    _validate_algorithm(algorithm)
     if algorithm == "kmeans":
         return kmeans_fit(Z, K, seed)
     if algorithm == "gmm":
         return gmm_fit(Z, K, seed)
-    return agglomerative_fit(Z, K)
+    if algorithm == "agglomerative":
+        return agglomerative_fit(Z, K)
+    raise ConfigurationError(f"unknown clustering algorithm {algorithm!r}; choose one of {SUPPORTED_ALGORITHMS}")
 
 
 def assign_nearest(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -52,18 +37,6 @@ def assign_nearest(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-def soft_assign(Z: np.ndarray, centers: np.ndarray, nu: float = 1.0) -> np.ndarray:
-    """Student's-t kernel soft assignments; each row sums to 1.
-
-    q_ik = (1 + ||z_i - m_k||^2 / nu)^(-(nu+1)/2), normalized over k.
-    """
-    if nu <= 0:
-        raise UsageError(f"degrees of freedom must be > 0, got {nu}")
-    d = _sq_dists(Z, centers)
-    kernel = (1.0 + d / nu) ** (-(nu + 1.0) / 2.0)
-    return kernel / kernel.sum(axis=1, keepdims=True)
-
-
 def _sq_dists(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -72,10 +45,6 @@ def _sq_dists(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if not np.isfinite(d).all():
         raise NumericError("non-finite output in op 'sq_dists'")
     return np.maximum(d, 0.0)
-
-
-def within_cluster_sse(Z: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
-    return float(((Z - centers[assignments]) ** 2).sum())
 
 
 # -- K-means -----------------------------------------------------------------
@@ -97,7 +66,7 @@ def _kmeans_pp_init(Z: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 300) -> ClusterModel:
+def kmeans_fit(Z: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations from a k-means++ seeding until the assignment fixpoint.
 
     Empty clusters are repaired by reseeding the center to the point farthest
@@ -105,15 +74,12 @@ def kmeans_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 300) -> Cluster
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
-    if K < 1:
-        raise UsageError(f"K must be >= 1, got {K}")
     if n < K:
         raise UsageError(f"need at least K={K} points, got {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(Z, K, rng)
     assignments = assign_nearest(Z, centers)
-    sse_history = [within_cluster_sse(Z, centers, assignments)]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         for k in range(K):
             members = assignments == k
             if members.any():
@@ -122,12 +88,10 @@ def kmeans_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 300) -> Cluster
                 far = np.argmax(((Z - centers[assignments]) ** 2).sum(axis=1))
                 centers[k] = Z[far]
         new_assignments = assign_nearest(Z, centers)
-        sse_history.append(within_cluster_sse(Z, centers, new_assignments))
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    return ClusterModel(centers=centers, assignments=assignments, algorithm="kmeans",
-                        extra={"sse": sse_history})
+    return centers, assignments
 
 
 # -- Gaussian mixture (diagonal covariances) ----------------------------------
@@ -135,29 +99,28 @@ def kmeans_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 300) -> Cluster
 _VAR_FLOOR = 1e-6
 
 
-def gmm_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 200,
-            tol: float = 1e-8) -> ClusterModel:
+def gmm_fit(Z: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """EM for a diagonal-covariance Gaussian mixture, K-means initialized.
 
-    The per-iteration log-likelihood sequence is non-decreasing and is kept in
-    ``extra["log_likelihood"]``; hard assignments are argmax responsibilities.
+    The per-iteration log-likelihood is non-decreasing (a decrease beyond
+    rounding raises NumericError); the centers are the component means and
+    the hard assignments are argmax responsibilities.
     """
     Z = np.asarray(Z, dtype=np.float64)
     n, d = Z.shape
     if n < K:
         raise UsageError(f"need at least K={K} points, got {n}")
-    km = kmeans_fit(Z, K, seed)
-    means = km.centers.copy()
+    means, km_assignments = kmeans_fit(Z, K, seed)
     variances = np.empty((K, d))
     for k in range(K):
-        members = Z[km.assignments == k]
+        members = Z[km_assignments == k]
         variances[k] = members.var(axis=0) if len(members) else Z.var(axis=0)
     variances = np.maximum(variances, _VAR_FLOOR)
-    weights = np.bincount(km.assignments, minlength=K) / n
+    weights = np.bincount(km_assignments, minlength=K) / n
 
-    history: list[float] = []
-    resp = None
-    for _ in range(max_iter):
+    # -inf makes both tests below false on the first iteration
+    prev_ll = -np.inf
+    for _ in range(GMM_MAX_ITER):
         # E-step in log space
         log_prob = -0.5 * (
             ((Z[:, None, :] - means[None]) ** 2 / variances[None]).sum(axis=2)
@@ -168,12 +131,11 @@ def gmm_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 200,
         log_norm = m + np.log(np.exp(log_weighted - m).sum(axis=1, keepdims=True))
         ll = float(log_norm.sum())
         resp = np.exp(log_weighted - log_norm)
-        if history and ll < history[-1] - 1e-9 * max(1.0, abs(history[-1])):
+        if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
             raise NumericError("GMM log-likelihood decreased; numeric breakdown")
-        converged = bool(history) and abs(ll - history[-1]) < tol * max(1.0, abs(ll))
-        history.append(ll)
-        if converged:
+        if abs(ll - prev_ll) < GMM_TOL * max(1.0, abs(ll)):
             break
+        prev_ll = ll
         # M-step
         nk = resp.sum(axis=0)
         if np.any(nk <= 0.0):
@@ -184,23 +146,18 @@ def gmm_fit(Z: np.ndarray, K: int, seed: int, max_iter: int = 200,
         variances = np.maximum(variances, _VAR_FLOOR)
         if not np.all(np.isfinite(variances)):
             raise NumericError("GMM produced singular component variances")
-    assignments = np.argmax(resp, axis=1)
-    return ClusterModel(
-        centers=means,
-        assignments=assignments,
-        algorithm="gmm",
-        extra={"variances": variances, "weights": weights, "log_likelihood": history},
-    )
+    return means, np.argmax(resp, axis=1)
 
 
 # -- agglomerative (Ward) ------------------------------------------------------
 
 
-def agglomerative_fit(Z: np.ndarray, K: int) -> ClusterModel:
+def agglomerative_fit(Z: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Bottom-up Ward merging via the Lance-Williams update until K clusters.
 
     Deterministic: among equal merge costs the lexicographically lowest pair
-    of active cluster indices is merged. Centers are final cluster means.
+    of active cluster indices is merged. Clusters are numbered in the order of
+    their lowest member row; centers are final cluster means.
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
@@ -234,8 +191,8 @@ def agglomerative_fit(Z: np.ndarray, K: int) -> ClusterModel:
         sizes[i] = ni + nj
         labels[labels == labels[j]] = labels[i]
 
-    keep = np.flatnonzero(active)
-    remap = {old: new for new, old in enumerate(keep)}
-    assignments = np.array([remap[labels[i]] for i in range(n)])
+    # each label is its cluster's lowest member row, so sorted labels number
+    # the clusters in that order
+    assignments = np.unique(labels, return_inverse=True)[1]
     centers = np.vstack([Z[assignments == k].mean(axis=0) for k in range(K)])
-    return ClusterModel(centers=centers, assignments=assignments, algorithm="agglomerative")
+    return centers, assignments

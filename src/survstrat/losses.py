@@ -123,8 +123,6 @@ def loss_ivcg(z: Tensor, events, assignments, tau: float) -> Tensor:
     anchor rows A with a positive carry weight, so the similarities are the
     |A| x n block u_A u^T / tau.
     """
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
     events = np.asarray(events).ravel()
     assignments = np.asarray(assignments).ravel()
     censored = events == 0
@@ -205,8 +203,6 @@ def _paired_nce(a: Tensor, b: Tensor, tau: float, cols: bool = False) -> Tensor:
 
 def loss_iviw(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     """Symmetric cross-view InfoNCE pairing each patient with itself."""
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
     if z1.values.shape[0] != z2.values.shape[0]:
         raise ConfigurationError("both views must contain the same patients")
     return _paired_nce(z1, z2, tau)
@@ -214,8 +210,6 @@ def loss_iviw(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
 
 def loss_ivcw(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
     """Cross-view InfoNCE over cluster soft-assignment column vectors."""
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
     k1, k2 = q1.values.shape[1], q2.values.shape[1]
     if k1 != k2:
         raise ConfigurationError(f"views disagree on cluster count: {k1} vs {k2}")
@@ -224,8 +218,6 @@ def loss_ivcw(q1: Tensor, q2: Tensor, tau: float) -> Tensor:
 
 def soft_assign_tensor(z: Tensor, centers: np.ndarray, nu: float = 1.0) -> Tensor:
     """Differentiable Student's-t soft assignment, rows normalized to 1."""
-    if nu <= 0:
-        raise ConfigurationError(f"nu must be positive, got {nu}")
     c = np.asarray(centers, dtype=np.float64)
     zv, ct = z.values, c.T.copy()
     if zv.shape[1] != c.shape[1]:
@@ -286,8 +278,6 @@ def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
     R(b) = sum_{j: bin_j > b} exp(-S_j(b) / sigma), so the loss is O(n*T).
     R is taken per bin over the later rows only, shifted by their max.
     """
-    if sigma_rank <= 0:
-        raise ConfigurationError(f"sigma_rank must be positive, got {sigma_rank}")
     bins = np.asarray(bins, dtype=np.int64).ravel()
     events = np.asarray(events).ravel()
     n, n_bins = dist.survival.shape

@@ -216,9 +216,10 @@ def init_clusters(state: TrainState, data: TrainData) -> TrainState:
     n_views = 2 if config.siamese else 1
     for view in range(1, n_views + 1):
         latents = state.model.latents(data.X, view=view)
-        cm = clustering.fit(latents, config.clustering, config.n_clusters, seed=config.seed)
-        state.centers.append(cm.centers)
-        state.assignments.append(cm.assignments)
+        centers, assignments = clustering.fit(latents, config.clustering, config.n_clusters,
+                                              seed=config.seed)
+        state.centers.append(centers)
+        state.assignments.append(assignments)
     state.stage = 2
     return state
 
@@ -405,6 +406,8 @@ def score(state: TrainState, pred: dict, t, e, require_pairs: bool = True) -> di
     """C-index and IBS of one ``predict`` output, with censoring weights from
     the training data. Without comparable pairs the C-index is undefined: a
     DataError, or nan when ``require_pairs`` is off."""
+    # imported per call: bench/spans.py patches metrics.integrated_brier_score,
+    # which a module-level import would bypass
     from .metrics import integrated_brier_score
 
     try:

@@ -2,9 +2,11 @@
 
 These deliberately use slow, explicit scalar loops so they share no code
 paths (vectorization, sorting tricks, searchsorted) with the library. The
-composed tape graphs at the end are the references for the library's fused
-nodes: the same functions built from elementary tensor ops, with the same
-arithmetic in the same order.
+exception is the GMM's EM reference, which repeats ``gmm_fit``'s arithmetic
+so that it reproduces the fit exactly while keeping the per-iteration state
+the fit discards. The composed tape graphs at the end are the references for
+the library's fused nodes: the same functions built from elementary tensor
+ops, with the same arithmetic in the same order.
 """
 
 import csv
@@ -14,6 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
+from survstrat.clustering import _VAR_FLOOR, GMM_MAX_ITER, GMM_TOL, kmeans_fit
 from survstrat.data import RawTable
 from survstrat.errors import ConfigurationError, DataError
 from survstrat.losses import _paired_nce
@@ -303,6 +306,50 @@ def load_csv_rows(path, schema):
         feature_order=feature_order,
         n_dropped=len(dropped),
     )
+
+
+# -- clustering ---------------------------------------------------------------
+
+
+def soft_assign(Z, centers, nu: float = 1.0):
+    """Student's-t kernel soft assignments, each row normalized to 1:
+    q_ik = (1 + ||z_i - m_k||^2 / nu)^(-(nu+1)/2) / sum over k.
+    The reference for ``survstrat.losses.soft_assign_tensor``."""
+    Z, centers = np.asarray(Z, dtype=np.float64), np.asarray(centers, dtype=np.float64)
+    d = ((Z[:, None, :] - centers[None]) ** 2).sum(axis=2)
+    kernel = (1.0 + d / nu) ** (-(nu + 1.0) / 2.0)
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def gmm_em_reference(Z, K: int, seed: int):
+    """``gmm_fit``'s EM from the same ``kmeans_fit`` start, returning the
+    means, the argmax assignments, the final variances and every
+    iteration's log-likelihood."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n = len(Z)
+    means, labels = kmeans_fit(Z, K, seed)
+    variances = np.maximum(np.vstack([
+        Z[labels == k].var(axis=0) if (labels == k).any() else Z.var(axis=0) for k in range(K)
+    ]), _VAR_FLOOR)
+    weights = np.bincount(labels, minlength=K) / n
+    log_likelihoods = []
+    for _ in range(GMM_MAX_ITER):
+        log_weighted = -0.5 * (
+            ((Z[:, None, :] - means[None]) ** 2 / variances[None]).sum(axis=2)
+            + np.log(2.0 * np.pi * variances).sum(axis=1)[None, :]
+        ) + np.log(np.maximum(weights, 1e-300))[None, :]
+        m = log_weighted.max(axis=1, keepdims=True)
+        log_norm = m + np.log(np.exp(log_weighted - m).sum(axis=1, keepdims=True))
+        resp = np.exp(log_weighted - log_norm)
+        ll = float(log_norm.sum())
+        log_likelihoods.append(ll)
+        if len(log_likelihoods) > 1 and abs(ll - log_likelihoods[-2]) < GMM_TOL * max(1.0, abs(ll)):
+            break
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        means = (resp.T @ Z) / nk[:, None]
+        variances = np.maximum((resp.T @ (Z ** 2)) / nk[:, None] - means ** 2, _VAR_FLOOR)
+    return means, np.argmax(resp, axis=1), variances, log_likelihoods
 
 
 # -- composed tape graphs ---------------------------------------------------

@@ -262,6 +262,7 @@ def test_criterion_7_structural_invariants():
         _tiny_config(siamese=True, seed=5,
                      weights=LossWeights(alpha_iviw=0.2, alpha_ivcw=0.2)),
         _tiny_config(heads="per-cluster", clustering="gmm", seed=6),
+        _tiny_config(clustering="agglomerative", seed=7),
     ]
     for config in variants:
         data = trainer.prepare_training_data(X, t, e, config.n_bins)

@@ -13,8 +13,10 @@ import pathlib
 import numpy as np
 
 from survstrat.config import ExperimentConfig
+from survstrat.metrics import build_time_grid
 from survstrat.networks import Mlp, Model
 from survstrat.tensor import Tensor
+from survstrat.trainer import TrainState
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 MODULES = ("cli", "trainer", "networks", "losses", "metrics", "data", "clustering", "tensor",
@@ -80,3 +82,23 @@ def test_installed_tracer_records_a_forward_and_restores_the_package():
     seen = {span[1] for span in tracer.spans}
     assert {"networks.encode", "networks.survival_forward", "networks.head"} <= seen
     assert {name: dict(vars(module)) for name, module in modules.items()} == before
+
+
+def test_installed_tracer_sees_the_ibs_that_score_computes():
+    # trainer.score imports integrated_brier_score per call, so the patched name is seen
+    spans, modules = load_spans(), package_modules()
+    rng = np.random.default_rng(0)
+    t = rng.exponential(5.0, 30) + 0.1
+    e = (rng.random(30) < 0.7).astype(int)
+    grid = build_time_grid(t, e, 4)
+    state = TrainState(model=None, optimizer=None, config=ExperimentConfig(), grid=grid,
+                       train_times=t, train_events=e)
+    pred = {"risk": -t, "survival": np.tile(np.linspace(1.0, 0.1, grid.n_bins), (30, 1))}
+    tracer = spans.Tracer()
+    patches = tracer.install(modules)
+    try:
+        modules["trainer"].score(state, pred, t, e)
+    finally:
+        patches.restore()
+    seen = {span[1] for span in tracer.spans}
+    assert {"metrics.concordance_index", "metrics.integrated_brier_score"} <= seen

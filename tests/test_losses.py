@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survstrat.clustering import soft_assign
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
 from survstrat.losses import (
@@ -45,6 +44,7 @@ from oracles import (
     rank_pairwise,
     rec_composed,
     reparameterize_composed,
+    soft_assign,
     soft_assign_composed,
     survival_curve_composed,
     unit_rows,
@@ -151,10 +151,6 @@ class TestIvcg:
         a = scalar(loss_ivcg(Tensor(z), events, assign, 0.5))
         b = scalar(loss_ivcg(Tensor(z[perm]), events[perm], assign[perm], 0.5))
         assert a == pytest.approx(b, abs=1e-10)
-
-    def test_bad_tau(self):
-        with pytest.raises(ConfigurationError):
-            loss_ivcg(Tensor(np.ones((2, 2))), [0, 1], [0, 0], tau=0.0)
 
     @pytest.mark.parametrize("case", ["no_censored", "no_positives", "all_censored_anchors",
                                       "singleton_clusters", "random"])
