@@ -174,9 +174,11 @@ def cmd_train(args) -> int:
 
 
 def _load_for_checkpoint(ck, data_path: str):
-    """Parse and transform a CSV exactly as the checkpointed model expects."""
-    schema = _resolve_schema(ck.state.config)
-    table = data_mod.load_csv(data_path, schema)
+    """Parse and transform a CSV as the checkpointed model expects: with the
+    feature columns and kinds the checkpoint recorded, none inferred anew."""
+    roles = _resolve_schema(ck.state.config)
+    kinds = {col: tr["kind"] for col, tr in ck.transforms.items()}
+    table = data_mod.load_csv(data_path, data_mod.Schema(roles.time, roles.event, kinds))
     X, names = data_mod.apply_transforms(table, ck.transforms)
     if ck.feature_names and names != ck.feature_names:
         raise ConfigurationError(
@@ -277,6 +279,18 @@ def load_search_space(path: str) -> dict:
                 f"search space {name!r}: unknown type {kind!r}; use choice, "
                 "uniform, log_uniform, or int_range"
             )
+    # a dotted name sets a nested key; every key on its way must be an object
+    base = space.get("base", {})
+    for name in rules:
+        parts = name.split(".")
+        node = base if isinstance(base, dict) else {}
+        for i, part in enumerate(parts[:-1], 1):
+            prefix = ".".join(parts[:i])
+            if prefix in rules:
+                raise ConfigurationError(f"search space names both {prefix!r} and {name!r}")
+            node = node.get(part, {})
+            if not isinstance(node, dict):
+                raise ConfigurationError(f"search space {name!r}: base {prefix!r} is not an object")
     budget = space.get("budget")
     if budget is not None and not (_is_int(budget) and budget >= 1):
         raise ConfigurationError(f"budget must be an integer >= 1, got {budget!r}")

@@ -85,14 +85,15 @@ class Schema:
 
 @dataclass
 class RawTable:
-    """Parsed but untransformed survival records."""
+    """Parsed but untransformed survival records. ``features`` maps each
+    feature column, in schema or header order, to a float64 array with nan
+    exactly at its missing rows ("numeric" in ``kinds``) or to a list of
+    stripped tokens with None for a missing one ("categorical")."""
 
     time: np.ndarray
     event: np.ndarray
     features: dict
     kinds: dict
-    feature_order: list
-    n_dropped: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -146,9 +147,9 @@ def _parse_column(tokens) -> tuple:
 
 
 def _columns(path: str, header, schema: Schema) -> tuple:
-    """The column index, the feature order and the declared kinds (None for
-    an inferred one) of a CSV header. A missing header or schema column, or
-    a used column named twice, is a DataError."""
+    """The column index and the declared kinds (None for an inferred one) of
+    a CSV header's feature columns, in schema or header order. A missing
+    header or schema column, or a used column named twice, is a DataError."""
     if header is None:
         raise DataError(f"{path} is empty")
     col_index = {name: i for i, name in enumerate(header)}
@@ -156,18 +157,16 @@ def _columns(path: str, header, schema: Schema) -> tuple:
         if required not in col_index:
             raise DataError(f"column '{required}' not found in {path}")
     if schema.features is None:
-        feature_order = [c for c in header if c not in (schema.time, schema.event)]
-        kinds = {c: None for c in feature_order}
+        kinds = {c: None for c in header if c not in (schema.time, schema.event)}
     else:
-        feature_order = list(schema.features)
         kinds = dict(schema.features)
-        for col in feature_order:
+        for col in kinds:
             if col not in col_index:
                 raise DataError(f"column '{col}' not found in {path}")
-    for col in [schema.time, schema.event] + feature_order:
+    for col in [schema.time, schema.event, *kinds]:
         if header.count(col) > 1:
             raise DataError(f"column '{col}' appears {header.count(col)} times in the header of {path}")
-    return col_index, feature_order, kinds
+    return col_index, kinds
 
 
 def _checked_lines(fh):
@@ -192,11 +191,13 @@ def _load_clean(fh, path: str, schema: Schema) -> RawTable | None:
     a file has no missing value, dropped row or error, and gives the bytes
     the column-wise parser gives: numpy and ``float`` parse the same
     numerals to the same doubles and strip the same whitespace, and every
-    token one of them rejects sends the file back to that parser.
+    token one of them rejects sends the file back to that parser. Each
+    feature column is a view of its column of the parsed block, so the
+    table keeps that one float64 block (plus a time copy and the events).
     """
     try:
         header = next(csv.reader(fh), None)
-        col_index, feature_order, kinds = _columns(path, header, schema)
+        col_index, kinds = _columns(path, header, schema)
         if "categorical" in kinds.values():
             return None
         lines = _checked_lines(fh)
@@ -216,9 +217,8 @@ def _load_clean(fh, path: str, schema: Schema) -> RawTable | None:
     return RawTable(
         time=time.copy(),
         event=event.astype(np.int64),
-        features={col: data[:, col_index[col]].tolist() for col in feature_order},
-        kinds={col: "numeric" for col in feature_order},
-        feature_order=feature_order,
+        features={col: data[:, col_index[col]] for col in kinds},
+        kinds=dict.fromkeys(kinds, "numeric"),
     )
 
 
@@ -244,7 +244,7 @@ def load_csv(path: str, schema: Schema) -> RawTable:
             rows = list(reader)
         except csv.Error as exc:
             raise DataError(f"data file {path}, line {reader.line_num}: {exc}") from None
-    col_index, feature_order, kinds = _columns(path, header, schema)
+    col_index, kinds = _columns(path, header, schema)
 
     # rows after the first ragged one are never read
     width = len(header)
@@ -269,7 +269,7 @@ def load_csv(path: str, schema: Schema) -> RawTable:
             f"row {i + 2}: event flag must be 0 or 1, got {tokens[schema.event][i].strip()}")),
     ]
     numeric = {}  # column -> (values, missing)
-    for col in feature_order:
+    for col in kinds:
         if kinds[col] == "categorical":
             continue
         values, missing, bad = _parse_column(tokens[col])
@@ -298,12 +298,9 @@ def load_csv(path: str, schema: Schema) -> RawTable:
 
     kept = np.flatnonzero(keep)
     features = {}
-    for col in feature_order:
+    for col in kinds:
         if col in numeric:
-            values, missing = numeric[col]
-            vals = values[kept].tolist()
-            for i in np.flatnonzero(missing[kept]).tolist():
-                vals[i] = None
+            vals = numeric[col][0][kept]  # nan at the missing rows
         else:
             vals = [None if s.lower() in _MISSING_TOKENS else s
                     for s in map(str.strip, tokens[col])]
@@ -318,8 +315,6 @@ def load_csv(path: str, schema: Schema) -> RawTable:
         event=event[kept].astype(np.int64),
         features=features,
         kinds=kinds,
-        feature_order=feature_order,
-        n_dropped=n - kept.size,
     )
 
 
@@ -334,10 +329,9 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
     if train_idx.size == 0:
         raise UsageError("cannot fit transforms on an empty training split")
     transforms = {}
-    for col in table.feature_order:
+    for col, values in table.features.items():
         if table.kinds[col] == "numeric":
-            # None (missing) becomes nan
-            vals = np.asarray(table.features[col], dtype=np.float64)[train_idx]
+            vals = values[train_idx]
             missing = np.isnan(vals)
             # values near the float limit overflow these sums; that is a data error
             with np.errstate(over="ignore", invalid="ignore"):
@@ -355,22 +349,20 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
                 "median": median,
             }
         else:
-            vals = [table.features[col][i] for i in train_idx]
-            cats = sorted({str(v) for v in vals if v is not None})
+            cats = sorted({values[i] for i in train_idx.tolist()} - {None})
             transforms[col] = {"kind": "categorical", "categories": cats}
     return transforms
 
 
 def apply_transforms(table: RawTable, transforms: dict):
-    """Build the design matrix for every row of the table."""
+    """Build the design matrix for every row; the table, shared by every split, is only read."""
     n = table.n_rows
     columns, names = [], []
     unseen = 0
     for col, tr in transforms.items():
         vals = table.features[col]
         if tr["kind"] == "numeric":
-            arr = np.asarray(vals, dtype=np.float64)
-            arr[np.isnan(arr)] = tr["median"]
+            arr = np.where(np.isnan(vals), tr["median"], vals)
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = (arr - tr["mean"]) / tr["std"]
             if not np.isfinite(scaled).all():
@@ -378,19 +370,12 @@ def apply_transforms(table: RawTable, transforms: dict):
             columns.append(scaled)
             names.append(col)
         else:
+            # code -1 is a missing value, -2 one outside the vocabulary
             index = {c: k for k, c in enumerate(tr["categories"])}
-            block = np.zeros((n, len(index)))
-            for i, v in enumerate(vals):
-                if v is None:
-                    continue
-                k = index.get(str(v))
-                if k is None:
-                    unseen += 1
-                else:
-                    block[i, k] = 1.0
-            for c in tr["categories"]:
-                names.append(f"{col}={c}")
-            columns.extend(block.T)
+            codes = np.array([index.get(v, -1 if v is None else -2) for v in vals], dtype=np.intp)
+            unseen += int(np.count_nonzero(codes == -2))
+            columns.extend((np.arange(len(index))[:, None] == codes).astype(np.float64))
+            names.extend(f"{col}={c}" for c in tr["categories"])
     if unseen:
         warnings.warn(
             f"{unseen} categorical values outside the training vocabulary "

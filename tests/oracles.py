@@ -298,13 +298,13 @@ def load_csv_rows(path, schema):
 
     if dropped:
         warnings.warn(f"dropped {len(dropped)} rows with missing time or event")
+    for col in numeric:
+        features[col] = np.asarray(features[col], dtype=np.float64)
     return RawTable(
         time=time,
         event=np.asarray(events, dtype=np.int64),
         features=features,
         kinds=kinds,
-        feature_order=feature_order,
-        n_dropped=len(dropped),
     )
 
 

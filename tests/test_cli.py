@@ -209,6 +209,17 @@ class TestSearchSpace:
             ({"space": {"x": {"type": "uniform", "low": -1e308, "high": 1e308}}}, "overflows"),
             ({"space": {"x": {"type": "int_range", "low": 0, "high": 2 ** 70}}}, "within int64"),
             ({"space": {"x": {"type": "int_range", "low": 0.5, "high": 3.5}}}, "integer bounds"),
+            # a dotted name may cross only objects
+            ({"base": {"seed": 1}, "space": {"seed.x": {"type": "choice", "values": [1]}}},
+             "'seed.x': base 'seed' is not an object"),
+            ({"base": {"w": {"a": [2]}}, "space": {"w.a.b": {"type": "choice", "values": [1]}}},
+             "'w.a.b': base 'w.a' is not an object"),
+            ({"space": {"seed": {"type": "choice", "values": [1]},
+                        "seed.x": {"type": "choice", "values": [1]}}},
+             "names both 'seed' and 'seed.x'"),
+            ({"space": {"seed.x": {"type": "choice", "values": [1]},
+                        "seed": {"type": "choice", "values": [1]}}},
+             "names both 'seed' and 'seed.x'"),
         ]
         for payload, match in cases:
             path = tmp_path / "space.json"
@@ -238,6 +249,16 @@ class TestSearchSpace:
         assert main(["hpo", "--space", str(path), "--out", str(tmp_path / "hpo")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: search space 'x'") and err.count("\n") == 1
+
+    def test_dotted_name_across_a_number_exits_1_with_one_line(self, workspace, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"base": base_config(workspace / "schema.json"),
+                                    "space": {"seed.x": {"type": "choice", "values": [1]}}}))
+        argv = ["hpo", "--space", str(path), "--data", str(workspace / "toy.csv"),
+                "--out", str(tmp_path / "hpo")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: search space 'seed.x': base 'seed' is not an object\n"
 
 
 class TestReportAndSmd:
@@ -582,6 +603,70 @@ class TestEvaluateCommand:
             )
             scores[role] = float(out["c_index"])
         assert scores["train"] > scores["test"]
+
+
+@pytest.fixture(scope="module")
+def inferred_workspace(tmp_path_factory):
+    """A run trained with inferred kinds: 'a' numeric, and 'b' categorical
+    because one of its tokens, 'II', is not a number."""
+    root = tmp_path_factory.mktemp("inferred")
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=120)
+    b = rng.choice(["1", "2", "II"], size=120)
+    t = rng.exponential(np.exp(0.5 * a) * 4) + 0.05
+    e = rng.integers(0, 2, size=120)
+    lines = ["duration,event,a,b"] + [
+        f"{t[i]:.6f},{e[i]},{a[i]:.6f},{b[i]}" for i in range(120)
+    ]
+    (root / "data.csv").write_text("\n".join(lines) + "\n")
+    (root / "schema.json").write_text(json.dumps(
+        {"time": "duration", "event": "event", "features": None}))
+    (root / "config.json").write_text(json.dumps(base_config(root / "schema.json")))
+    assert main(["train", "--config", str(root / "config.json"),
+                 "--data", str(root / "data.csv"), "--out", str(root / "run")]) == 0
+    return root
+
+
+class TestInferredKindsCheckpoint:
+    """A checkpoint trained with inferred kinds reads a new CSV with the
+    kinds it recorded, not with kinds inferred again from that file."""
+
+    def evaluate(self, root, lines):
+        path = root / "new.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return main(["evaluate", "--checkpoint", str(root / "run" / "checkpoint.json"),
+                     "--data", str(path)])
+
+    def test_absent_trained_column_exits_2(self, inferred_workspace, capsys):
+        lines = (inferred_workspace / "data.csv").read_text().splitlines()
+        assert self.evaluate(inferred_workspace, [ln.rsplit(",", 1)[0] for ln in lines]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 'b' not found in ") and err.count("\n") == 1
+
+    def test_word_in_numeric_column_exits_2(self, inferred_workspace, capsys):
+        lines = (inferred_workspace / "data.csv").read_text().splitlines()
+        t, e, _, b = lines[4].split(",")
+        lines[4] = ",".join([t, e, "high", b])
+        assert self.evaluate(inferred_workspace, lines) == 2
+        assert capsys.readouterr().err == (
+            "error: row 5, column 'a': cannot parse 'high' as a number\n")
+
+    def test_numeral_categories_keep_their_encoding(self, inferred_workspace, capsys):
+        # without 'II' every token of 'b' parses as a number
+        lines = (inferred_workspace / "data.csv").read_text().splitlines()
+        lines = lines[:1] + [ln for ln in lines[1:] if not ln.endswith(",II")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.evaluate(inferred_workspace, lines) == 0
+        assert not caught
+        ck = load_checkpoint(str(inferred_workspace / "run" / "checkpoint.json"))
+        table = load_csv(str(inferred_workspace / "new.csv"),
+                         Schema("duration", "event", {"a": "numeric", "b": "categorical"}))
+        X, _ = apply_transforms(table, ck.transforms)
+        assert X[:, 1:].sum(axis=1).tolist() == [1.0] * table.n_rows
+        metrics = trainer.score(ck.state, trainer.predict(ck.state, X), table.time, table.event)
+        out = capsys.readouterr().out
+        assert f"c_index: {metrics['c_index']!r}\n" in out and f"ibs: {metrics['ibs']!r}\n" in out
 
 
 class TestHpoCommand:

@@ -38,13 +38,31 @@ def write_csv(path, header, rows):
 BASIC_SCHEMA = Schema(time="t", event="e", features={"age": "numeric", "grade": "categorical"})
 
 
+def assert_same_features(got, want):
+    """Two ``features`` dicts hold the same columns in the same order. A
+    numeric column (an array in ``want``) has the same dtype and shape, nan at
+    the same rows and the same bytes elsewhere; a categorical column is an
+    equal list. ``repr`` would elide the values of a large array."""
+    assert list(got) == list(want)
+    for col, b in want.items():
+        a = got[col]
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+            missing = np.isnan(b)
+            assert np.array_equal(np.isnan(a), missing)
+            assert a[~missing].tobytes() == b[~missing].tobytes()
+        else:
+            assert isinstance(a, list) and a == b
+
+
 class TestLoadCsv:
     def test_well_formed_three_rows(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "grade"],
                       [[5, 1, 60, "II"], [3, 0, 41, "I"], [9, 1, 77, "III"]])
         table = load_csv(p, BASIC_SCHEMA)
         assert table.n_rows == 3
-        assert table.feature_order == ["age", "grade"]
+        assert_same_features(table.features, {"age": np.array([60.0, 41.0, 77.0]),
+                                               "grade": ["II", "I", "III"]})
         np.testing.assert_array_equal(table.time, [5, 3, 9])
         np.testing.assert_array_equal(table.event, [1, 0, 1])
 
@@ -71,7 +89,6 @@ class TestLoadCsv:
         with pytest.warns(UserWarning, match="dropped 2 rows"):
             table = load_csv(p, BASIC_SCHEMA)
         assert table.n_rows == 1
-        assert table.n_dropped == 2
 
     def test_nonpositive_time_rejected(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "grade"],
@@ -136,7 +153,7 @@ class TestLoadCsvRobustness:
     def test_duplicate_unused_column_allowed(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "note", "note"], [[5, 1, 60, "a", "b"]])
         table = load_csv(p, Schema(time="t", event="e", features={"age": "numeric"}))
-        assert table.features == {"age": [60.0]}
+        assert_same_features(table.features, {"age": np.array([60.0])})
 
     @pytest.mark.parametrize("digits", ["1" * 200_000, "0" * 200_000 + "1"])
     def test_field_over_the_csv_limit_named(self, tmp_path, digits):
@@ -148,7 +165,8 @@ class TestLoadCsvRobustness:
     def test_missing_numeric_still_allowed(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", self.HEADER, [[5, 1, "NA", "II"], [3, 0, 41, "I"]])
         table = load_csv(p, BASIC_SCHEMA)
-        assert table.features["age"] == [None, 41.0]
+        assert_same_features(table.features,
+                             {"age": np.array([np.nan, 41.0]), "grade": ["II", "I"]})
 
 
 class TestSchema:
@@ -243,6 +261,25 @@ class TestPreprocess:
         table = self.make_table(tmp_path, [[1, 1, 5, "A"]])
         with pytest.raises(UsageError):
             fit_transforms(table, [])
+
+    def test_table_unchanged_by_preprocessing(self, tmp_path):
+        # every fourth age is missing; the two splits impute different medians
+        rows = [[i + 1, i % 2, "NA" if i % 4 == 0 else 10 * i, "AB"[i % 3 % 2]]
+                for i in range(12)]
+        table = self.make_table(tmp_path, rows)
+        arrays = [table.time, table.event, table.features["age"]]
+        before = [a.tobytes() for a in arrays]
+        first = preprocess(table, range(6))
+        second = preprocess(table, range(6, 12))
+        assert first.transforms["age"]["median"] != second.transforms["age"]["median"]
+        assert [a.tobytes() for a in arrays] == before
+        np.testing.assert_array_equal(np.isnan(table.features["age"]),
+                                      [i % 4 == 0 for i in range(12)])
+        assert table.features["grade"] == ["AB"[i % 3 % 2] for i in range(12)]
+        fresh = preprocess(self.make_table(tmp_path, rows), range(6, 12))
+        assert second.transforms == fresh.transforms and second.feature_names == fresh.feature_names
+        for name in ("X", "t", "e"):
+            assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 class TestSplits:
@@ -358,10 +395,8 @@ class TestLoadCsvMatchesRowReader:
         for name in ("time", "event"):
             a, b = getattr(new, name), getattr(old, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert repr(new.features) == repr(old.features)
+        assert_same_features(new.features, old.features)
         assert new.kinds == old.kinds
-        assert new.feature_order == old.feature_order
-        assert new.n_dropped == old.n_dropped
 
 
 def _clean_cohort(path, n, ending):
@@ -399,9 +434,8 @@ class TestCleanFiles:
             a, b = getattr(new, name), getattr(old, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert a.flags.c_contiguous
-        assert repr(new.features) == repr(old.features)
-        assert (new.kinds, new.feature_order, new.n_dropped) == (
-            old.kinds, old.feature_order, old.n_dropped)
+        assert_same_features(new.features, old.features)
+        assert new.kinds == old.kinds
 
     def test_peak_memory_is_at_most_twice_what_is_kept(self, tmp_path):
         path = _clean_cohort(tmp_path / "cohort.csv", 20_000, "\n")
@@ -419,7 +453,7 @@ class TestCleanFiles:
     def test_a_pipe_is_parsed_without_rewinding(self, monkeypatch):
         results = self.spy(monkeypatch)
         for text, ages in [("t,e,age\n5,1,60\n3,0,41\n", [60.0, 41.0]),
-                           ("t,e,age\n5,1,NA\n3,0,41\n", [None, 41.0])]:
+                           ("t,e,age\n5,1,NA\n3,0,41\n", [np.nan, 41.0])]:
             read, write = os.pipe()
             try:
                 os.write(write, text.encode())
@@ -427,5 +461,5 @@ class TestCleanFiles:
                 table = load_csv(f"/dev/fd/{read}", Schema("t", "e", None))
             finally:
                 os.close(read)
-            assert table.features == {"age": ages}
+            assert_same_features(table.features, {"age": np.array(ages)})
         assert results == []
