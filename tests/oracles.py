@@ -1,12 +1,13 @@
 """Independently coded reference implementations used to cross-check metrics.
 
 These deliberately use slow, explicit scalar loops so they share no code
-paths (vectorization, sorting tricks, searchsorted) with the library. The
-exception is the GMM's EM reference, which repeats ``gmm_fit``'s arithmetic
-so that it reproduces the fit exactly while keeping the per-iteration state
-the fit discards. The composed tape graphs at the end are the references for
-the library's fused nodes: the same functions built from elementary tensor
-ops, with the same arithmetic in the same order.
+paths (vectorization, sorting tricks, searchsorted) with the library. Two
+exceptions repeat the library's arithmetic so that it must match them
+exactly: the GMM's EM reference, which reproduces ``gmm_fit`` while keeping
+the per-iteration state the fit discards, and ``ibs_where_blocks``, the IBS
+in its earlier layout. The composed tape graphs at the end are the
+references for the library's fused nodes: the same functions built from
+elementary tensor ops, with the same arithmetic in the same order.
 """
 
 import csv
@@ -20,6 +21,7 @@ from survstrat.clustering import _VAR_FLOOR, GMM_MAX_ITER, GMM_TOL, kmeans_fit
 from survstrat.data import RawTable
 from survstrat.errors import ConfigurationError, DataError
 from survstrat.losses import _paired_nce
+from survstrat.metrics import kaplan_meier
 from survstrat.tensor import Tensor
 
 from reftape import RefTensor, lift
@@ -135,6 +137,48 @@ def ibs_direct(surv, grid, times, events, censor_times, censor_events):
         bs.append(total / n)
     area = sum((bs[k] + bs[k + 1]) / 2.0 * (pts[k + 1] - pts[k]) for k in range(99))
     return area / horizon
+
+
+def ibs_where_blocks(surv, grid, times, events, censor_times=None, censor_events=None,
+                     n_points: int = 100):
+    """The integrated Brier score as the library first vectorized it: every
+    term of 16 points at a time from one nested ``np.where``, then the
+    ``(points, n)`` row means. It repeats the library's per-element
+    arithmetic, so the blocked, in-place library must equal it exactly."""
+    surv = np.asarray(surv, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64).ravel()
+    events = np.asarray(events).ravel()
+    if censor_times is None:
+        censor_times, censor_events = times, events
+    censor_times = np.asarray(censor_times, dtype=np.float64).ravel()
+    censor_events = np.asarray(censor_events).ravel()
+    G = kaplan_meier(censor_times, 1 - censor_events)
+    pts = np.linspace(0.0, grid.horizon, n_points)
+    Gt = np.asarray(G.evaluate(pts))
+    if np.any(Gt <= 0.0):
+        last = int(np.nonzero(Gt > 0.0)[0][-1])
+        warnings.warn(
+            "censoring survival reaches zero before the horizon; "
+            f"integrating over [0, {pts[last]:g}] instead"
+        )
+        pts, Gt = pts[: last + 1], Gt[: last + 1]
+    x = np.concatenate(([0.0], grid.edges))
+    k = np.minimum(np.searchsorted(x, pts, side="right") - 1, grid.n_bins - 1)
+    w = ((pts - x[k]) / (x[k + 1] - x[k]))[:, None]
+    knots = np.vstack([np.ones(times.size), surv.T])
+    dead = events == 1
+    g_event = np.maximum(np.asarray(G.evaluate_before(times)), 1e-300)
+    bs = np.empty(pts.size)
+    for lo in range(0, pts.size, 16):
+        b = slice(lo, lo + 16)
+        s_t = knots[k[b]] * (1.0 - w[b]) + knots[k[b] + 1] * w[b]
+        t = pts[b, None]
+        bs[b] = np.where(
+            (times <= t) & dead, s_t ** 2 / g_event,
+            np.where(times > t, (1.0 - s_t) ** 2 / Gt[b, None], 0.0),
+        ).mean(axis=1)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return float(trapezoid(bs, pts) / pts[-1])
 
 
 def logrank_direct(labels, times, events):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from survstrat import trainer
 from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpoint
+from survstrat.cli import main
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError
 from survstrat.metrics import TimeGrid
@@ -427,6 +428,26 @@ class TestFormatTwo:
         save_checkpoint(state, str(path), transforms={"f0": good, "f1": entry})
         with pytest.raises(ConfigurationError, match=f"column 'f1' .*{message}"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("names", [
+        ["f0", "f1=a"],
+        ["f0", "f1=a", "f1=b", "f2"],
+        ["f1=a", "f1=b", "f0"],
+        ["f0", "f1"],
+    ])
+    def test_feature_names_must_match_the_transforms(self, tmp_path, capsys, names):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        transforms = {
+            "f0": {"kind": "numeric", "mean": 0.0, "std": 1.0, "median": 0.0},
+            "f1": {"kind": "categorical", "categories": ["a", "b"]},
+        }
+        save_checkpoint(state, str(path), transforms=transforms, feature_names=names)
+        with pytest.raises(ConfigurationError, match="mismatch"):
+            load_checkpoint(str(path))
+        assert main(["evaluate", "--checkpoint", str(path), "--data", "unread.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mismatch" in err
 
     def test_out_of_range_assignment_rejected(self, tmp_path):
         state, _ = fitted_state()

@@ -8,6 +8,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -395,6 +396,22 @@ class TestTrainCommand:
         assert report["val_c_index"] == "nan"
         assert np.isfinite(float(report["val_ibs"]))
         assert np.isfinite(float(report["c_index"]))
+
+    def test_empty_validation_role_scores_nan_without_warnings(self, workspace, tmp_path,
+                                                              capsys):
+        splits = tmp_path / "splits.txt"
+        splits.write_text("train:" + ",".join(map(str, range(120))) + " val: test:"
+                          + ",".join(map(str, range(120, 150))) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([
+                "train", "--config", str(workspace / "config.json"),
+                "--data", str(workspace / "toy.csv"), "--splits-file", str(splits),
+                "--out", str(tmp_path / "o"),
+            ])
+        assert rc == 0
+        report = capsys.readouterr().out
+        assert "val_c_index: nan\n" in report and "val_ibs: nan\n" in report
 
     def test_ragged_csv_exit_2(self, workspace, tmp_path, capsys):
         lines = (workspace / "toy.csv").read_text().splitlines()
@@ -1038,6 +1055,27 @@ class TestStratifyCommand:
             top = list(csv.DictReader(fh))[0]
         assert top["feature"] == "f0"
 
+    def test_latents_are_written_in_bounded_memory(self, workspace, tmp_path):
+        """20k rows of 16 latents: the at-once ``tolist`` of every latent
+        held about 4x the latent matrix as Python floats on top of it."""
+        config = base_config(workspace / "schema.json", latent_dim=16)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "config.json"),
+                     "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "run")]) == 0
+        n = 20000
+        write_toy_dataset(tmp_path / "big.csv", n=n, seed=5)
+        argv = ["stratify", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                "--data", str(tmp_path / "big.csv"), "--out", str(tmp_path / "strat")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        latents_nbytes = n * 16 * 8
+        assert peak <= 4 * latents_nbytes
+
 
 def rows_text(header, rows):
     return "".join(",".join(map(str, row)) + "\n" for row in [header] + rows)
@@ -1087,6 +1125,11 @@ class TestOutputBytes:
             rows += [[repr(float(t)), repr(float(s)), int(g)] for t, s in zip(ts, mean)]
         written = (tmp_path / "curves.csv").read_text()
         assert written == rows_text(["time", "survival", "group"], rows)
+
+    def test_row_blocks_match_row_writer(self, workspace, tmp_path, monkeypatch):
+        # 150 rows in blocks of 7: 21 block boundaries and a short last block
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 7)
+        self.test_files_match_row_writer(workspace, tmp_path)
 
 
 class TestFuzzedCsv:

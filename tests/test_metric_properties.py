@@ -1,16 +1,20 @@
 """Property tests: the metrics against the scalar-loop oracles on small
-cohorts with heavy ties in times and risks, and the C-index to exact
-equality on up to 300 rows."""
+cohorts with heavy ties in times and risks, the C-index to exact equality
+on up to 300 rows, and the blocked IBS to exact equality with its earlier
+16-point layout."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survstrat import metrics
 from survstrat.errors import DataError
 from survstrat.metrics import (
+    TimeGrid,
     build_time_grid,
     concordance_index,
     integrated_brier_score,
@@ -18,7 +22,7 @@ from survstrat.metrics import (
     log_rank_test,
 )
 
-from oracles import cindex_bruteforce, ibs_direct, km_scan, logrank_direct
+from oracles import cindex_bruteforce, ibs_direct, ibs_where_blocks, km_scan, logrank_direct
 
 
 @st.composite
@@ -114,6 +118,67 @@ def test_integrated_brier_score_matches_direct(cohort):
     got = integrated_brier_score(surv, grid, times, events)
     want = ibs_direct(surv, grid, times, events, times, events)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+@st.composite
+def ibs_cases(draw):
+    """1 to 400 rows with times tied on a few integers or spread, 1 to 6
+    grid edges (the horizon before, inside or past the times), separate
+    censoring data or none, a latest time that may be censored (the
+    censoring survival then reaches zero), and a block budget from one
+    point per block to every point in one block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    n = draw(st.integers(1, 400))
+
+    def cohort(size):
+        if draw(st.booleans()):
+            times = rng.integers(1, draw(st.integers(1, 6)) + 1, size).astype(np.float64)
+        else:
+            times = rng.uniform(0.1, 20.0, size)
+        events = rng.integers(0, 2, size)
+        events[times.argmax()] = draw(st.integers(0, 1))
+        return times, events
+
+    times, events = cohort(n)
+    censor = cohort(draw(st.integers(1, 60))) if draw(st.booleans()) else (None, None)
+    edges = np.cumsum(rng.uniform(0.2, 6.0, draw(st.integers(1, 6))))
+    surv = np.sort(rng.uniform(0, 1, size=(n, edges.size)), axis=1)[:, ::-1]
+    budget = draw(st.sampled_from([1, 7, 100, 2 ** 15]) | st.integers(1, 50_000))
+    return surv, TimeGrid(edges), times, events, *censor, budget
+
+
+def _scored_with_warnings(ibs, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = ibs(*args)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ibs_cases())
+def test_integrated_brier_score_equals_the_where_blocks_exactly(case):
+    *args, budget = case
+    with mock.patch.object(metrics, "BUDGET", budget):
+        got, got_warnings = _scored_with_warnings(integrated_brier_score, *args)
+    want, want_warnings = _scored_with_warnings(ibs_where_blocks, *args)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("n", [20_000, 40_000])
+def test_integrated_brier_score_equals_the_where_blocks_at_scale(n):
+    """At 20k rows ``BUDGET // n`` is one point per block; at 40k it is 0,
+    which the block size raises to one."""
+    rng = np.random.default_rng(n)
+    times = rng.exponential(10.0, n) + 0.1
+    events = rng.integers(0, 2, n)
+    train_t = rng.exponential(10.0, 2000) + 0.1
+    train_e = rng.integers(0, 2, 2000)
+    train_e[train_t.argmax()] = 1
+    grid = build_time_grid(train_t, train_e, 16)
+    surv = np.sort(rng.uniform(0, 1, size=(n, 16)), axis=1)[:, ::-1]
+    args = (surv, grid, times, events, train_t, train_e)
+    assert integrated_brier_score(*args) == ibs_where_blocks(*args)
 
 
 @settings(max_examples=200, deadline=None)

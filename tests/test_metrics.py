@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,31 @@ class TestBrierScore:
             ibs = integrated_brier_score(surv, grid, times, events)
         assert np.isfinite(ibs)
 
+    def test_zero_patients_score_nan_without_warnings(self):
+        grid = TimeGrid([2.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ibs = integrated_brier_score(np.empty((0, 2)), grid, [], [],
+                                         [1.0, 3.0, 5.0], [1, 0, 1])
+        assert np.isnan(ibs)
+
+    def test_working_set_stays_within_twice_the_survival_matrix(self):
+        rng = np.random.default_rng(15)
+        n = 20_000
+        times = rng.exponential(10.0, n) + 0.1
+        events = rng.integers(0, 2, n)
+        train_t = rng.exponential(10.0, 2000) + 0.1
+        train_e = rng.integers(0, 2, 2000)
+        grid = build_time_grid(train_t, train_e, 16)
+        surv = np.sort(rng.uniform(0, 1, size=(n, 16)), axis=1)[:, ::-1].copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            integrated_brier_score(surv, grid, times, events, train_t, train_e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * surv.nbytes
 
     def test_mismatched_event_length_rejected(self):
         grid = TimeGrid([2.0, 4.0])
