@@ -35,7 +35,6 @@ class Checkpoint:
 
     state: TrainState
     transforms: dict
-    feature_names: list
 
 
 def _encode(array, dtype: str) -> dict:
@@ -92,8 +91,7 @@ def _decode(value, dtype: str, field: str) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None,
-                    feature_names: list | None = None) -> None:
+def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None) -> None:
     def optional(array, dtype):
         return None if array is None else _encode(array, dtype)
 
@@ -117,7 +115,8 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
         "train_times": optional(state.train_times, "float64"),
         "train_events": optional(state.train_events, "int64"),
         "transforms": transforms or {},
-        "feature_names": list(feature_names or []),
+        # derived, kept for readers of the file; load_checkpoint checks it
+        "feature_names": column_names(transforms or {}),
         "stage": state.stage,
     }
     # dumps uses the C encoder, json.dump the pure-Python one; the bytes are equal
@@ -187,7 +186,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"checkpoint feature mismatch: its transforms produce {len(produced)} columns "
             f"({produced[:4]}...), its feature_names list {len(names)} ({names[:4]}...)"
         )
-    return Checkpoint(state=state, transforms=transforms, feature_names=names)
+    return Checkpoint(state=state, transforms=transforms)
 
 
 def _check_transform(col: str, tr) -> None:

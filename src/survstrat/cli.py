@@ -160,10 +160,7 @@ def cmd_train(args) -> int:
         "config_hash": config.config_hash(),
     })
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(
-        state, os.path.join(args.out, "checkpoint.json"),
-        transforms=dataset.transforms, feature_names=dataset.feature_names,
-    )
+    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"), dataset.transforms)
     with open(os.path.join(args.out, "epochs.csv"), "w") as fh:
         fh.write(trainer.format_epoch_log(state.logs))
     data_mod.save_splits(split_set, os.path.join(args.out, "splits.txt"))
@@ -227,10 +224,7 @@ def cmd_evaluate(args) -> int:
         "config_hash": ck.state.config.config_hash(),
     })
     if args.curves:
-        labels = pred["labels"]
-        if labels is None:
-            labels = np.zeros(X.shape[0], dtype=np.int64)
-        _write_group_curves(args.curves, ck.state, pred["survival"], labels)
+        _write_group_curves(args.curves, ck.state, pred["survival"], pred["labels"])
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "metrics.txt"), "w") as fh:
@@ -377,19 +371,14 @@ def rank_leaderboard(results: list, per_split: bool = False) -> list:
                 f"trial {r['trial']}: {r['error']}" for r in results
             )
         )
-    mean_c = np.array([np.mean(r["val_c"]) for r in ok])
-    mean_ibs = np.array([np.mean(r["val_ibs"]) for r in ok])
-    if per_split:
-        c = np.array([r["val_c"] for r in ok], dtype=np.float64)
-        ibs = np.array([r["val_ibs"] for r in ok], dtype=np.float64)
-        rank_sum = np.zeros(len(ok))
-        for s in range(c.shape[1]):
-            rank_sum += average_ranks(c[:, s], descending=True)
-            rank_sum += average_ranks(ibs[:, s], descending=False)
-    else:
-        rank_sum = average_ranks(mean_c, descending=True) + average_ranks(
-            mean_ibs, descending=False
-        )
+    # trials x splits; per_split ranks every column, the default the means
+    c = np.array([r["val_c"] for r in ok], dtype=np.float64)
+    ibs = np.array([r["val_ibs"] for r in ok], dtype=np.float64)
+    mean_c, mean_ibs = c.mean(axis=1), ibs.mean(axis=1)
+    columns = zip(c.T, ibs.T) if per_split else [(mean_c, mean_ibs)]
+    # ranks are multiples of 0.5, so every order of summing them is exact
+    rank_sum = sum(average_ranks(col_c, descending=True) + average_ranks(col_ibs, descending=False)
+                   for col_c, col_ibs in columns)
     order = sorted(
         range(len(ok)), key=lambda i: (rank_sum[i], -mean_c[i], ok[i]["trial"])
     )
@@ -534,7 +523,7 @@ def cmd_stratify(args) -> int:
                 f"clusters {a} vs {b}: chi_square: {float(stat)!r} "
                 f"p_value: {float(p)!r}\n"
             )
-    smd = standardized_mean_differences(X, labels, ck.feature_names)
+    smd = standardized_mean_differences(X, labels, data_mod.column_names(ck.transforms))
     with open(os.path.join(args.out, "smd.csv"), "w") as fh:
         fh.write("feature,smd\n")
         for name, value in smd:

@@ -18,6 +18,9 @@ from .errors import ConfigurationError, DataError, UsageError, open_text, read_j
 
 _MISSING_TOKENS = {"", "na", "nan", "none", "null", "?"}
 
+# splits that make_splits draws; load_splits reads files with any number
+N_SPLITS = 5
+
 DATASET_PRESETS = {
     "gbsg": {
         "time": "duration",
@@ -107,7 +110,6 @@ class SurvivalDataset:
     X: np.ndarray
     t: np.ndarray
     e: np.ndarray
-    feature_names: list
     transforms: dict
 
 
@@ -399,18 +401,16 @@ def apply_transforms(table: RawTable, transforms: dict):
 def preprocess(table: RawTable, train_idx) -> SurvivalDataset:
     """Fit transforms on the training rows, then transform the whole table."""
     transforms = fit_transforms(table, train_idx)
-    X, names = apply_transforms(table, transforms)
+    X, _ = apply_transforms(table, transforms)
     return SurvivalDataset(
         X=X,
         t=table.time.copy(),
         e=table.event.copy(),
-        feature_names=names,
         transforms=transforms,
     )
 
 
-def make_splits(n: int, seed: int, n_splits: int = 5,
-                with_replacement: bool = False) -> SplitSet:
+def make_splits(n: int, seed: int, with_replacement: bool = False) -> SplitSet:
     """Independent shuffled 60/20/20 partitions from one master seed.
 
     Sizes follow floor(0.6 n) / floor(0.2 n) / remainder. When
@@ -419,7 +419,7 @@ def make_splits(n: int, seed: int, n_splits: int = 5,
     """
     if n < 10:
         raise UsageError(f"need at least 10 rows to split, got {n}")
-    seeds = np.random.SeedSequence(seed).spawn(n_splits)
+    seeds = np.random.SeedSequence(seed).spawn(N_SPLITS)
     n_train = int(np.floor(0.6 * n))
     n_val = int(np.floor(0.2 * n))
     splits = []

@@ -21,6 +21,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # floats in one block of the IBS: one (points, n_patients) temporary is
 # about 256 KB, and a block holds at least one point whatever n_patients is
 BUDGET = 2 ** 15
+# points of the IBS integration grid, evenly spaced over [0, horizon]
+N_POINTS = 100
 
 
 @dataclass
@@ -209,8 +211,7 @@ def kaplan_meier(times, events) -> StepCurve:
 
 
 def integrated_brier_score(surv, grid: TimeGrid, times, events,
-                           censor_times=None, censor_events=None,
-                           n_points: int = 100) -> float:
+                           censor_times=None, censor_events=None) -> float:
     """Graf's IPCW Brier score averaged over [0, tau_T] by the trapezoid rule.
 
     ``surv`` holds per-patient survival probabilities at the grid edges and
@@ -218,8 +219,9 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     Kaplan-Meier fit of the censoring distribution on ``censor_times`` /
     ``censor_events`` (the evaluation data itself when omitted). Grid points
     where the censoring survival hits zero are dropped with a warning and
-    the integral renormalized over the remaining span. Zero patients score
-    nan, as a C-index without comparable pairs does.
+    the integral renormalized over the remaining span, a DataError if none
+    is left. Zero patients score nan, as a C-index without comparable pairs
+    does.
 
     The points are scored ``BUDGET // n_patients`` at a time, so the
     working set stays near ``BUDGET`` floats above a copy of ``surv``.
@@ -239,12 +241,13 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
         return float("nan")
     G = kaplan_meier(censor_times, 1 - censor_events)
 
-    pts = np.linspace(0.0, grid.horizon, n_points)
+    pts = np.linspace(0.0, grid.horizon, N_POINTS)
     Gt = np.asarray(G.evaluate(pts))
-    if Gt[0] <= 0.0:
-        raise DataError("censoring survival is zero at t=0; weights undefined")
-    if np.any(Gt <= 0.0):
-        last = int(np.nonzero(Gt > 0.0)[0][-1])
+    # Gt does not increase, so it is positive on a prefix of the points
+    last = int(np.count_nonzero(Gt > 0.0)) - 1
+    if last < 1:
+        raise DataError("censoring survival is zero at t=0 or at every later grid point")
+    if last < pts.size - 1:
         warnings.warn(
             "censoring survival reaches zero before the horizon; "
             f"integrating over [0, {pts[last]:g}] instead"
@@ -300,7 +303,9 @@ def log_rank_test(labels, times, events) -> tuple[float, float]:
     dead = events == 1
     uniq, inv = np.unique(times, return_inverse=True)
     n, d = _risk_sets(inv, uniq.size, dead)
-    n_a = _risk_sets(inv[in_a], uniq.size, dead[in_a])[0]
+    # group a's at-risk counts without a copy of its rows; freeing inv lowers the peak
+    n_a = np.cumsum(np.bincount(inv, weights=in_a, minlength=uniq.size)[::-1])[::-1]
+    del uniq, inv
     observed = float(np.count_nonzero(dead & in_a))
     # cumsum adds in time order, as a scalar loop would; times without deaths
     # and a lone row at risk (n - d = 0) add exact zeros

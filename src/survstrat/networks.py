@@ -24,7 +24,6 @@ class EncoderOutput:
     mu: Tensor
     log_var: Tensor | None
     z: Tensor
-    eps: np.ndarray | None = None
 
 
 class Linear:
@@ -106,8 +105,8 @@ class Encoder:
         if train:
             if rng is None:
                 raise UsageError("training-mode encoding needs an rng")
-            z, eps = reparameterize(mu, log_var, rng)
-            return EncoderOutput(mu=mu, log_var=log_var, z=z, eps=eps)
+            z, _ = reparameterize(mu, log_var, rng)
+            return EncoderOutput(mu=mu, log_var=log_var, z=z)
         return EncoderOutput(mu=mu, log_var=log_var, z=mu)
 
 

@@ -277,6 +277,9 @@ def weighted_sum(terms, scale: float = 1.0) -> Tensor:
 
 # -- optimizer ---------------------------------------------------------------
 
+# the moment decay rates and denominator floor of Kingma & Ba (2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction over one flat parameter buffer.
@@ -287,16 +290,12 @@ class Adam:
     ``v`` are flat arrays of the same size.
     """
 
-    def __init__(self, flat: np.ndarray, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, flat: np.ndarray, params, lr: float = 1e-3):
         if lr <= 0:
             raise UsageError(f"learning rate must be > 0, got {lr}")
         self.flat = flat
         self.params: list[Tensor] = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m, self.v, self._g, self._tmp, self._step = np.zeros((5, flat.size))
 
@@ -308,8 +307,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         parts = []
         for p in self.params:
             g = p.grad
@@ -322,16 +321,16 @@ class Adam:
         g, m, v, tmp, step = self._g, self.m, self.v, self._tmp, self._step
         np.concatenate(parts, out=g)
         # same arithmetic as p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m *= self.beta1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m *= BETA1
         m += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
-        v *= self.beta2
+        tmp *= 1.0 - BETA2
+        v *= BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         np.divide(m, bc1, out=step)
         step *= self.lr
         step /= tmp

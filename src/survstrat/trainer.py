@@ -85,8 +85,8 @@ def spl_threshold(per_instance, epoch: int, max_epochs: int) -> float:
     return float(vals.mean() + (epoch / max_epochs) * vals.std())
 
 
-def spl_filter(per_instance, threshold: float):
-    """Admission mask and the mean loss over the admitted set.
+def spl_filter(per_instance, threshold: float) -> np.ndarray:
+    """Admission mask: the losses at or below ``threshold``.
 
     The admitted set is never empty: the minimum is always <= the mean, and
     the threshold is never below the mean.
@@ -95,7 +95,7 @@ def spl_filter(per_instance, threshold: float):
     mask = vals <= threshold
     if not mask.any():
         mask = vals <= vals.min()
-    return mask, float(vals[mask].mean())
+    return mask
 
 
 def _training_rng(seed: int) -> np.random.Generator:
@@ -304,7 +304,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         lam = lam_dataset if lam_dataset is not None else spl_threshold(
             per_instance.values, epoch, config.max_epochs
         )
-        mask, _ = spl_filter(per_instance.values, lam)
+        mask = spl_filter(per_instance.values, lam)
         l_spl = per_instance.mean(mask=mask.astype(np.float64)[:, None])
         l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, state.centers, config)
         ids = batch_assign[config.routing_view - 1]

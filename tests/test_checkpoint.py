@@ -13,6 +13,7 @@ from survstrat import trainer
 from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpoint
 from survstrat.cli import main
 from survstrat.config import ExperimentConfig
+from survstrat.data import column_names
 from survstrat.errors import ConfigurationError
 from survstrat.metrics import TimeGrid
 from survstrat.networks import Model
@@ -71,12 +72,13 @@ class TestRoundTrip:
 
     def test_transforms_and_names_round_trip(self, tmp_path):
         state, _ = fitted_state()
-        transforms = {"age": {"kind": "numeric", "mean": 1.0, "std": 2.0, "median": 1.5}}
+        transforms = {"age": {"kind": "numeric", "mean": 1.0, "std": 2.0, "median": 1.5},
+                      "grade": {"kind": "categorical", "categories": ["A", "B"]}}
         path = tmp_path / "ck.json"
-        save_checkpoint(state, str(path), transforms=transforms, feature_names=["age"])
-        ck = load_checkpoint(str(path))
-        assert ck.transforms == transforms
-        assert ck.feature_names == ["age"]
+        save_checkpoint(state, str(path), transforms=transforms)
+        names = json.loads(path.read_text())["feature_names"]
+        assert names == column_names(transforms) == ["age", "grade=A", "grade=B"]
+        assert load_checkpoint(str(path)).transforms == transforms
 
     def test_grid_and_training_distribution_round_trip(self, tmp_path):
         state, _ = fitted_state()
@@ -91,7 +93,8 @@ class TestRoundTrip:
     def test_file_bytes_match_json_dump(self, tmp_path):
         state, _ = fitted_state(siamese=True, heads="per-cluster")
         path = tmp_path / "ck.json"
-        save_checkpoint(state, str(path), {"f0": {"mean": 0.5}}, ["f0"])
+        save_checkpoint(state, str(path),
+                        {"f0": {"kind": "numeric", "mean": 0.5, "std": 1.0, "median": 0.5}})
         with open(tmp_path / "dumped.json", "w") as fh:
             json.dump(json.loads(path.read_text()), fh)
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
@@ -424,8 +427,11 @@ class TestFormatTwo:
     def test_malformed_transform_names_the_column(self, tmp_path, entry, message):
         state, _ = fitted_state()
         path = tmp_path / "ck.json"
-        good = {"kind": "categorical", "categories": ["a", "b"]}
-        save_checkpoint(state, str(path), transforms={"f0": good, "f1": entry})
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        payload["transforms"] = {"f0": {"kind": "categorical", "categories": ["a", "b"]},
+                                 "f1": entry}
+        path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match=f"column 'f1' .*{message}"):
             load_checkpoint(str(path))
 
@@ -442,12 +448,15 @@ class TestFormatTwo:
             "f0": {"kind": "numeric", "mean": 0.0, "std": 1.0, "median": 0.0},
             "f1": {"kind": "categorical", "categories": ["a", "b"]},
         }
-        save_checkpoint(state, str(path), transforms=transforms, feature_names=names)
-        with pytest.raises(ConfigurationError, match="mismatch"):
+        save_checkpoint(state, str(path), transforms=transforms)
+        payload = json.loads(path.read_text())
+        payload["feature_names"] = names
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="feature mismatch"):
             load_checkpoint(str(path))
         assert main(["evaluate", "--checkpoint", str(path), "--data", "unread.csv"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "mismatch" in err
+        assert err.count("\n") == 1 and "feature mismatch" in err
 
     def test_out_of_range_assignment_rejected(self, tmp_path):
         state, _ = fitted_state()

@@ -29,7 +29,7 @@ from survstrat import trainer
 from survstrat.checkpoint import load_checkpoint, save_checkpoint
 from survstrat.data import Schema, apply_transforms, load_csv, make_splits, save_splits
 from survstrat.errors import ConfigurationError, DataError, NumericError
-from survstrat.metrics import interpolate_curve, kaplan_meier
+from survstrat.metrics import interpolate_curve, kaplan_meier, log_rank_test
 
 from csvgen import survival_csvs
 from oracles import load_csv_rows
@@ -153,6 +153,8 @@ class TestRankSum:
         ]
         averaged = rank_leaderboard(results)
         assert [row["trial"] for row in averaged] == [0, 1]
+        # mean C 0.567 against 0.5 ranks 1 and 2; the tied mean IBS adds 1.5
+        assert [row["rank_sum"] for row in averaged] == [2.5, 3.5]
         # per-split C ranks: t0 gets 1+2+2=5, t1 gets 2+1+1=4;
         # IBS adds 1.5 * 3 to both
         split_wise = rank_leaderboard(results, per_split=True)
@@ -501,6 +503,24 @@ class TestEvaluateCommand:
         )
         assert evaluated["c_index"] == trained["c_index"]
         assert evaluated["ibs"] == trained["ibs"]
+
+    def test_censoring_survival_zero_after_t0_exits_2(self, tmp_path, capsys):
+        # without training data the censoring weights come from these rows,
+        # whose censoring survival is zero from t = 0.02, before any grid point
+        golden = FIXTURES / "golden" / "gbsg_shared_variational" / "checkpoint.json"
+        ck = json.loads(golden.read_text())
+        ck["train_times"] = ck["train_events"] = None
+        (tmp_path / "ck.json").write_text(json.dumps(ck))
+        (tmp_path / "d.csv").write_text(rows_text(
+            ["duration", "event", *(f"x{i}" for i in range(7))],
+            [[t, e, *[0.1] * 7] for t, e in [(0.005, 1), (0.01, 0), (0.02, 0)]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["evaluate", "--checkpoint", str(tmp_path / "ck.json"),
+                       "--data", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "every later grid point" in err
 
     def test_missing_checkpoint_exit_1(self, workspace, tmp_path):
         rc = main([
@@ -1055,6 +1075,41 @@ class TestStratifyCommand:
             top = list(csv.DictReader(fh))[0]
         assert top["feature"] == "f0"
 
+    def test_summary_reports_the_first_pair_of_three_clusters(self, workspace, tmp_path,
+                                                               capsys):
+        # with K = 3 the printed chi_square and p_value are the unadjusted
+        # two-sample test of the two lowest populated cluster ids, the first
+        # line of logrank.txt; every key of the summary is pinned
+        config = base_config(workspace / "schema.json", n_clusters=3)
+        (tmp_path / "k3.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "k3.json"),
+                     "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "strat"
+        assert main(["stratify", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data", str(workspace / "toy.csv"), "--out", str(out)]) == 0
+        summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        with open(out / "latents.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        labels = np.array([int(r["cluster"]) for r in rows])
+        times = np.array([float(r["time"]) for r in rows])
+        events = np.array([int(r["event"]) for r in rows])
+        ids = np.unique(labels).tolist()
+        assert len(ids) == 3
+        pairs = [line.split(":")[0] for line in (out / "logrank.txt").read_text().splitlines()]
+        assert pairs == [f"clusters {a} vs {b}" for a, b in [ids[:2], ids[::2], ids[1:]]]
+        pair = np.isin(labels, ids[:2])
+        stat, p = log_rank_test(labels[pair], times[pair], events[pair])
+        with open(out / "smd.csv") as fh:
+            top = next(csv.DictReader(fh))["feature"]
+        assert summary == {
+            "clusters": "3",
+            "sizes": " ".join(f"{g}:{np.count_nonzero(labels == g)}" for g in ids),
+            "chi_square": repr(stat),
+            "p_value": repr(p),
+            "top_feature": top,
+        }
+
     def test_latents_are_written_in_bounded_memory(self, workspace, tmp_path):
         """20k rows of 16 latents: the at-once ``tolist`` of every latent
         held about 4x the latent matrix as Python floats on top of it."""
@@ -1247,7 +1302,7 @@ def format2_checkpoint(tmp_path_factory):
     """The format-1 fixture's state re-saved in the current format."""
     ck = load_checkpoint(str(FORMAT1_CHECKPOINT))
     path = tmp_path_factory.mktemp("format2") / "checkpoint.json"
-    save_checkpoint(ck.state, str(path), ck.transforms, ck.feature_names)
+    save_checkpoint(ck.state, str(path), ck.transforms)
     return path
 
 

@@ -311,6 +311,15 @@ class TestBrierScore:
             ibs = integrated_brier_score(surv, grid, times, events)
         assert np.isfinite(ibs)
 
+    def test_censoring_survival_zero_after_t0_is_a_data_error(self):
+        # both censoring times fall before the first grid point after 0
+        # (10 / 99), so nothing is left to integrate over
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="every later grid point"):
+                integrated_brier_score(np.array([[0.5, 0.4]]), TimeGrid([5.0, 10.0]),
+                                       [3.0], [1], [0.01, 0.02], [0, 0])
+
     def test_zero_patients_score_nan_without_warnings(self):
         grid = TimeGrid([2.0, 4.0])
         with warnings.catch_warnings():

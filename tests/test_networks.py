@@ -64,8 +64,10 @@ class TestEncoder:
         model = small_model()
         x = Tensor(np.zeros((3, 5)))
         out = model.encode(x, train=True, rng=np.random.default_rng(2))
-        assert out.eps is not None
-        expected = out.mu.values + np.exp(0.5 * out.log_var.values) * out.eps
+        # the noise is the rng's first standard-normal draw
+        eps = np.random.default_rng(2).standard_normal(out.mu.values.shape)
+        assert np.any(eps != 0)
+        expected = out.mu.values + np.exp(0.5 * out.log_var.values) * eps
         np.testing.assert_allclose(out.z.values, expected, rtol=1e-12)
 
     def test_train_mode_without_rng_rejected(self):
