@@ -154,8 +154,8 @@ def concordance_index(risk, times, events) -> float:
     with the 0 bits first. Each event row carries its range of later rows
     down the levels by prefix counts of the 1 bits; where its own bit is 1,
     the range's rows with a 0 bit have lower risk. The range left after
-    the last level holds its risk ties. O(n log n) time, O(n) memory, and
-    no Python loop over rows.
+    the last level holds its risk ties; a range moves to the 1 bits by a
+    0/1 product. O(n log n) time, O(n) memory, no Python loop over rows.
     """
     risk = np.asarray(risk, dtype=np.float64).ravel()
     times = np.asarray(times, dtype=np.float64).ravel()
@@ -185,8 +185,8 @@ def concordance_index(risk, times, events) -> float:
         hi -= hi_ones
         less += int(np.dot(hi - lo, up))
         zeros = n - int(ones[-1])
-        np.copyto(lo, lo_ones + zeros, where=up)
-        np.copyto(hi, hi_ones + zeros, where=up)
+        lo += up * (lo_ones + zeros - lo)
+        hi += up * (hi_ones + zeros - hi)
         rank = rank[np.argsort(is_one, kind="stable")]
     ties = int((hi - lo).sum())
     return float((less + 0.5 * ties) / pairs)
@@ -221,10 +221,11 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     where the censoring survival hits zero are dropped with a warning and
     the integral renormalized over the remaining span, a DataError if none
     is left. Zero patients score nan, as a C-index without comparable pairs
-    does.
+    does. ``surv`` must be finite and within rounding of [0, 1]: nan, inf
+    and a term that overflows (|S| above about 1e4) are a UsageError.
 
-    The points are scored ``BUDGET // n_patients`` at a time, so the
-    working set stays near ``BUDGET`` floats above a copy of ``surv``.
+    Points are scored ``BUDGET // n_patients`` at a time (working set near
+    ``BUDGET`` floats above a copy of ``surv``); 0/1 products select terms.
     """
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).ravel()
@@ -232,6 +233,8 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     _same_length(times=times, events=events)
     if surv.ndim != 2 or surv.shape[0] != times.size or surv.shape[1] != grid.n_bins:
         raise UsageError("surv must be (n_patients, n_bins)")
+    if not np.isfinite(surv).all():
+        raise UsageError("integrated_brier_score needs finite survival probabilities")
     if censor_times is None:
         censor_times, censor_events = times, events
     censor_times = np.asarray(censor_times, dtype=np.float64).ravel()
@@ -263,25 +266,30 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     g_event = np.maximum(np.asarray(G.evaluate_before(times)), 1e-300)
     bs = np.empty(pts.size)
     step = max(1, BUDGET // times.size)
-    for lo in range(0, pts.size, step):
-        # row i of a block is point lo + i; the row means keep one order of
-        # summation whatever the block size
-        b = slice(lo, lo + step)
-        t = pts[b, None]
-        s_t = knots[k[b]]
-        s_t *= 1.0 - w[b]
-        term = knots[k[b] + 1]
-        term *= w[b]
-        s_t += term
-        # alive past t: (1 - S)^2 / G(t); dead by t: S^2 / G(T_i-); else 0
-        np.subtract(1.0, s_t, out=term)
-        np.square(term, out=term)
-        term /= Gt[b, None]
-        np.copyto(term, 0.0, where=~(times > t))
-        np.square(s_t, out=s_t)
-        s_t /= g_event
-        np.copyto(term, s_t, where=(times <= t) & dead)
-        bs[b] = term.mean(axis=1)
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, pts.size, step):
+                # row i of a block is point lo + i; the row means keep one
+                # order of summation whatever the block size
+                b = slice(lo, lo + step)
+                t = pts[b, None]
+                s_t = knots[k[b]]
+                s_t *= 1.0 - w[b]
+                term = knots[k[b] + 1]
+                term *= w[b]
+                s_t += term
+                # alive past t: (1 - S)^2 / G(t); dead by t: S^2 / G(T_i-); else 0
+                np.subtract(1.0, s_t, out=term)
+                np.square(term, out=term)
+                term /= Gt[b, None]
+                term *= times > t
+                np.square(s_t, out=s_t)
+                s_t /= g_event
+                s_t *= (times <= t) & dead
+                term += s_t
+                bs[b] = term.mean(axis=1)
+    except FloatingPointError:
+        raise UsageError("integrated_brier_score: a term overflowed; surv must lie near [0, 1]") from None
     return float(_trapezoid(bs, pts) / pts[-1])
 
 

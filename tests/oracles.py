@@ -144,7 +144,8 @@ def ibs_where_blocks(surv, grid, times, events, censor_times=None, censor_events
     """The integrated Brier score as the library first vectorized it: every
     term of 16 points at a time from one nested ``np.where``, then the
     ``(points, n)`` row means. It repeats the library's per-element
-    arithmetic, so the blocked, in-place library must equal it exactly."""
+    arithmetic, so the blocked, in-place library must equal it exactly, and
+    raises the library's DataError when fewer than two points are left."""
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).ravel()
@@ -156,7 +157,10 @@ def ibs_where_blocks(surv, grid, times, events, censor_times=None, censor_events
     pts = np.linspace(0.0, grid.horizon, n_points)
     Gt = np.asarray(G.evaluate(pts))
     if np.any(Gt <= 0.0):
-        last = int(np.nonzero(Gt > 0.0)[0][-1])
+        kept = np.nonzero(Gt > 0.0)[0]
+        if kept.size < 2:
+            raise DataError("censoring survival is zero at t=0 or at every later grid point")
+        last = int(kept[-1])
         warnings.warn(
             "censoring survival reaches zero before the horizon; "
             f"integrating over [0, {pts[last]:g}] instead"

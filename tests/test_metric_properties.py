@@ -148,9 +148,14 @@ def ibs_cases(draw):
 
 
 def _scored_with_warnings(ibs, *args):
+    """The score, or the message of the DataError raised when no span is
+    left to integrate over, and the warnings on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = ibs(*args)
+        try:
+            value = ibs(*args)
+        except DataError as exc:
+            value = str(exc)
     return value, [(w.category, str(w.message)) for w in caught]
 
 

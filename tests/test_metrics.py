@@ -3,10 +3,12 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from survstrat import metrics
 from survstrat.errors import DataError, UsageError
 from survstrat.metrics import (
     StepCurve,
@@ -20,7 +22,14 @@ from survstrat.metrics import (
     log_rank_test,
 )
 
-from oracles import cindex_bruteforce, cindex_sweep, ibs_direct, km_scan, reg_upper_gamma_half
+from oracles import (
+    cindex_bruteforce,
+    cindex_sweep,
+    ibs_direct,
+    ibs_where_blocks,
+    km_scan,
+    reg_upper_gamma_half,
+)
 
 
 class TestTimeGrid:
@@ -139,6 +148,17 @@ class TestConcordance:
         events[:2] = 1
         times[:2] = [1.0, 11.0]
         assert concordance_index(risk, times, events) == cindex_bruteforce(risk, times, events)
+
+    # one distinct risk runs no level; at every level a range moves to the
+    # 1 bits by a 0/1 product, and here every row carries a range
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 4, 8, 15, 16, 17, 64])
+    def test_every_row_an_event_matches_bruteforce(self, distinct):
+        rng = np.random.default_rng(200 + distinct)
+        n = 3 * distinct + 4
+        risk = rng.permutation(np.arange(n) % distinct).astype(float)
+        times = rng.integers(1, 10, size=n).astype(float)
+        times[:2] = [1.0, 10.0]
+        assert concordance_index(risk, times, np.ones(n)) == cindex_bruteforce(risk, times, np.ones(n))
 
     def test_all_risks_tied_score_half(self):
         times = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
@@ -346,6 +366,40 @@ class TestBrierScore:
             tracemalloc.stop()
         assert peak <= 2 * surv.nbytes
 
+    @pytest.mark.parametrize("budget", [1, metrics.BUDGET])
+    def test_one_rounding_step_outside_the_unit_interval_matches_the_where_blocks(self, budget):
+        # 1 - probs @ cum can land one step outside [0, 1]; a product with a
+        # 0/1 mask must still give each term the masked copy's value
+        rng = np.random.default_rng(16)
+        n = 80
+        times = rng.uniform(1, 20, size=n)
+        events = rng.integers(0, 2, size=n)
+        events[times.argmax()] = 1
+        grid = build_time_grid(times, events, 6)
+        surv = np.sort(rng.uniform(0, 1, size=(n, 6)), axis=1)[:, ::-1].copy()
+        surv[: n // 2, :2] = 1.0 + 2.2e-16
+        surv[n // 4:, 4:] = -2.2e-16
+        args = (surv, grid, times, events)
+        with mock.patch.object(metrics, "BUDGET", budget):
+            got = integrated_brier_score(*args)
+        assert got == ibs_where_blocks(*args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_survival_rejected(self, bad):
+        surv = np.full((3, 2), 0.5)
+        surv[1, 0] = bad
+        with pytest.raises(UsageError, match="finite survival probabilities"):
+            integrated_brier_score(surv, TimeGrid([2.0, 4.0]), [1.0, 3.0, 5.0], [1, 0, 1])
+
+    def test_overflowing_term_rejected_without_warnings(self):
+        # finite, but (1 - S)^2 overflows: a product would carry it as inf * 0
+        surv = np.full((3, 2), 0.5)
+        surv[2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="overflowed"):
+                integrated_brier_score(surv, TimeGrid([2.0, 4.0]), [1.0, 3.0, 5.0], [1, 0, 1])
+
     def test_mismatched_event_length_rejected(self):
         grid = TimeGrid([2.0, 4.0])
         surv = np.full((3, 2), 0.5)
@@ -410,3 +464,28 @@ class TestLogRank:
         a = log_rank_test(labels, times, events)
         b = log_rank_test(1 - labels, times, events)
         assert a[0] == pytest.approx(b[0])
+
+
+def test_scoring_20k_rows_raises_no_warning():
+    """Any inf * 0 or nan in a product would surface as a RuntimeWarning.
+    Some scored times run past the censoring data's last, censored time, so
+    their G(T_i-) is zero, floored at 1e-300, and their dead-by terms, up to
+    1e300, are multiplied by 0 at every grid point."""
+    rng = np.random.default_rng(20_000)
+    n = 20_000
+    times = rng.exponential(10.0, n) + 0.1
+    events = rng.integers(0, 2, n)
+    train_t = rng.exponential(4.0, 2000) + 0.1
+    train_e = rng.integers(0, 2, 2000)
+    train_e[train_t.argmax()] = 0
+    assert np.count_nonzero(times > train_t.max()) > 100
+    grid = build_time_grid(train_t, train_e, 16)
+    surv = np.sort(rng.uniform(0, 1, size=(n, 16)), axis=1)[:, ::-1].copy()
+    surv[:, 0] = 1.0
+    surv[: n // 2, -1] = 0.0
+    risk = np.round(rng.standard_normal(n), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ibs = integrated_brier_score(surv, grid, times, events, train_t, train_e)
+        c = concordance_index(risk, times, events)
+    assert np.isfinite(ibs) and 0.0 <= c <= 1.0
