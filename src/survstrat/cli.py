@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, _is_int, _is_number
-from .errors import ConfigurationError, SurvstratError, UsageError, read_json
+from .errors import ConfigurationError, DataError, SurvstratError, UsageError, read_json
 from .metrics import interpolate_curve, kaplan_meier, log_rank_test
 
 DEFAULT_BUDGET = 50
@@ -49,8 +49,12 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="dataset CSV path")
     p_eval.add_argument("--split", type=int, default=None,
-                        help="restrict to one split (1-based); default: all rows")
-    p_eval.add_argument("--role", choices=("train", "val", "test"), default="test")
+                        help="restrict to one split (1-based; default: all rows), re-drawn "
+                             "from the checkpoint's seed without resampling unless "
+                             "--splits-file is given (pass run/splits.txt for a run "
+                             "trained with --splits-file or --with-replacement)")
+    p_eval.add_argument("--role", choices=("train", "val", "test"), default=None,
+                        help="rows of the selected split to score (default test)")
     p_eval.add_argument("--splits-file", default=None)
     p_eval.add_argument("--curves", default=None,
                         help="write per-cluster mean survival curves to this CSV")
@@ -118,14 +122,14 @@ def _split_for(split_set: data_mod.SplitSet, number: int) -> dict:
 
 
 def _fit_one_split(table, config, split):
-    dataset = data_mod.preprocess(table, split["train"])
-    X, t, e = dataset.X, dataset.t, dataset.e
+    """``(state, X, transforms)`` of a fit on ``split``; ``X`` holds every row."""
+    X, transforms = data_mod.preprocess(table, split["train"])
+    t, e = table.time, table.event
     tr, va = split["train"], split["val"]
     data = trainer.prepare_training_data(
         X[tr], t[tr], e[tr], config.n_bins, X[va], t[va], e[va]
     )
-    state = trainer.fit(data, config)
-    return state, dataset
+    return trainer.fit(data, config), X, transforms
 
 
 def cmd_train(args) -> int:
@@ -143,12 +147,12 @@ def cmd_train(args) -> int:
             table.n_rows, config.seed, with_replacement=args.with_replacement
         )
     split = _split_for(split_set, args.split)
-    state, dataset = _fit_one_split(table, config, split)
+    state, X, transforms = _fit_one_split(table, config, split)
     te, va = split["test"], split["val"]
-    test = trainer.evaluate(state, dataset.X[te], dataset.t[te], dataset.e[te])
+    test = trainer.evaluate(state, X[te], table.time[te], table.event[te])
     # a validation split without comparable pairs reports val_c_index: nan
-    val = trainer.score(state, trainer.predict(state, dataset.X[va]),
-                        dataset.t[va], dataset.e[va], require_pairs=False)
+    val = trainer.score(state, trainer.predict(state, X[va]), table.time[va],
+                        table.event[va], require_pairs=False)
     report = format_report({
         "dataset": _dataset_name(config, data_path),
         "split": args.split,
@@ -160,7 +164,7 @@ def cmd_train(args) -> int:
         "config_hash": config.config_hash(),
     })
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"), dataset.transforms)
+    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"), transforms)
     with open(os.path.join(args.out, "epochs.csv"), "w") as fh:
         fh.write(trainer.format_epoch_log(state.logs))
     data_mod.save_splits(split_set, os.path.join(args.out, "splits.txt"))
@@ -176,6 +180,8 @@ def _load_for_checkpoint(ck, data_path: str):
     roles = _resolve_schema(ck.state.config)
     kinds = {col: tr["kind"] for col, tr in ck.transforms.items()}
     table = data_mod.load_csv(data_path, data_mod.Schema(roles.time, roles.event, kinds))
+    if table.n_rows == 0:
+        raise DataError(f"data file {data_path}: no row has both a time and an event")
     X, _ = data_mod.apply_transforms(table, ck.transforms)
     return table, X
 
@@ -201,6 +207,8 @@ def _write_group_curves(path: str, state, survival: np.ndarray, labels) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if args.role and args.split is None and not args.splits_file:
+        raise UsageError("--role needs --split or --splits-file")
     ck = load_checkpoint(args.checkpoint)
     table, X = _load_for_checkpoint(ck, args.data)
     t, e = table.time, table.event
@@ -211,7 +219,7 @@ def cmd_evaluate(args) -> int:
             split_set = data_mod.load_splits(args.splits_file, table.n_rows)
         else:
             split_set = data_mod.make_splits(table.n_rows, ck.state.config.seed)
-        idx = _split_for(split_set, args.split)[args.role]
+        idx = _split_for(split_set, args.split)[args.role or "test"]
         X, t, e = X[idx], t[idx], e[idx]
     pred = trainer.predict(ck.state, X)
     metrics = trainer.score(ck.state, pred, t, e)
@@ -317,11 +325,10 @@ def sample_trials(space: dict, budget: int, seed: int) -> list:
     return trials
 
 
-def _run_trial(payload):
+def _run_trial(index, config_dict, table, splits):
     """One trial: fit on every split, return per-split validation and test
     metrics. Runs in a worker process, so a SurvstratError comes back as a
     failed trial; any other exception is a bug and propagates."""
-    index, config_dict, table, splits = payload
     try:
         config = ExperimentConfig.from_dict(config_dict)
         config.validate()
@@ -329,10 +336,10 @@ def _run_trial(payload):
                   "config_hash": config.config_hash(),
                   "val_c": [], "val_ibs": [], "test_c": [], "test_ibs": []}
         for split in splits:
-            state, dataset = _fit_one_split(table, config, split)
+            state, X, _ = _fit_one_split(table, config, split)
             va, te = split["val"], split["test"]
-            val = trainer.evaluate(state, dataset.X[va], dataset.t[va], dataset.e[va])
-            test = trainer.evaluate(state, dataset.X[te], dataset.t[te], dataset.e[te])
+            val = trainer.evaluate(state, X[va], table.time[va], table.event[va])
+            test = trainer.evaluate(state, X[te], table.time[te], table.event[te])
             result["val_c"].append(val["c_index"])
             result["val_ibs"].append(val["ibs"])
             result["test_c"].append(test["c_index"])
@@ -343,17 +350,16 @@ def _run_trial(payload):
 
 
 def average_ranks(values, descending: bool) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
+    """1-based ranks; tied (``==``) values share the average of their
+    positions, so -0.0 ties 0.0 and a NaN ties nothing."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(-values if descending else values, kind="stable")
+    ordered = values[order]
+    # a run of ties starts wherever a value differs from the one before it
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -412,15 +418,15 @@ def cmd_hpo(args) -> int:
         table.n_rows, args.seed, with_replacement=args.with_replacement
     )
     trials = sample_trials(space, budget, args.seed)
-    payloads = [(i, d, table, split_set.splits) for i, d in enumerate(trials)]
+    trial_args = (range(budget), trials, repeat(table), repeat(split_set.splits))
     if args.jobs == 1:
-        results = [_run_trial(p) for p in payloads]
+        results = list(map(_run_trial, *trial_args))
     else:
         # imported here: only hpo uses the pool, and the import costs every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_trial, payloads))
+            results = list(pool.map(_run_trial, *trial_args))
     results.sort(key=lambda r: r["trial"])
     board = rank_leaderboard(results, per_split=args.rank_per_split)
     winner = board[0]
@@ -486,7 +492,8 @@ def cmd_stratify(args) -> int:
     enc = trainer.encode(ck.state, X)
     labels = enc["labels"]
     latents = enc["latents"]
-    populated = [int(g) for g in np.unique(labels)]
+    populated, sizes = np.unique(labels, return_counts=True)
+    populated = populated.tolist()
     if len(populated) < 2:
         raise UsageError(
             "every row fell into one cluster on this data; nothing to stratify"
@@ -512,11 +519,10 @@ def cmd_stratify(args) -> int:
             _write_rows(fh, repeat(str(g)), map(repr, [0.0] + curve.times.tolist()),
                         map(repr, [1.0] + curve.probs.tolist()))
     lines = []
-    for a_pos, a in enumerate(populated):
-        for b in populated[a_pos + 1:]:
-            pair = (labels == a) | (labels == b)
-            stat, p = log_rank_test(labels[pair], table.time[pair], table.event[pair])
-            lines.append((a, b, stat, p))
+    for a, b in combinations(populated, 2):
+        pair = (labels == a) | (labels == b)
+        stat, p = log_rank_test(labels[pair], table.time[pair], table.event[pair])
+        lines.append((a, b, stat, p))
     with open(os.path.join(args.out, "logrank.txt"), "w") as fh:
         for a, b, stat, p in lines:
             fh.write(
@@ -528,10 +534,9 @@ def cmd_stratify(args) -> int:
         fh.write("feature,smd\n")
         for name, value in smd:
             fh.write(f"{name},{value!r}\n")
-    sizes = {g: int((labels == g).sum()) for g in populated}
     summary = format_report({
         "clusters": len(populated),
-        "sizes": " ".join(f"{g}:{n}" for g, n in sizes.items()),
+        "sizes": " ".join(f"{g}:{n}" for g, n in zip(populated, sizes.tolist())),
         "chi_square": lines[0][2],
         "p_value": lines[0][3],
         "top_feature": smd[0][0] if smd else "",

@@ -104,16 +104,6 @@ class RawTable:
 
 
 @dataclass
-class SurvivalDataset:
-    """Model-ready design matrix with times, event flags, and fitted transforms."""
-
-    X: np.ndarray
-    t: np.ndarray
-    e: np.ndarray
-    transforms: dict
-
-
-@dataclass
 class SplitSet:
     """Five train/val/test index triples plus the master seed that made them."""
 
@@ -398,16 +388,12 @@ def apply_transforms(table: RawTable, transforms: dict):
     return X, column_names(transforms)
 
 
-def preprocess(table: RawTable, train_idx) -> SurvivalDataset:
-    """Fit transforms on the training rows, then transform the whole table."""
+def preprocess(table: RawTable, train_idx) -> tuple:
+    """Fit transforms on the training rows, then transform the whole table:
+    ``(X, transforms)``."""
     transforms = fit_transforms(table, train_idx)
     X, _ = apply_transforms(table, transforms)
-    return SurvivalDataset(
-        X=X,
-        t=table.time.copy(),
-        e=table.event.copy(),
-        transforms=transforms,
-    )
+    return X, transforms
 
 
 def make_splits(n: int, seed: int, with_replacement: bool = False) -> SplitSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clustering, losses
+from . import clustering, losses, metrics
 from .config import ExperimentConfig
 from .errors import DataError, NumericError, UsageError
 from .metrics import TimeGrid, build_time_grid, concordance_index, expected_event_time
@@ -406,20 +406,14 @@ def score(state: TrainState, pred: dict, t, e, require_pairs: bool = True) -> di
     """C-index and IBS of one ``predict`` output, with censoring weights from
     the training data. Without comparable pairs the C-index is undefined: a
     DataError, or nan when ``require_pairs`` is off."""
-    # imported per call: bench/spans.py patches metrics.integrated_brier_score,
-    # which a module-level import would bypass
-    from .metrics import integrated_brier_score
-
     try:
         c = concordance_index(pred["risk"], t, e)
     except DataError:
         if require_pairs:
             raise
         c = float("nan")
-    ibs = integrated_brier_score(
-        pred["survival"], state.grid, np.asarray(t, dtype=np.float64),
-        np.asarray(e), state.train_times, state.train_events,
-    )
+    ibs = metrics.integrated_brier_score(pred["survival"], state.grid, t, e,
+                                         state.train_times, state.train_events)
     return {"c_index": c, "ibs": ibs}
 
 

@@ -4,8 +4,9 @@ These deliberately use slow, explicit scalar loops so they share no code
 paths (vectorization, sorting tricks, searchsorted) with the library. Two
 exceptions repeat the library's arithmetic so that it must match them
 exactly: the GMM's EM reference, which reproduces ``gmm_fit`` while keeping
-the per-iteration state the fit discards, and ``ibs_where_blocks``, the IBS
-in its earlier layout. The composed tape graphs at the end are the
+the per-iteration state the fit discards, ``ibs_where_blocks``, the IBS
+in its earlier layout, and ``average_ranks_loop``, the hpo ranks in their
+earlier loop. The composed tape graphs at the end are the
 references for the library's fused nodes: the same functions built from
 elementary tensor ops, with the same arithmetic in the same order.
 """
@@ -251,6 +252,22 @@ def ivcg_pairwise(z, events, assignments, tau):
 
 
 CSV_MISSING_TOKENS = {"", "na", "nan", "none", "null", "?"}
+
+
+def average_ranks_loop(values, descending: bool) -> np.ndarray:
+    """``cli.average_ranks`` as a loop over each run of ``==`` values in
+    stable sorted order: -0.0 ties 0.0 and a NaN ties nothing."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(-values if descending else values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def _parse_float_row(token: str, row: int, col: str) -> float:

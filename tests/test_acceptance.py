@@ -173,9 +173,9 @@ def _run_benchmark(preset):
     split_set = data_mod.make_splits(table.n_rows, config.seed)
     cs, ibss = [], []
     for split in split_set.splits:
-        state, dataset = _fit_one_split(table, config, split)
+        state, X, _ = _fit_one_split(table, config, split)
         te = split["test"]
-        out = trainer.evaluate(state, dataset.X[te], dataset.t[te], dataset.e[te])
+        out = trainer.evaluate(state, X[te], table.time[te], table.event[te])
         cs.append(out["c_index"])
         ibss.append(out["ibs"])
     return float(np.mean(cs)), float(np.mean(ibss))

@@ -85,7 +85,7 @@ def test_installed_tracer_records_a_forward_and_restores_the_package():
 
 
 def test_installed_tracer_sees_the_ibs_that_score_computes():
-    # trainer.score imports integrated_brier_score per call, so the patched name is seen
+    # trainer.score looks up metrics.integrated_brier_score at call time, so the patch is seen
     spans, modules = load_spans(), package_modules()
     rng = np.random.default_rng(0)
     t = rng.exponential(5.0, 30) + 0.1

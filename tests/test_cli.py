@@ -32,7 +32,7 @@ from survstrat.errors import ConfigurationError, DataError, NumericError
 from survstrat.metrics import interpolate_curve, kaplan_meier, log_rank_test
 
 from csvgen import survival_csvs
-from oracles import load_csv_rows
+from oracles import average_ranks_loop, load_csv_rows
 
 
 def write_toy_dataset(path, n=150, seed=42, informative=True):
@@ -139,6 +139,15 @@ class TestRankSum:
         assert ranks.tolist() == [2.5, 2.5, 1.0]
         ranks = average_ranks(np.array([1.0, 1.0, 2.0]), descending=False)
         assert ranks.tolist() == [1.5, 1.5, 3.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, float("nan"), float("inf")])
+                           | st.floats(), max_size=30),
+           descending=st.booleans())
+    def test_average_ranks_match_the_loop(self, values, descending):
+        got = average_ranks(values, descending=descending)
+        want = average_ranks_loop(values, descending=descending)
+        assert got.tobytes() == want.tobytes()
 
     def test_per_split_mode_can_flip_the_winner(self):
         # trial 0 wins one split big, loses two small; means favor it but
@@ -486,6 +495,13 @@ class TestEvaluateCommand:
         implied = (tmp_path / "implied" / "metrics.txt").read_bytes()
         assert implied == (tmp_path / "explicit" / "metrics.txt").read_bytes()
         assert b"split: 1\n" in implied
+
+    def test_role_without_a_split_exits_1(self, workspace, capsys):
+        rc = main(["evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                   "--data", str(workspace / "toy.csv"), "--role", "val"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: --role needs --split or --splits-file\n"
 
     def test_matches_train_report(self, workspace, tmp_path, capsys):
         rc = main([
@@ -982,6 +998,23 @@ class TestInputFiles:
         assert rc == 2
         assert err.startswith(f"error: data file {bad} is not UTF-8 text: ")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "stratify"])
+    @pytest.mark.parametrize("rows", [[], [["", 1, 0.1, 0.2, 0.3], ["NA", 0, 0.4, 0.5, 0.6]]],
+                             ids=["header only", "no row has a time"])
+    def test_no_usable_row_exits_2_naming_the_file(self, workspace, tmp_path, capsys,
+                                                   command, rows):
+        data = tmp_path / "d.csv"
+        data.write_text(rows_text(["duration", "event", "f0", "f1", "f2"], rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped rows and numpy's empty-file warning
+            rc = main([command, "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                       "--data", str(data), *(["--out", str(tmp_path / "s")]
+                                              if command == "stratify" else [])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: data file {data}: no row has both a time and an event\n"
 
 
 class TestStratifyCommand:

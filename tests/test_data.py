@@ -206,33 +206,33 @@ class TestPreprocess:
 
     def test_zscore_population_std(self, tmp_path):
         table = self.make_table(tmp_path, [[1, 1, 1, "A"], [2, 1, 2, "A"], [3, 1, 3, "A"]])
-        ds = preprocess(table, [0, 1, 2])
-        col = ds.X[:, column_names(ds.transforms).index("age")]
+        X, transforms = preprocess(table, [0, 1, 2])
+        col = X[:, column_names(transforms).index("age")]
         np.testing.assert_allclose(col, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
     def test_one_hot_columns(self, tmp_path):
         table = self.make_table(tmp_path, [[1, 1, 5, "A"], [2, 1, 6, "B"], [3, 1, 7, "A"]])
-        ds = preprocess(table, [0, 1, 2])
-        names = column_names(ds.transforms)
+        X, transforms = preprocess(table, [0, 1, 2])
+        names = column_names(transforms)
         assert "grade=A" in names and "grade=B" in names
-        a = ds.X[:, names.index("grade=A")]
-        b = ds.X[:, names.index("grade=B")]
+        a = X[:, names.index("grade=A")]
+        b = X[:, names.index("grade=B")]
         np.testing.assert_array_equal(a, [1, 0, 1])
         np.testing.assert_array_equal(b, [0, 1, 0])
 
     def test_unseen_category_zeros_with_warning(self, tmp_path):
         table = self.make_table(tmp_path, [[1, 1, 5, "A"], [2, 1, 6, "B"], [3, 1, 7, "C"]])
         with pytest.warns(UserWarning, match="vocabulary"):
-            ds = preprocess(table, [0, 1])
-        names = column_names(ds.transforms)
-        row = ds.X[2, [names.index("grade=A"), names.index("grade=B")]]
+            X, transforms = preprocess(table, [0, 1])
+        names = column_names(transforms)
+        row = X[2, [names.index("grade=A"), names.index("grade=B")]]
         np.testing.assert_array_equal(row, [0, 0])
 
     def test_constant_column_warns_and_centers_to_zero(self, tmp_path):
         table = self.make_table(tmp_path, [[1, 1, 5, "A"], [2, 1, 5, "A"], [3, 1, 5, "B"]])
         with pytest.warns(UserWarning, match="constant"):
-            ds = preprocess(table, [0, 1, 2])
-        np.testing.assert_array_equal(ds.X[:, column_names(ds.transforms).index("age")], [0, 0, 0])
+            X, transforms = preprocess(table, [0, 1, 2])
+        np.testing.assert_array_equal(X[:, column_names(transforms).index("age")], [0, 0, 0])
 
     def test_median_imputation_from_train(self, tmp_path):
         table = self.make_table(
@@ -254,10 +254,10 @@ class TestPreprocess:
     def test_one_hot_argmax_recovers_categories(self, tmp_path):
         rows = [[i + 1, 1, i, g] for i, g in enumerate(["A", "B", "C", "B", "A", "C"])]
         table = self.make_table(tmp_path, rows)
-        ds = preprocess(table, list(range(6)))
-        names = column_names(ds.transforms)
+        X, transforms = preprocess(table, list(range(6)))
+        names = column_names(transforms)
         block_names = [n for n in names if n.startswith("grade=")]
-        block = ds.X[:, [names.index(n) for n in block_names]]
+        block = X[:, [names.index(n) for n in block_names]]
         recovered = [block_names[k].split("=", 1)[1] for k in block.argmax(axis=1)]
         assert recovered == ["A", "B", "C", "B", "A", "C"]
 
@@ -273,17 +273,19 @@ class TestPreprocess:
         table = self.make_table(tmp_path, rows)
         arrays = [table.time, table.event, table.features["age"]]
         before = [a.tobytes() for a in arrays]
-        first = preprocess(table, range(6))
-        second = preprocess(table, range(6, 12))
-        assert first.transforms["age"]["median"] != second.transforms["age"]["median"]
+        _, first = preprocess(table, range(6))
+        X, second = preprocess(table, range(6, 12))
+        assert first["age"]["median"] != second["age"]["median"]
         assert [a.tobytes() for a in arrays] == before
         np.testing.assert_array_equal(np.isnan(table.features["age"]),
                                       [i % 4 == 0 for i in range(12)])
         assert table.features["grade"] == ["AB"[i % 3 % 2] for i in range(12)]
-        fresh = preprocess(self.make_table(tmp_path, rows), range(6, 12))
-        assert second.transforms == fresh.transforms
-        for name in ("X", "t", "e"):
-            assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
+        fresh_table = self.make_table(tmp_path, rows)
+        fresh_X, fresh = preprocess(fresh_table, range(6, 12))
+        assert second == fresh
+        for got, want in ((X, fresh_X), (table.time, fresh_table.time),
+                          (table.event, fresh_table.event)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSplits:
