@@ -113,6 +113,14 @@ def _dataset_name(config: ExperimentConfig, data_path: str) -> str:
     return os.path.splitext(os.path.basename(data_path))[0]
 
 
+def _load_table(data_path: str, schema: data_mod.Schema) -> data_mod.RawTable:
+    """``load_csv``, with a file left without rows a DataError naming it."""
+    table = data_mod.load_csv(data_path, schema)
+    if table.n_rows == 0:
+        raise DataError(f"data file {data_path}: no row has both a time and an event")
+    return table
+
+
 def _split_for(split_set: data_mod.SplitSet, number: int) -> dict:
     if not 1 <= number <= len(split_set.splits):
         raise UsageError(
@@ -139,7 +147,7 @@ def cmd_train(args) -> int:
     config.validate()
     schema = _resolve_schema(config)
     data_path = _resolve_data_path(config, args.data)
-    table = data_mod.load_csv(data_path, schema)
+    table = _load_table(data_path, schema)
     if args.splits_file:
         split_set = data_mod.load_splits(args.splits_file, table.n_rows)
     else:
@@ -175,15 +183,14 @@ def cmd_train(args) -> int:
 
 
 def _load_for_checkpoint(ck, data_path: str):
-    """Parse and transform a CSV as the checkpointed model expects: with the
-    feature columns and kinds the checkpoint recorded, none inferred anew."""
+    """``(time, event, X)`` of a CSV parsed and transformed as the checkpointed
+    model expects: with the feature columns and kinds the checkpoint recorded,
+    none inferred anew. The parsed table is freed on return."""
     roles = _resolve_schema(ck.state.config)
     kinds = {col: tr["kind"] for col, tr in ck.transforms.items()}
-    table = data_mod.load_csv(data_path, data_mod.Schema(roles.time, roles.event, kinds))
-    if table.n_rows == 0:
-        raise DataError(f"data file {data_path}: no row has both a time and an event")
+    table = _load_table(data_path, data_mod.Schema(roles.time, roles.event, kinds))
     X, _ = data_mod.apply_transforms(table, ck.transforms)
-    return table, X
+    return table.time, table.event, X
 
 
 def _write_rows(fh, *columns) -> None:
@@ -210,15 +217,14 @@ def cmd_evaluate(args) -> int:
     if args.role and args.split is None and not args.splits_file:
         raise UsageError("--role needs --split or --splits-file")
     ck = load_checkpoint(args.checkpoint)
-    table, X = _load_for_checkpoint(ck, args.data)
-    t, e = table.time, table.event
+    t, e, X = _load_for_checkpoint(ck, args.data)
     if args.split is None and args.splits_file:
         args.split = 1
     if args.split is not None:
         if args.splits_file:
-            split_set = data_mod.load_splits(args.splits_file, table.n_rows)
+            split_set = data_mod.load_splits(args.splits_file, len(t))
         else:
-            split_set = data_mod.make_splits(table.n_rows, ck.state.config.seed)
+            split_set = data_mod.make_splits(len(t), ck.state.config.seed)
         idx = _split_for(split_set, args.split)[args.role or "test"]
         X, t, e = X[idx], t[idx], e[idx]
     pred = trainer.predict(ck.state, X)
@@ -413,7 +419,7 @@ def cmd_hpo(args) -> int:
     base.validate()
     schema = _resolve_schema(base)
     data_path = _resolve_data_path(base, args.data)
-    table = data_mod.load_csv(data_path, schema)
+    table = _load_table(data_path, schema)
     split_set = data_mod.make_splits(
         table.n_rows, args.seed, with_replacement=args.with_replacement
     )
@@ -488,7 +494,7 @@ def cmd_stratify(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     if ck.state.config.n_clusters < 2:
         raise UsageError("the checkpoint has a single cluster; nothing to stratify")
-    table, X = _load_for_checkpoint(ck, args.data)
+    t, e, X = _load_for_checkpoint(ck, args.data)
     enc = trainer.encode(ck.state, X)
     labels = enc["labels"]
     latents = enc["latents"]
@@ -508,20 +514,20 @@ def cmd_stratify(args) -> int:
             _write_rows(
                 fh, map(str, range(n)[rows]),
                 *(map(repr, z) for z in latents[rows].T.tolist()),
-                map(str, labels[rows].tolist()), map(repr, table.time[rows].tolist()),
-                map(str, table.event[rows].tolist()),
+                map(str, labels[rows].tolist()), map(repr, t[rows].tolist()),
+                map(str, e[rows].tolist()),
             )
     with open(os.path.join(args.out, "km_clusters.csv"), "w") as fh:
         fh.write("cluster,time,survival\n")
         for g in populated:
-            curve = kaplan_meier(table.time[labels == g], table.event[labels == g])
+            curve = kaplan_meier(t[labels == g], e[labels == g])
             # every curve starts at (0, 1)
             _write_rows(fh, repeat(str(g)), map(repr, [0.0] + curve.times.tolist()),
                         map(repr, [1.0] + curve.probs.tolist()))
     lines = []
     for a, b in combinations(populated, 2):
         pair = (labels == a) | (labels == b)
-        stat, p = log_rank_test(labels[pair], table.time[pair], table.event[pair])
+        stat, p = log_rank_test(labels[pair], t[pair], e[pair])
         lines.append((a, b, stat, p))
     with open(os.path.join(args.out, "logrank.txt"), "w") as fh:
         for a, b, stat, p in lines:

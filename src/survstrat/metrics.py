@@ -225,7 +225,7 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     and a term that overflows (|S| above about 1e4) are a UsageError.
 
     Points are scored ``BUDGET // n_patients`` at a time (working set near
-    ``BUDGET`` floats above a copy of ``surv``); 0/1 products select terms.
+    ``BUDGET`` floats, with no copy of ``surv``); 0/1 products select terms.
     """
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).ravel()
@@ -261,11 +261,11 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
     x = np.concatenate(([0.0], grid.edges))
     k = np.minimum(np.searchsorted(x, pts, side="right") - 1, grid.n_bins - 1)
     w = ((pts - x[k]) / (x[k + 1] - x[k]))[:, None]
-    knots = np.vstack([np.ones(times.size), surv.T])
     dead = events == 1
     g_event = np.maximum(np.asarray(G.evaluate_before(times)), 1e-300)
     bs = np.empty(pts.size)
     step = max(1, BUDGET // times.size)
+    have = None
     try:
         with np.errstate(over="raise"):
             for lo in range(0, pts.size, step):
@@ -273,9 +273,15 @@ def integrated_brier_score(surv, grid: TimeGrid, times, events,
                 # order of summation whatever the block size
                 b = slice(lo, lo + step)
                 t = pts[b, None]
-                s_t = knots[k[b]]
+                # the block's knots as contiguous rows, gathered again only when
+                # they change: knot 0 is all ones and knot j > 0 is surv.T[j - 1]
+                need = np.union1d(k[b], k[b] + 1)
+                if not np.array_equal(need, have):
+                    have, knots = need, surv.T[np.maximum(need - 1, 0)]
+                    knots[need == 0] = 1.0
+                s_t = knots[np.searchsorted(have, k[b])]
                 s_t *= 1.0 - w[b]
-                term = knots[k[b] + 1]
+                term = knots[np.searchsorted(have, k[b] + 1)]
                 term *= w[b]
                 s_t += term
                 # alive past t: (1 - S)^2 / G(t); dead by t: S^2 / G(T_i-); else 0

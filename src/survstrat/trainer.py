@@ -364,24 +364,26 @@ def _eval_chunk(state: TrainState, X: np.ndarray, heads: bool) -> dict:
     model = state.model
     x = Tensor(X)
     outs = _encode_views(model, x, train=False, rng=None)
-    part = {"latents": outs[0].mu.values}
+    part = {}
     if state.centers:
         view = state.config.routing_view
         part["labels"] = clustering.assign_nearest(
             outs[view - 1].mu.values, state.centers[view - 1])
     if heads:
         # shared heads ignore the labels; per-cluster heads route by them
-        dist = model.survival_forward(model.survival_input(x, outs),
-                                      cluster_ids=part.get("labels"))
-        part.update(probs=dist.probs.values, survival=dist.survival.values)
+        dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=part.get("labels"))
+        part.update(survival=dist.survival.values,
+                    risk=-expected_event_time(dist.probs.values, state.grid))
+    else:
+        part["latents"] = outs[0].mu.values
     return part
 
 
 def encode(state: TrainState, X, heads: bool = False) -> dict:
     """Untaped eval-mode forward, ``CHUNK_ROWS`` rows at a time, each chunk
-    written into the outputs as it is done: view 1's latent means, cluster
-    labels (None without cluster centers) and, with ``heads``, the survival
-    heads' ``probs`` and ``survival``."""
+    written into the outputs as it is done: cluster labels (None without
+    cluster centers) and view 1's latent means or, with ``heads``, the
+    survival heads' ``survival`` and ``risk`` instead of the latents."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = {"labels": None}
     with no_tape():
@@ -396,10 +398,8 @@ def encode(state: TrainState, X, heads: bool = False) -> dict:
 
 
 def predict(state: TrainState, X) -> dict:
-    """Eval-mode prediction: probabilities, survival, risk, cluster labels."""
-    pred = encode(state, X, heads=True)
-    pred["risk"] = -expected_event_time(pred["probs"], state.grid)
-    return pred
+    """Eval-mode prediction: cluster labels, survival at the grid edges, risk = -E[T]."""
+    return encode(state, X, heads=True)
 
 
 def score(state: TrainState, pred: dict, t, e, require_pairs: bool = True) -> dict:

@@ -277,7 +277,13 @@ def test_criterion_7_structural_invariants():
             "SPL admitted set emptied"
         )
         pred = trainer.predict(state, X)
-        assert np.allclose(pred["probs"].sum(axis=1), 1.0, atol=1e-9), (
+        # predict keeps no probabilities; the model's own distribution has them
+        x = Tensor(X)
+        outs = trainer._encode_views(state.model, x, train=False, rng=None)
+        dist = state.model.survival_forward(state.model.survival_input(x, outs),
+                                            cluster_ids=pred["labels"])
+        assert np.array_equal(dist.survival.values, pred["survival"])
+        assert np.allclose(dist.probs.values.sum(axis=1), 1.0, atol=1e-9), (
             "survival distribution rows do not sum to 1"
         )
         assert (np.diff(pred["survival"], axis=1) <= 1e-12).all(), (

@@ -1000,18 +1000,24 @@ class TestInputFiles:
         assert err.count("\n") == 1
 
 
-    @pytest.mark.parametrize("command", ["evaluate", "stratify"])
+    @pytest.mark.parametrize("command", ["evaluate", "stratify", "train", "hpo"])
     @pytest.mark.parametrize("rows", [[], [["", 1, 0.1, 0.2, 0.3], ["NA", 0, 0.4, 0.5, 0.6]]],
                              ids=["header only", "no row has a time"])
     def test_no_usable_row_exits_2_naming_the_file(self, workspace, tmp_path, capsys,
                                                    command, rows):
         data = tmp_path / "d.csv"
         data.write_text(rows_text(["duration", "event", "f0", "f1", "f2"], rows))
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"base": base_config(workspace / "schema.json"), "space": {
+            "learning_rate": {"type": "log_uniform", "low": 1e-4, "high": 1e-2}}}))
+        checkpoint = ["--checkpoint", str(workspace / "run" / "checkpoint.json")]
+        argv = {"evaluate": checkpoint, "stratify": checkpoint,
+                "train": ["--config", str(workspace / "config.json")],
+                "hpo": ["--space", str(space)]}[command]
+        out = [] if command == "evaluate" else ["--out", str(tmp_path / "out")]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the dropped rows and numpy's empty-file warning
-            rc = main([command, "--checkpoint", str(workspace / "run" / "checkpoint.json"),
-                       "--data", str(data), *(["--out", str(tmp_path / "s")]
-                                              if command == "stratify" else [])])
+            rc = main([command, *argv, "--data", str(data), *out])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: data file {data}: no row has both a time and an event\n"
@@ -1181,8 +1187,10 @@ class TestOutputBytes:
                      "--out", str(tmp_path / "strat")]) == 0
         ck = load_checkpoint(checkpoint)
         table = load_csv(data, Schema.from_file(str(workspace / "schema.json")))
-        pred = trainer.predict(ck.state, apply_transforms(table, ck.transforms)[0])
-        latents, labels = pred["latents"], pred["labels"]
+        X = apply_transforms(table, ck.transforms)[0]
+        pred, enc = trainer.predict(ck.state, X), trainer.encode(ck.state, X)
+        latents, labels = enc["latents"], enc["labels"]
+        assert np.array_equal(labels, pred["labels"])
         d = latents.shape[1]
 
         header = ["index"] + [f"z{k}" for k in range(d)] + ["cluster", "time", "event"]

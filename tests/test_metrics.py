@@ -348,7 +348,9 @@ class TestBrierScore:
                                          [1.0, 3.0, 5.0], [1, 0, 1])
         assert np.isnan(ibs)
 
-    def test_working_set_stays_within_twice_the_survival_matrix(self):
+    def test_working_set_stays_within_three_quarters_of_the_survival_matrix(self):
+        # the blocks gather their knots from surv itself; measured (numpy 2.4):
+        # 0.46 surv.nbytes, against 1.34 while a (T + 1, n) copy was made
         rng = np.random.default_rng(15)
         n = 20_000
         times = rng.exponential(10.0, n) + 0.1
@@ -364,7 +366,31 @@ class TestBrierScore:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * surv.nbytes
+        assert peak <= 0.75 * surv.nbytes
+
+    @pytest.mark.parametrize("budget", [1, metrics.BUDGET])
+    @pytest.mark.parametrize("layout", ["fortran", "column block", "every other column"])
+    def test_layout_of_surv_does_not_change_the_score(self, layout, budget):
+        rng = np.random.default_rng(17)
+        n, T = 300, 7
+        times = rng.uniform(1, 20, size=n)
+        events = rng.integers(0, 2, size=n)
+        events[times.argmax()] = 1
+        grid = build_time_grid(times, events, T)
+        surv = np.sort(rng.uniform(0, 1, size=(n, T)), axis=1)[:, ::-1].copy()
+        wide = np.zeros((n, 2 * T + 3))
+        if layout == "fortran":
+            other = np.asfortranarray(surv)
+        elif layout == "column block":
+            wide[:, 3:3 + T] = surv
+            other = wide[:, 3:3 + T]
+        else:
+            wide[:, 3::2] = surv
+            other = wide[:, 3::2]
+        assert np.array_equal(other, surv) and not other.flags.c_contiguous
+        with mock.patch.object(metrics, "BUDGET", budget):
+            want = integrated_brier_score(surv, grid, times, events)
+            assert integrated_brier_score(other, grid, times, events) == want
 
     @pytest.mark.parametrize("budget", [1, metrics.BUDGET])
     def test_one_rounding_step_outside_the_unit_interval_matches_the_where_blocks(self, budget):

@@ -42,6 +42,29 @@ def make_data(n=120, n_features=5, seed=7, n_bins=5, val=False):
     return trainer.prepare_training_data(X, t, e, n_bins)
 
 
+def one_taped_forward(state, X):
+    """The model's own distribution by the unchunked path: one taped
+    eval-mode forward over every row, with the probabilities and latents
+    that ``predict`` does not return."""
+    model = state.model
+    x = tensor.Tensor(X)
+    outs = trainer._encode_views(model, x, train=False, rng=None)
+    view = state.config.routing_view
+    labels = clustering.assign_nearest(outs[view - 1].mu.values, state.centers[view - 1])
+    dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=labels)
+    assert dist.survival._parents
+    return {"latents": outs[0].mu.values, "labels": labels, "probs": dist.probs.values,
+            "survival": dist.survival.values,
+            "risk": -expected_event_time(dist.probs.values, state.grid)}
+
+
+def assert_same_arrays(got, want):
+    """Every array of ``got`` equals ``want``'s of the same key, bit for bit."""
+    for k in got:
+        assert (got[k].dtype, got[k].shape) == (want[k].dtype, want[k].shape), k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 class TestSplThreshold:
     def test_pinned_value_at_final_epoch(self):
         # mean 2, population std sqrt(2/3); at e = E_max the threshold is
@@ -344,9 +367,12 @@ class TestFit:
     def test_ensemble_heads_route_by_cluster(self):
         config = small_config(heads="per-cluster")
         state = trainer.fit(make_data(), config)
-        pred = trainer.predict(state, make_data().X[:10])
+        X = make_data().X[:10]
+        pred = trainer.predict(state, X)
         assert pred["labels"] is not None
-        assert pred["probs"].shape == (10, config.n_bins + 1)
+        want = one_taped_forward(state, X)
+        assert want["probs"].shape == (10, config.n_bins + 1)
+        assert_same_arrays(pred, want)
 
 
 class TestFusedStepNodes:
@@ -400,7 +426,7 @@ class TestDegenerateData:
         assert data.grid.n_bins < config.n_bins
         state = trainer.fit(data, config)
         pred = trainer.predict(state, X[120:])
-        assert pred["probs"].shape == (40, data.grid.n_bins + 1)
+        assert one_taped_forward(state, X[120:])["probs"].shape == (40, data.grid.n_bins + 1)
         assert pred["survival"].shape == (40, data.grid.n_bins)
 
     def test_all_censored_validation_gives_no_signal(self):
@@ -419,15 +445,14 @@ class TestPredictEvaluate:
         data = make_data()
         state = trainer.fit(data, small_config())
         pred = trainer.predict(state, data.X[:20])
-        want = -expected_event_time(pred["probs"], state.grid)
-        assert np.allclose(pred["risk"], want)
+        want = -expected_event_time(one_taped_forward(state, data.X[:20])["probs"], state.grid)
+        assert np.array_equal(pred["risk"], want)
 
     def test_survival_rows_well_formed(self):
         data = make_data()
         state = trainer.fit(data, small_config())
-        pred = trainer.predict(state, data.X)
-        probs = pred["probs"]
-        surv = pred["survival"]
+        probs = one_taped_forward(state, data.X)["probs"]
+        surv = trainer.predict(state, data.X)["survival"]
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (np.diff(surv, axis=1) <= 1e-12).all()
 
@@ -453,7 +478,7 @@ class TestPredictEvaluate:
         state = trainer.fit(data, small_config(siamese=True, routing_view=2))
         enc = trainer.encode(state, data.X[:15])
         pred = trainer.predict(state, data.X[:15])
-        assert np.array_equal(enc["latents"], pred["latents"])
+        assert np.array_equal(enc["latents"], state.model.latents(data.X[:15], view=1))
         assert np.array_equal(enc["labels"], pred["labels"])
         assert enc["labels"].tolist() == clustering.assign_nearest(
             state.model.latents(data.X[:15], view=2), state.centers[1]).tolist()
@@ -463,36 +488,20 @@ class TestChunkedInference:
 
     CONFIGS = [{}, {"siamese": True, "heads": "per-cluster", "n_clusters": 3, "routing_view": 2}]
 
-    @staticmethod
-    def one_taped_forward(state, X):
-        """The unchunked path: one taped eval-mode forward over every row."""
-        model = state.model
-        x = tensor.Tensor(X)
-        outs = trainer._encode_views(model, x, train=False, rng=None)
-        view = state.config.routing_view
-        labels = clustering.assign_nearest(outs[view - 1].mu.values,
-                                           state.centers[view - 1])
-        dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=labels)
-        assert dist.survival._parents
-        return {"latents": outs[0].mu.values, "labels": labels, "probs": dist.probs.values,
-                "survival": dist.survival.values,
-                "risk": -expected_event_time(dist.probs.values, state.grid)}
-
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_chunks_equal_one_taped_forward_bit_for_bit(self, overrides):
         state = trainer.fit(make_data(), small_config(**overrides))
         # four chunks, the last one partial
         X = np.random.default_rng(1).normal(size=(3 * trainer.CHUNK_ROWS + 1000, 5))
-        want = self.one_taped_forward(state, X)
+        want = one_taped_forward(state, X)
         pred = trainer.predict(state, X)
         enc = trainer.encode(state, X)
-        assert sorted(pred) == sorted(want) and sorted(enc) == ["labels", "latents"]
+        assert sorted(pred) == ["labels", "risk", "survival"]
+        assert sorted(enc) == ["labels", "latents"]
         if overrides:
             assert len(np.unique(want["labels"])) == 3
-        for got in (pred, enc):
-            for k in got:
-                assert (got[k].dtype, got[k].shape) == (want[k].dtype, want[k].shape), k
-                assert got[k].tobytes() == want[k].tobytes(), k
+        assert_same_arrays(pred, want)
+        assert_same_arrays(enc, want)
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_peak_memory_does_not_grow_with_the_rows(self, overrides):
