@@ -15,7 +15,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import data as data_mod
-from . import trainer
+from . import latents_csv, trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, _is_int, _is_number
 from .errors import ConfigurationError, DataError, SurvstratError, UsageError, read_json
@@ -473,13 +473,13 @@ def standardized_mean_differences(X: np.ndarray, labels, names) -> list:
     """Per-feature one-vs-rest standardized mean difference, largest cluster
     contrast per feature, ranked descending by magnitude."""
     labels = np.asarray(labels).ravel()
+    masks = [(inside, ~inside) for inside in (labels == g for g in np.unique(labels))]
     out = []
     for j, name in enumerate(names):
         col = X[:, j]
         best = 0.0
-        for g in np.unique(labels):
-            a = col[labels == g]
-            b = col[labels != g]
+        for inside, outside in masks:
+            a, b = col[inside], col[outside]
             if a.size == 0 or b.size == 0:
                 continue
             denom = np.sqrt((a.var() + b.var()) / 2.0)
@@ -504,29 +504,20 @@ def cmd_stratify(args) -> int:
         raise UsageError(
             "every row fell into one cluster on this data; nothing to stratify"
         )
+    masks = {g: labels == g for g in populated}
     os.makedirs(args.out, exist_ok=True)
-    n, d = latents.shape
     with open(os.path.join(args.out, "latents.csv"), "w") as fh:
-        fh.write("index," + ",".join(f"z{k}" for k in range(d)) + ",cluster,time,event\n")
-        # one block of rows at a time is held as Python floats
-        for start in range(0, n, trainer.CHUNK_ROWS):
-            rows = slice(start, start + trainer.CHUNK_ROWS)
-            _write_rows(
-                fh, map(str, range(n)[rows]),
-                *(map(repr, z) for z in latents[rows].T.tolist()),
-                map(str, labels[rows].tolist()), map(repr, t[rows].tolist()),
-                map(str, e[rows].tolist()),
-            )
+        latents_csv.write(fh, latents, labels, t, e, trainer.CHUNK_ROWS)
     with open(os.path.join(args.out, "km_clusters.csv"), "w") as fh:
         fh.write("cluster,time,survival\n")
-        for g in populated:
-            curve = kaplan_meier(t[labels == g], e[labels == g])
+        for g, mask in masks.items():
+            curve = kaplan_meier(t[mask], e[mask])
             # every curve starts at (0, 1)
             _write_rows(fh, repeat(str(g)), map(repr, [0.0] + curve.times.tolist()),
                         map(repr, [1.0] + curve.probs.tolist()))
     lines = []
     for a, b in combinations(populated, 2):
-        pair = (labels == a) | (labels == b)
+        pair = masks[a] | masks[b]
         stat, p = log_rank_test(labels[pair], t[pair], e[pair])
         lines.append((a, b, stat, p))
     with open(os.path.join(args.out, "logrank.txt"), "w") as fh:

@@ -25,7 +25,7 @@ from survstrat.cli import (
     sample_trials,
     standardized_mean_differences,
 )
-from survstrat import trainer
+from survstrat import latents_csv, trainer
 from survstrat.checkpoint import load_checkpoint, save_checkpoint
 from survstrat.data import Schema, apply_transforms, load_csv, make_splits, save_splits
 from survstrat.errors import ConfigurationError, DataError, NumericError
@@ -1228,6 +1228,131 @@ class TestOutputBytes:
         self.test_files_match_row_writer(workspace, tmp_path)
 
 
+# floats whose shortest repr takes every form: signed zero, subnormal,
+# exponent and positional notation
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.1, 1.0, 1e16, 1e300]
+
+# a child that answers its first slice, then exits 3 at the next one
+ONE_SLICE_CHILD = """
+import runpy, sys
+class OneSlice:
+    def __init__(self, raw):
+        self.raw, self.reads = raw, 0
+    def read(self, n):
+        self.reads += 1
+        return self.raw.read(n) if self.reads <= 2 else b""
+sys.stdin = type("Stdin", (), {"buffer": OneSlice(sys.stdin.buffer)})()
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+sys.exit(3)
+"""
+
+
+class TestLatentsAcrossProcesses:
+    """``latents.csv`` with its blocks shared between the command and child
+    interpreters: the bytes never depend on how many processes took part,
+    and every child started is reaped."""
+
+    @pytest.fixture
+    def special(self, workspace, tmp_path, monkeypatch):
+        """``(argv, expected latents.csv)`` of a stratify whose latents and
+        times hold ``SPECIAL_FLOATS``."""
+        n = 150
+        rng = np.random.default_rng(3)
+        times = np.resize([v for v in SPECIAL_FLOATS if v > 0], n)
+        events = np.arange(n) % 3 % 2
+        x = rng.normal(size=(n, 3))
+        (tmp_path / "special.csv").write_text(rows_text(
+            ["duration", "event", "f0", "f1", "f2"],
+            [[repr(t), ev, *map(repr, row)] for t, ev, row in zip(times.tolist(), events, x.tolist())]))
+        latents = np.resize(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS], (n, 3))
+        labels = np.arange(n) % 2
+        monkeypatch.setattr(trainer, "encode",
+                            lambda state, X: {"labels": labels, "latents": latents})
+        rows = [[i, *map(repr, z), label, repr(t), ev] for i, (z, label, t, ev) in
+                enumerate(zip(latents.tolist(), labels.tolist(), times.tolist(), events.tolist()))]
+        expected = rows_text(["index", "z0", "z1", "z2", "cluster", "time", "event"], rows)
+        argv = ["stratify", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                "--data", str(tmp_path / "special.csv"), "--out", str(tmp_path / "strat")]
+        return argv, expected
+
+    @pytest.fixture
+    def popen(self, monkeypatch):
+        """``subprocess.Popen``, recording every child started in ``started``;
+        a test may set ``rewrite(i, args)`` to change child ``i``'s command."""
+
+        class Recorded(subprocess.Popen):
+            started = []
+            rewrite = staticmethod(lambda i, args: args)
+
+            def __init__(self, args, **kwargs):
+                super().__init__(self.rewrite(len(self.started), args), **kwargs)
+                self.started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return Recorded
+
+    @staticmethod
+    def assert_reaped(started, count):
+        assert len(started) == count
+        for child in started:
+            assert child.returncode is not None
+            assert child.stdin.closed and child.stdout.closed
+
+    @pytest.mark.parametrize("block_rows", [11, 37])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_at_every_worker_count(self, special, popen, tmp_path, monkeypatch,
+                                         cpus, block_rows):
+        """Blocks of 11 rows cut into uneven slices with a short last block
+        of 7 rows; blocks of 37 leave a last block of 2 rows, so with three
+        workers the command's own slice is empty."""
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", block_rows)
+        monkeypatch.setattr(latents_csv, "usable_cpus", lambda: cpus)
+        argv, expected = special
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert (tmp_path / "strat" / "latents.csv").read_text() == expected
+        self.assert_reaped(popen.started, cpus - 1)
+
+    def test_child_that_cannot_start_leaves_the_work_here(self, special, popen, tmp_path,
+                                                          monkeypatch):
+        """The second child's interpreter is a missing file: the first is
+        reaped and the command formats every row itself."""
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 11)
+        monkeypatch.setattr(latents_csv, "usable_cpus", lambda: 3)
+        missing = str(tmp_path / "no-such-python")
+        popen.rewrite = staticmethod(lambda i, args: [missing, *args[1:]] if i else args)
+        argv, expected = special
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert (tmp_path / "strat" / "latents.csv").read_text() == expected
+        self.assert_reaped(popen.started, 1)
+
+    def test_child_exiting_mid_stream_is_one_error_line(self, special, popen, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 11)
+        monkeypatch.setattr(latents_csv, "usable_cpus", lambda: 3)
+        popen.rewrite = staticmethod(
+            lambda i, args: [*args[:3], "-c", ONE_SLICE_CHILD, *args[3:]] if i else args)
+        assert main(special[0]) == 1
+        err = capsys.readouterr().err
+        path = tmp_path / "strat" / "latents.csv"
+        assert err == f"error: writing {path}: a row formatter process exited with code 3\n"
+        self.assert_reaped(popen.started, 2)
+
+    def test_interrupt_reaps_every_child(self, special, popen, monkeypatch):
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 11)
+        monkeypatch.setattr(latents_csv, "usable_cpus", lambda: 3)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(latents_csv, "format_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(special[0])
+        self.assert_reaped(popen.started, 2)
+
+
 class TestFuzzedCsv:
     @settings(max_examples=100, deadline=None)
     @given(case=survival_csvs(time="duration", event="event", n_features=3))
@@ -1367,8 +1492,10 @@ class TestCheckpointFormats:
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """Only ``hpo`` runs a process pool, so importing the CLI does not load it."""
-    code = "import sys, survstrat.cli; print('concurrent.futures.process' in sys.modules)"
+    """Only ``hpo`` runs a process pool and only a stratify of two blocks or
+    more starts child processes, so importing the CLI loads neither module."""
+    code = ("import sys, survstrat.cli; "
+            "print('concurrent.futures.process' in sys.modules or 'subprocess' in sys.modules)")
     src = str(pathlib.Path(trainer.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True)
