@@ -504,11 +504,11 @@ def cmd_stratify(args) -> int:
         floatfmt.write_csv(fh, [np.arange(len(labels)), *latents.T, labels, t, e])
     with open(os.path.join(args.out, "km_clusters.csv"), "w") as fh:
         fh.write("cluster,time,survival\n")
-        for g, mask in masks.items():
-            curve = kaplan_meier(t[mask], e[mask])
-            # every curve starts at (0, 1)
-            floatfmt.write_csv(fh, [np.full(curve.times.size + 1, g), np.r_[0.0, curve.times],
-                                    np.r_[1.0, curve.probs]])
+        curves = {g: kaplan_meier(t[mask], e[mask]) for g, mask in masks.items()}
+        # the (cluster, time, survival) columns of every curve, each starting at (0, 1)
+        parts = [(np.full(c.times.size + 1, g), np.r_[0.0, c.times], np.r_[1.0, c.probs])
+                 for g, c in curves.items()]
+        floatfmt.write_csv(fh, [np.concatenate(column) for column in zip(*parts)])
     lines = []
     for a, b in combinations(populated, 2):
         pair = masks[a] | masks[b]

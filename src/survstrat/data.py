@@ -7,8 +7,11 @@ of the validation or test rows can leak into the model inputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import operator
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -111,6 +114,12 @@ class SplitSet:
     seed: int
 
 
+# data records parsed at once: what a load holds of a file besides its table
+BLOCK_ROWS = 1024
+# an empty field: at a line's start or after a delimiter, before one or the line's end
+_EMPTY_FIELD = re.compile(r"(?:^|(?<=,))(?=,|\r|\n|$)")
+
+
 def _parse_column(tokens) -> tuple:
     """Parse one column of raw CSV tokens.
 
@@ -145,169 +154,160 @@ def _columns(path: str, header, schema: Schema) -> tuple:
     if header is None:
         raise DataError(f"{path} is empty")
     col_index = {name: i for i, name in enumerate(header)}
-    for required in (schema.time, schema.event):
-        if required not in col_index:
-            raise DataError(f"column '{required}' not found in {path}")
     if schema.features is None:
         kinds = {c: None for c in header if c not in (schema.time, schema.event)}
     else:
         kinds = dict(schema.features)
-        for col in kinds:
-            if col not in col_index:
-                raise DataError(f"column '{col}' not found in {path}")
+    for col in [schema.time, schema.event, *kinds]:
+        if col not in col_index:
+            raise DataError(f"column '{col}' not found in {path}")
     for col in [schema.time, schema.event, *kinds]:
         if header.count(col) > 1:
             raise DataError(f"column '{col}' appears {header.count(col)} times in the header of {path}")
     return col_index, kinds
 
 
-def _checked_lines(fh):
-    """The remaining lines of ``fh``. ``np.loadtxt`` skips a blank line, where
-    the csv module reads a row of no fields, and takes a field of any length,
-    where the csv module raises beyond its field size limit; both end the
-    clean path with a ValueError."""
-    limit = csv.field_size_limit()
-    for line in fh:
-        if line.isspace() or len(line) > limit:
-            raise ValueError("a line the csv module reads differently")
-        yield line
-
-
-def _load_clean(fh, path: str, schema: Schema) -> RawTable | None:
-    """The table of a clean file, its data rows parsed by numpy's C reader,
-    or None for any other file, which ``load_csv`` then parses from the start.
-
-    A file is clean when no feature is declared categorical, the header has
-    every used column once, and every data line holds as many fields as the
-    header, each a finite float, with times above 0 and events 0 or 1. Such
-    a file has no missing value, dropped row or error, and gives the bytes
-    the column-wise parser gives: numpy and ``float`` parse the same
-    numerals to the same doubles and strip the same whitespace, and every
-    token one of them rejects sends the file back to that parser. Each
-    feature column is a view of its column of the parsed block, so the
-    table keeps that one float64 block (plus a time copy and the events).
-    """
+def _blocks(fh, path: str):
+    """Yield the header record of ``fh`` (None for an empty file), then its
+    data records in blocks of at most BLOCK_ROWS: lists of lines, one record
+    each, until a line holds a quote, which may open a field with a newline,
+    and from that block on lists of ``csv.reader`` rows. A csv.Error is a
+    DataError naming its line."""
+    done, reader = 0, csv.reader(fh)  # the lines read before ``reader``'s first
     try:
-        header = next(csv.reader(fh), None)
-        col_index, kinds = _columns(path, header, schema)
-        if "categorical" in kinds.values():
-            return None
-        lines = _checked_lines(fh)
-        first = next(lines, None)
-        if first is None:  # np.loadtxt warns about a file with no data line
-            return None
-        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
-                          quotechar=None, ndmin=2)
-    # a decode error is a ValueError; load_csv meets it again from the start
-    except (csv.Error, DataError, ValueError):
+        yield next(reader, None)
+        done = reader.line_num
+        while True:
+            lines = []
+            try:
+                lines.extend(itertools.islice(fh, BLOCK_ROWS))  # keeps those before a decode error
+            finally:
+                # lines the csv module may reject are checked first: its error beats a later decode error
+                text = "".join(lines)
+                if '"' in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
+                    list(reader := csv.reader(lines))  # raises its csv.Error
+            if not lines or '"' in text:
+                reader = csv.reader(itertools.chain(lines, fh))
+                yield from iter(lambda: list(itertools.islice(reader, BLOCK_ROWS)), [])
+                return
+            del text  # hold no more than the block while the caller parses it
+            yield lines
+            done += len(lines)
+    except csv.Error as exc:
+        raise DataError(f"data file {path}, line {done + reader.line_num}: {exc}") from None
+
+
+def _c_block(lines, width: int):
+    """The columns (one row each) of quote-free lines, one record each, as
+    numpy's C reader parses them with nan in every empty field; None if a
+    line is blank, has not ``width`` fields or holds a token numpy rejects.
+    numpy and ``float`` give the numerals both take the same doubles; numpy
+    also strips ``\\x1c``-``\\x1f``, as ``_parse_column`` does after ``float``."""
+    # np.loadtxt skips an empty line (see the shape check) and warns about a block of them
+    if lines[0].isspace():
         return None
-    if data.shape[1] != len(header) or not np.isfinite(data).all():
-        return None
-    time, event = data[:, col_index[schema.time]], data[:, col_index[schema.event]]
-    if not ((time > 0).all() and ((event == 0) | (event == 1)).all()):
-        return None
-    return RawTable(
-        time=time.copy(),
-        event=event.astype(np.int64),
-        features={col: data[:, col_index[col]] for col in kinds},
-        kinds=dict.fromkeys(kinds, "numeric"),
-    )
+    filled = (_EMPTY_FIELD.sub("nan", s) if ",," in s or s.startswith(",")
+              or s.endswith((",", ",\n", ",\r", ",\r\n")) else s for s in lines)
+    for attempt in (lines, filled):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(attempt, delimiter=",", comments=None, quotechar=None, ndmin=2)
+            return values.T if values.shape == (len(lines), width) else None
+    return None
 
 
 def load_csv(path: str, schema: Schema) -> RawTable:
     """Read a headered CSV into a RawTable, dropping rows without time/event.
 
-    A clean all-numeric file (see ``_load_clean``) is parsed by numpy's C
-    reader. Any other file is parsed column by column, yet a malformed file
-    raises the error a row-by-row reading meets first: the earliest faulty
-    row wins and, within a row, the time, the event and then the features
-    in order. Non-finite values are reported only when every row parses.
+    The records are read in blocks (see ``_blocks``): quote-free lines with
+    no categorical column are parsed by numpy's C reader (``_c_block``), any
+    other block column by column. Yet a malformed file raises the error a
+    row-by-row reading meets first: a read error (bytes that are not UTF-8,
+    a ``csv`` error) anywhere in the file, else the earliest faulty row and,
+    within a row, the time, the event and then the features in order.
+    Non-finite values are reported only when every row parses. Besides its
+    table, a load holds one block, but a feature of inferred kind keeps its
+    tokens until the last block, which may make it categorical.
     """
     with open_text(path, "data file", DataError, newline="") as fh:
-        # a pipe cannot be rewound for the column-wise parser
-        if fh.seekable():
-            table = _load_clean(fh, path, schema)
-            if table is not None:
-                return table
-            fh.seek(0)
-        reader = csv.reader(fh)
+        blocks = _blocks(fh, path)
         try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise DataError(f"data file {path}, line {reader.line_num}: {exc}") from None
-    col_index, kinds = _columns(path, header, schema)
+            header = next(blocks)
+            col_index, kinds = _columns(path, header, schema)
+            width, t, e = len(header), col_index[schema.time], col_index[schema.event]
+            times, events = [np.empty(0)], [np.empty(0, np.int64)]  # the kept rows' values
+            arrays = {col: [np.empty(0)] for col in kinds}  # by feature
+            words = {col: [] for col in kinds if kinds[col] != "numeric"}  # and tokens
+            nonfinite = {}  # column -> its first non-finite value, raised once kinds are final
+            first = dropped = 0  # the data rows before the block, and those dropped
+            for block in blocks:
+                # rows of V (values), M (missing), F (unparsable): time, event, the features not categorical
+                names = [schema.time, schema.event, *(c for c in kinds if kinds[c] != "categorical")]
+                idx = [col_index[c] for c in names]
+                lines = isinstance(block[0], str)  # quote-free lines, one record each
+                values = _c_block(block, width) if lines and len(names) == len(kinds) + 2 else None
+                if values is not None:
+                    n, V = len(block), values[idx]
+                    M, F = np.zeros_like(V, dtype=bool), np.zeros_like(V, dtype=bool)
+                    nan_r, nan_i = np.divmod(np.isnan(V).ravel().nonzero()[0], n)
+                    M[nan_r, nan_i] = [next(csv.reader([block[i]]))[idx[r]].strip().lower()
+                                       in _MISSING_TOKENS for r, i in zip(nan_r.tolist(), nan_i.tolist())]
+                    # split only where read: the C reader took every token
+                    columns = [map(operator.itemgetter(j), csv.reader(block)) for j in range(width)]
+                else:
+                    block = list(csv.reader(block)) if lines else block
+                    # rows after the first ragged one are never parsed
+                    n = next((i for i, row in enumerate(block) if len(row) != width), len(block))
+                    columns = list(zip(*block[:n])) or [()] * width
+                    V, M, F = map(np.array, zip(*[_parse_column(columns[j]) for j in idx]))
+                keep = ~(M[0] | M[1])
+                declared = [r for r, c in enumerate(names) if r > 1 and kinds[c] == "numeric"]
+                # (rows at fault) in the order one row's checks run; the first row at fault wins
+                checks = np.vstack([F[0], V[0] <= 0, F[1], (V[1] != 0) & (V[1] != 1), F[declared]]) & keep
+                if checks.any():
+                    i, check = divmod(int(checks.T.argmax()), len(checks))
+                    j = [t, t, e, e, *(idx[r] for r in declared)][check]
+                    token = next(itertools.islice(columns[j], i, None)).strip()
+                    raise DataError(
+                        f"row {first + i + 2}: time must be positive, got {float(V[0, i])}" if check == 1 else
+                        f"row {first + i + 2}: event flag must be 0 or 1, got {token}" if check == 3 else
+                        f"row {first + i + 2}, column '{header[j]}': cannot parse '{token}' as a number")
+                if n < len(block):
+                    raise DataError(f"row {first + n + 2} has {len(block[n])} fields, the header has {width}")
+                words_seen = (F & keep).any(axis=1)  # only an inferred feature gets here with a word
+                # a missing numeric is allowed; a parsed nan or +-inf is not
+                bad = keep & ~M & ~np.isfinite(V) & ~words_seen[:, None]
+                for r in bad.any(axis=1).nonzero()[0]:
+                    i = bad[r].argmax()
+                    nonfinite.setdefault(names[r], f"row {first + i + 2}, column '{names[r]}': "
+                                                   f"value {V[r, i]} is not finite")
+                kept = keep.nonzero()[0]
+                times.append(V[0].take(kept))
+                events.append(V[1].take(kept).astype(np.int64))
+                for r in range(2, len(names)):
+                    arrays[names[r]].append(V[r].take(kept))
+                    if words_seen[r]:
+                        kinds[names[r]], arrays[names[r]] = "categorical", []
+                for col in words:
+                    words[col].append(itertools.compress(columns[col_index[col]], keep))
+                first, dropped = first + n, dropped + n - kept.size
+                del block, columns, values, V  # before the next block is read
+        except DataError:
+            for _ in blocks:  # a read error later in the file comes first
+                pass
+            raise
 
-    # rows after the first ragged one are never read
-    width = len(header)
-    ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
-    n = int(ragged[0]) if ragged.size else len(rows)
-    columns = list(zip(*rows[:n])) or [()] * width
-    tokens = {name: columns[i] for name, i in col_index.items()}
+    kinds = {col: kind or "numeric" for col, kind in kinds.items()}
+    for col in [schema.time] + [c for c in kinds if kinds[c] == "numeric"]:
+        if col in nonfinite:
+            raise DataError(nonfinite[col])
+    if dropped:
+        warnings.warn(f"dropped {dropped} rows with missing time or event")
 
-    def unparsable(col):
-        return lambda i: (f"row {i + 2}, column '{col}': cannot parse "
-                          f"'{tokens[col][i].strip()}' as a number")
-
-    time, t_missing, t_bad = _parse_column(tokens[schema.time])
-    event, e_missing, e_bad = _parse_column(tokens[schema.event])
-    keep = ~(t_missing | e_missing)
-    # (rows at fault, message) in the order one row's checks run
-    faults = [
-        (t_bad, unparsable(schema.time)),
-        (time <= 0, lambda i: f"row {i + 2}: time must be positive, got {float(time[i])}"),
-        (e_bad, unparsable(schema.event)),
-        ((event != 0) & (event != 1), lambda i: (
-            f"row {i + 2}: event flag must be 0 or 1, got {tokens[schema.event][i].strip()}")),
-    ]
-    numeric = {}  # column -> (values, missing)
-    for col in kinds:
-        if kinds[col] == "categorical":
-            continue
-        values, missing, bad = _parse_column(tokens[col])
-        if kinds[col] == "numeric":
-            faults.append((bad, unparsable(col)))
-        elif (bad & keep).any():
-            kinds[col] = "categorical"
-            continue
-        kinds[col] = "numeric"
-        numeric[col] = values, missing
-
-    row = n
-    message = f"row {n + 2} has {len(rows[n])} fields, the header has {width}" if ragged.size else None
-    for at_fault, describe in faults:
-        hit = np.flatnonzero(at_fault & keep)
-        if hit.size and hit[0] < row:
-            row, message = hit[0], describe(hit[0])
-    if message is not None:
-        raise DataError(message)
-
-    # a missing numeric is allowed; a parsed nan or +-inf is not
-    for col, (values, missing) in [(schema.time, (time, t_missing))] + list(numeric.items()):
-        bad = np.flatnonzero(keep & ~missing & ~np.isfinite(values))
-        if bad.size:
-            raise DataError(f"row {bad[0] + 2}, column '{col}': value {values[bad[0]]} is not finite")
-
-    kept = np.flatnonzero(keep)
-    features = {}
-    for col in kinds:
-        if col in numeric:
-            vals = numeric[col][0][kept]  # nan at the missing rows
-        else:
-            vals = [None if s.lower() in _MISSING_TOKENS else s
-                    for s in map(str.strip, tokens[col])]
-            if kept.size < n:
-                vals = [vals[i] for i in kept.tolist()]
-        features[col] = vals
-
-    if kept.size < n:
-        warnings.warn(f"dropped {n - kept.size} rows with missing time or event")
-    return RawTable(
-        time=time[kept],
-        event=event[kept].astype(np.int64),
-        features=features,
-        kinds=kinds,
-    )
+    features = {col: np.concatenate(arrays.pop(col)) if kind == "numeric" else
+                [None if s.lower() in _MISSING_TOKENS else s
+                 for s in map(str.strip, itertools.chain.from_iterable(words[col]))]
+                for col, kind in kinds.items()}
+    return RawTable(time=np.concatenate(times), event=np.concatenate(events), features=features, kinds=kinds)
 
 
 def fit_transforms(table: RawTable, train_idx) -> dict:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +406,40 @@ class TestLoadCsvMatchesRowReader:
         assert_same_features(new.features, old.features)
         assert new.kinds == old.kinds
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @settings(max_examples=400, deadline=None)
+    @given(case=survival_csvs())
+    # a quoted field holding a newline, across a boundary of the line blocks
+    @example(case=("t,e,f0\n5,1,2\n3,0,\"a\nb\"\n4,1,x\n", Schema("t", "e", None)))
+    # an inferred column numeric in the first block, with an inf, and categorical in the next
+    @example(case=("t,e,f0\n5,1,inf\n3,0,x\n4,1,2\n", Schema("t", "e", None)))
+    # a non-finite value in the first block and a parse fault in the next
+    @example(case=("t,e,f0\n5,1,inf\n4,1,2\nabc,0,2\n", Schema("t", "e", {"f0": "numeric"})))
+    # a block of nothing but an empty line
+    @example(case=("t,e,f0\n5,1,2\n\n3,0,4\n", Schema("t", "e", {"f0": "numeric"})))
+    def test_blocks_smaller_than_the_file(self, tmp_path_factory, block_rows, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "BLOCK_ROWS", block_rows)
+            self.test_same_table_or_same_error.hypothesis.inner_test(self, tmp_path_factory, case)
+
+    @pytest.mark.parametrize("block_rows", [1, 1000])
+    @pytest.mark.parametrize("raw, message", [
+        # a ragged row 2, then a field over the csv module's limit in row 4
+        (b"t,e,age\n5,1\n3,0,41\n4,1," + b"1" * 200_000 + b"\n",
+         r"^data file .*d\.csv, line 4: field larger than field limit"),
+        # a time that does not parse in row 2, then bytes that are not UTF-8 in row 4
+        (b"t,e,age\nabc,1,60\n3,0,41\n4,1,\xff\n", r"^data file .*d\.csv is not UTF-8 text"),
+        # a field over the limit in row 2, then bytes that are not UTF-8 some 15 kB on
+        (b"t,e,age\n5,1," + b"1" * 200_000 + b"\n" + b"3,0,41.0000000000000000000000000\n" * 500
+         + b"4,1,\xff\n", r"^data file .*d\.csv, line 2: field larger than field limit"),
+    ], ids=["ragged-then-over-limit", "unparsable-then-not-utf8", "over-limit-then-not-utf8"])
+    def test_a_read_error_comes_first(self, tmp_path, monkeypatch, raw, message, block_rows):
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message):
+            load_csv(str(path), Schema("t", "e", None))
+
 
 def _clean_cohort(path, n, ending):
     """A clean GBSG-shaped CSV of ``n`` rows written with ``repr`` floats."""
@@ -418,14 +454,27 @@ def _clean_cohort(path, n, ending):
     return str(path)
 
 
+def _blank_cohort(path, clean_path):
+    """The cohort at ``clean_path`` with one feature left blank in 1% of its rows."""
+    lines = Path(clean_path).read_text().split("\n")
+    rng = np.random.default_rng(12)
+    for i in rng.choice(np.arange(1, len(lines) - 1), size=(len(lines) - 2) // 100, replace=False):
+        fields = lines[i].split(",")
+        fields[rng.integers(7)] = ""
+        lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
 class TestCleanFiles:
     """Clean all-numeric files take numpy's C reader and still give the
     row reader's table byte for byte."""
 
     def spy(self, monkeypatch):
-        """The results of every ``_load_clean`` call, None for a fallback."""
-        real, results = data._load_clean, []
-        monkeypatch.setattr(data, "_load_clean",
+        """The results of every per-block ``_c_block`` call, None for a block
+        left to the column-wise parse."""
+        real, results = data._c_block, []
+        monkeypatch.setattr(data, "_c_block",
                             lambda *args: results.append(real(*args)) or results[-1])
         return results
 
@@ -435,7 +484,8 @@ class TestCleanFiles:
         schema = Schema.from_preset("gbsg")
         results = self.spy(monkeypatch)
         new, old = load_csv(path, schema), load_csv_rows(path, schema)
-        assert results[0] is not None
+        assert len(results) == -(-30_000 // data.BLOCK_ROWS)
+        assert all(values is not None for values in results)
         for name in ("time", "event"):
             a, b = getattr(new, name), getattr(old, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -456,6 +506,32 @@ class TestCleanFiles:
         assert table.n_rows == 20_000
         assert peak - base <= 2 * (kept - base)
 
+    def test_blank_values_keep_peak_memory_at_twice_what_is_kept(self, tmp_path):
+        path = _blank_cohort(tmp_path / "blank.csv", _clean_cohort(tmp_path / "clean.csv", 50_000, "\n"))
+        schema = Schema.from_preset("gbsg")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = load_csv(path, schema)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 50_000
+        assert np.isnan(np.column_stack(list(table.features.values()))).sum() == 500
+        assert peak - base <= 2 * (kept - base)
+
+    def test_blank_values_load_within_one_and_a_half_times_a_clean_file(self, tmp_path):
+        clean = _clean_cohort(tmp_path / "clean.csv", 50_000, "\n")
+        paths = [clean, _blank_cohort(tmp_path / "blank.csv", clean)]
+        schema = Schema.from_preset("gbsg")
+        seconds = [[], []]
+        for _ in range(5):
+            for path, times in zip(paths, seconds):
+                start = time.perf_counter()
+                load_csv(path, schema)
+                times.append(time.perf_counter() - start)
+        assert min(seconds[1]) <= 1.5 * min(seconds[0])
+
     def test_a_pipe_is_parsed_without_rewinding(self, monkeypatch):
         results = self.spy(monkeypatch)
         for text, ages in [("t,e,age\n5,1,60\n3,0,41\n", [60.0, 41.0]),
@@ -468,4 +544,5 @@ class TestCleanFiles:
             finally:
                 os.close(read)
             assert_same_features(table.features, {"age": np.array(ages)})
-        assert results == []
+        # the clean pipe is parsed by the C reader; the one with NA column by column
+        assert [values is not None for values in results] == [True, False]
