@@ -35,6 +35,7 @@ class Checkpoint:
 
     state: TrainState
     transforms: dict
+    columns: dict | None = None  # the data's {"time": name, "event": name}; None in older files
 
 
 def _encode(array, dtype: str) -> dict:
@@ -91,7 +92,8 @@ def _decode(value, dtype: str, field: str) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None) -> None:
+def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None,
+                    columns: dict | None = None) -> None:
     def optional(array, dtype):
         return None if array is None else _encode(array, dtype)
 
@@ -102,21 +104,13 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
             name: _encode(values, "float64")
             for name, values in state.model.state_dict().items()
         },
-        "clusters": [
-            {
-                "algorithm": state.config.clustering,
-                "nu": state.config.nu,
-                "centers": _encode(centers, "float64"),
-            }
-            for centers in state.centers
-        ],
+        "clusters": [{"centers": _encode(centers, "float64")} for centers in state.centers],
         "assignments": [_encode(a, "int64") for a in state.assignments],
         "grid_edges": _encode(state.grid.edges, "float64"),
         "train_times": optional(state.train_times, "float64"),
         "train_events": optional(state.train_events, "int64"),
         "transforms": transforms or {},
-        # derived, kept for readers of the file; load_checkpoint checks it
-        "feature_names": column_names(transforms or {}),
+        "columns": columns,
         "stage": state.stage,
     }
     # dumps uses the C encoder, json.dump the pure-Python one; the bytes are equal
@@ -150,7 +144,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ConfigurationError(
             f"checkpoint field 'grid_edges' has shape {edges.shape}, expected 1-D"
         )
-    state = _new_state(config, _infer_input_dim(params, config), TimeGrid(edges))
+    state = _new_state(config, width := _infer_input_dim(params, config), TimeGrid(edges))
     state.model.load_state_dict(params)
     stage = payload.get("stage", 0)
     if type(stage) is not int:
@@ -172,21 +166,21 @@ def load_checkpoint(path: str) -> Checkpoint:
             )
     n_train = None if state.train_times is None else state.train_times.size
     state.centers, state.assignments = _read_clusters(payload, config, n_train)
+    # older files' copies are ignored: "feature_names", each cluster's "algorithm", "nu", "assignments"
     transforms = payload.get("transforms", {})
-    names = payload.get("feature_names", [])
-    if not isinstance(transforms, dict) or not isinstance(names, list):
-        raise ConfigurationError(
-            "checkpoint fields 'transforms' and 'feature_names' must be an object and a list"
-        )
+    if not isinstance(transforms, dict):
+        raise ConfigurationError("checkpoint field 'transforms' must be an object")
     for col, tr in transforms.items():
         _check_transform(col, tr)
     produced = column_names(transforms)
-    if names and names != produced:
-        raise ConfigurationError(
-            f"checkpoint feature mismatch: its transforms produce {len(produced)} columns "
-            f"({produced[:4]}...), its feature_names list {len(names)} ({names[:4]}...)"
-        )
-    return Checkpoint(state=state, transforms=transforms)
+    if produced and len(produced) != width:
+        raise ConfigurationError(f"checkpoint feature mismatch: its transforms produce {len(produced)} "
+                                 f"columns ({produced[:4]}...), its encoder takes {width}")
+    columns = payload.get("columns")
+    if columns is not None and not (isinstance(columns, dict) and set(columns) == {"time", "event"}
+                                    and all(isinstance(c, str) for c in columns.values())):
+        raise ConfigurationError("checkpoint field 'columns' must map 'time' and 'event' to column names")
+    return Checkpoint(state=state, transforms=transforms, columns=columns)
 
 
 def _check_transform(col: str, tr) -> None:
@@ -222,7 +216,6 @@ def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None)
             f"got {len(clusters)} and {len(assignments)}"
         )
     all_centers, all_labels = [], []
-    # format 1 also wrote a per-cluster "assignments" copy; it is ignored
     for v, (entry, value) in enumerate(zip(clusters, assignments)):
         if not isinstance(entry, dict) or "centers" not in entry:
             raise ConfigurationError(f"checkpoint cluster entry {v} needs 'centers'")
@@ -243,8 +236,6 @@ def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None)
                 f"checkpoint field 'assignments.{v}' holds cluster ids outside "
                 f"[0, {config.n_clusters - 1}]"
             )
-        if type(entry.get("nu", 1.0)) not in (int, float):
-            raise ConfigurationError(f"checkpoint field 'clusters.{v}.nu' must be a number")
         all_centers.append(centers)
         all_labels.append(labels)
     return all_centers, all_labels

@@ -121,6 +121,18 @@ def _load_table(data_path: str, schema: data_mod.Schema) -> data_mod.RawTable:
     return table
 
 
+def _split_set(data_path: str, n_rows: int, seed: int, splits_file: str | None = None,
+               with_replacement: bool = False) -> data_mod.SplitSet:
+    """The splits of a data file's rows: read from ``splits_file``, else drawn
+    from ``seed``, where too few rows to draw them is a DataError naming the file."""
+    if splits_file:
+        return data_mod.load_splits(splits_file, n_rows)
+    try:
+        return data_mod.make_splits(n_rows, seed, with_replacement=with_replacement)
+    except UsageError as exc:
+        raise DataError(f"data file {data_path}: {exc}") from None
+
+
 def _split_for(split_set: data_mod.SplitSet, number: int) -> dict:
     if not 1 <= number <= len(split_set.splits):
         raise UsageError(
@@ -148,12 +160,7 @@ def cmd_train(args) -> int:
     schema = _resolve_schema(config)
     data_path = _resolve_data_path(config, args.data)
     table = _load_table(data_path, schema)
-    if args.splits_file:
-        split_set = data_mod.load_splits(args.splits_file, table.n_rows)
-    else:
-        split_set = data_mod.make_splits(
-            table.n_rows, config.seed, with_replacement=args.with_replacement
-        )
+    split_set = _split_set(data_path, table.n_rows, config.seed, args.splits_file, args.with_replacement)
     split = _split_for(split_set, args.split)
     state, X, transforms = _fit_one_split(table, config, split)
     te, va = split["test"], split["val"]
@@ -172,7 +179,8 @@ def cmd_train(args) -> int:
         "config_hash": config.config_hash(),
     })
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"), transforms)
+    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"), transforms,
+                    {"time": schema.time, "event": schema.event})
     with open(os.path.join(args.out, "epochs.csv"), "w") as fh:
         fh.write(trainer.format_epoch_log(state.logs))
     data_mod.save_splits(split_set, os.path.join(args.out, "splits.txt"))
@@ -186,9 +194,10 @@ def _load_for_checkpoint(ck, data_path: str):
     """``(time, event, X)`` of a CSV parsed and transformed as the checkpointed
     model expects: with the feature columns and kinds the checkpoint recorded,
     none inferred anew. The parsed table is freed on return."""
-    roles = _resolve_schema(ck.state.config)
+    # a file written before the time and event columns were stored names them by its config
+    roles = ck.columns or vars(_resolve_schema(ck.state.config))
     kinds = {col: tr["kind"] for col, tr in ck.transforms.items()}
-    table = _load_table(data_path, data_mod.Schema(roles.time, roles.event, kinds))
+    table = _load_table(data_path, data_mod.Schema(roles["time"], roles["event"], kinds))
     X, _ = data_mod.apply_transforms(table, ck.transforms)
     return table.time, table.event, X
 
@@ -213,10 +222,7 @@ def cmd_evaluate(args) -> int:
     if args.split is None and args.splits_file:
         args.split = 1
     if args.split is not None:
-        if args.splits_file:
-            split_set = data_mod.load_splits(args.splits_file, len(t))
-        else:
-            split_set = data_mod.make_splits(len(t), ck.state.config.seed)
+        split_set = _split_set(args.data, len(t), ck.state.config.seed, args.splits_file)
         idx = _split_for(split_set, args.split)[args.role or "test"]
         X, t, e = X[idx], t[idx], e[idx]
     pred = trainer.predict(ck.state, X)
@@ -412,9 +418,7 @@ def cmd_hpo(args) -> int:
     schema = _resolve_schema(base)
     data_path = _resolve_data_path(base, args.data)
     table = _load_table(data_path, schema)
-    split_set = data_mod.make_splits(
-        table.n_rows, args.seed, with_replacement=args.with_replacement
-    )
+    split_set = _split_set(data_path, table.n_rows, args.seed, with_replacement=args.with_replacement)
     trials = sample_trials(space, budget, args.seed)
     trial_args = (range(budget), trials, repeat(table), repeat(split_set.splits))
     if args.jobs == 1:

@@ -116,8 +116,9 @@ class SplitSet:
 
 # data records parsed at once: what a load holds of a file besides its table
 BLOCK_ROWS = 1024
-# an empty field: at a line's start or after a delimiter, before one or the line's end
-_EMPTY_FIELD = re.compile(r"(?:^|(?<=,))(?=,|\r|\n|$)")
+# a whole field (from a line's start or a delimiter to one or the line's end) that is
+# a missing marker but nan, which numpy reads, with its spaces and tabs
+_MISSING_FIELD = re.compile(r"(?:^|(?<=,))[ \t]*(?:na|none|null|\?)?[ \t]*(?=,|\r|\n|$)", re.I | re.A)
 
 
 def _parse_column(tokens) -> tuple:
@@ -199,16 +200,19 @@ def _blocks(fh, path: str):
 
 def _c_block(lines, width: int):
     """The columns (one row each) of quote-free lines, one record each, as
-    numpy's C reader parses them with nan in every empty field; None if a
+    numpy's C reader parses them with nan for every missing marker; None if a
     line is blank, has not ``width`` fields or holds a token numpy rejects.
     numpy and ``float`` give the numerals both take the same doubles; numpy
     also strips ``\\x1c``-``\\x1f``, as ``_parse_column`` does after ``float``."""
     # np.loadtxt skips an empty line (see the shape check) and warns about a block of them
     if lines[0].isspace():
         return None
-    filled = (_EMPTY_FIELD.sub("nan", s) if ",," in s or s.startswith(",")
-              or s.endswith((",", ",\n", ",\r", ",\r\n")) else s for s in lines)
-    for attempt in (lines, filled):
+    # a block with an n, N or ? (a clean one has none) is tried with its markers filled first;
+    # the pattern runs only on a line that may hold one: an empty field, an n or N, or a ?
+    words = any(map("".join(lines).__contains__, "nN?"))
+    filled = (_MISSING_FIELD.sub("nan", s) if ",," in s or s[0] == "," or s.rstrip("\r\n").endswith(",")
+              or words and ("n" in s or "N" in s or "?" in s) else s for s in lines)
+    for attempt in (filled, lines) if words else (lines, filled):
         with contextlib.suppress(ValueError):
             values = np.loadtxt(attempt, delimiter=",", comments=None, quotechar=None, ndmin=2)
             return values.T if values.shape == (len(lines), width) else None

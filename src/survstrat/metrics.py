@@ -95,7 +95,7 @@ def build_time_grid(times, events, n_bins: int) -> TimeGrid:
         raise UsageError(f"n_bins must be >= 1, got {n_bins}")
     uncensored = times[events == 1]
     if uncensored.size == 0:
-        raise UsageError("cannot build a time grid without any uncensored events")
+        raise DataError("cannot build a time grid without any uncensored events")
     qs = np.arange(1, n_bins + 1) / n_bins
     edges = np.quantile(uncensored, qs, method="inverted_cdf")
     edges = np.unique(edges)

@@ -72,13 +72,44 @@ class TestRoundTrip:
 
     def test_transforms_and_names_round_trip(self, tmp_path):
         state, _ = fitted_state()
+        # five design-matrix columns, the width of the fitted encoder
         transforms = {"age": {"kind": "numeric", "mean": 1.0, "std": 2.0, "median": 1.5},
-                      "grade": {"kind": "categorical", "categories": ["A", "B"]}}
+                      "grade": {"kind": "categorical", "categories": ["A", "B", "C", "D"]}}
+        columns = {"time": "months", "event": "died"}
         path = tmp_path / "ck.json"
-        save_checkpoint(state, str(path), transforms=transforms)
-        names = json.loads(path.read_text())["feature_names"]
-        assert names == column_names(transforms) == ["age", "grade=A", "grade=B"]
-        assert load_checkpoint(str(path)).transforms == transforms
+        save_checkpoint(state, str(path), transforms=transforms, columns=columns)
+        payload = json.loads(path.read_text())
+        assert payload["columns"] == columns and "feature_names" not in payload
+        restored = load_checkpoint(str(path))
+        assert restored.transforms == transforms and restored.columns == columns
+        assert column_names(transforms) == ["age", "grade=A", "grade=B", "grade=C", "grade=D"]
+
+    def test_copies_are_not_written(self, tmp_path):
+        state, _ = fitted_state(siamese=True)
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        payload = json.loads(path.read_text())
+        assert all(set(entry) == {"centers"} for entry in payload["clusters"])
+        assert "feature_names" not in payload and payload["columns"] is None
+        assert load_checkpoint(str(path)).columns is None
+
+    def test_copies_in_older_files_are_ignored(self, tmp_path):
+        state, X = fitted_state(siamese=True, heads="per-cluster")
+        transforms = {f"f{j}": {"kind": "numeric", "mean": 0.0, "std": 1.0, "median": 0.0}
+                      for j in range(5)}
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path), transforms)
+        payload = json.loads(path.read_text())
+        # an older writer's copies of the config and the transforms, even stale ones
+        del payload["columns"]
+        for entry in payload["clusters"]:
+            entry.update(algorithm="gmm", nu="x")
+        payload["feature_names"] = ["a", "b"]
+        path.write_text(json.dumps(payload))
+        restored = load_checkpoint(str(path))
+        assert restored.columns is None and restored.transforms == transforms
+        a, b = trainer.predict(state, X[:10]), trainer.predict(restored.state, X[:10])
+        assert np.array_equal(a["survival"], b["survival"])
 
     def test_grid_and_training_distribution_round_trip(self, tmp_path):
         state, _ = fitted_state()
@@ -403,9 +434,13 @@ class TestFormatTwo:
         ("assignments", "abc", "'clusters' and 'assignments'"),
         ("stage", "3", "stage"),
         ("state", [1.0], "state"),
-        ("feature_names", 5, "feature_names"),
+        ("columns", 5, "columns"),
         ("transforms", [], "transforms"),
         ("assignments", [], "one assignment list per view"),
+        ("columns", {"time": "t"}, "columns"),
+        ("columns", {"time": "t", "event": 1}, "columns"),
+        ("columns", {"time": "t", "event": "e", "id": "i"}, "columns"),
+        ("columns", ["t", "e"], "columns"),
     ])
     def test_malformed_field_is_a_configuration_error(self, tmp_path, field, value, message):
         state, _ = fitted_state()
@@ -435,24 +470,20 @@ class TestFormatTwo:
         with pytest.raises(ConfigurationError, match=f"column 'f1' .*{message}"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("names", [
-        ["f0", "f1=a"],
-        ["f0", "f1=a", "f1=b", "f2"],
-        ["f1=a", "f1=b", "f0"],
-        ["f0", "f1"],
-    ])
-    def test_feature_names_must_match_the_transforms(self, tmp_path, capsys, names):
-        state, _ = fitted_state()
+    @pytest.mark.parametrize("variational", [True, False])
+    @pytest.mark.parametrize("categories", [["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"]],
+                             ids=["4 columns", "6 columns", "8 columns"])
+    def test_transforms_must_match_the_encoder_width(self, tmp_path, capsys, categories,
+                                                     variational):
+        state, _ = fitted_state(variational=variational)  # an encoder that takes 5 columns
         path = tmp_path / "ck.json"
         transforms = {
-            "f0": {"kind": "numeric", "mean": 0.0, "std": 1.0, "median": 0.0},
-            "f1": {"kind": "categorical", "categories": ["a", "b"]},
+            **{f"f{j}": {"kind": "numeric", "mean": 0.0, "std": 1.0, "median": 0.0}
+               for j in range(3)},
+            "g": {"kind": "categorical", "categories": categories},
         }
         save_checkpoint(state, str(path), transforms=transforms)
-        payload = json.loads(path.read_text())
-        payload["feature_names"] = names
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="feature mismatch"):
+        with pytest.raises(ConfigurationError, match="feature mismatch.* encoder takes 5"):
             load_checkpoint(str(path))
         assert main(["evaluate", "--checkpoint", str(path), "--data", "unread.csv"]) == 1
         err = capsys.readouterr().err

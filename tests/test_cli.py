@@ -28,7 +28,8 @@ from survstrat.cli import (
 )
 from survstrat import floatfmt, trainer
 from survstrat.checkpoint import load_checkpoint, save_checkpoint
-from survstrat.data import Schema, apply_transforms, load_csv, make_splits, save_splits
+from survstrat.data import (Schema, apply_transforms, column_names, load_csv, make_splits,
+                             save_splits)
 from survstrat.errors import ConfigurationError, DataError, NumericError
 from survstrat.metrics import interpolate_curve, kaplan_meier, log_rank_test
 from survstrat.networks import Model
@@ -1024,6 +1025,27 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err == f"error: data file {data}: no row has both a time and an event\n"
 
+    @pytest.mark.parametrize("command, events, message", [
+        ("train", [1, 0] * 3, "data file {data}: need at least 10 rows to split, got 6"),
+        ("hpo", [1, 0] * 3, "data file {data}: need at least 10 rows to split, got 6"),
+        ("evaluate", [1, 0] * 3, "data file {data}: need at least 10 rows to split, got 6"),
+        ("train", [0] * 30, "cannot build a time grid without any uncensored events"),
+    ], ids=["train, 6 rows", "hpo, 6 rows", "evaluate --split, 6 rows", "train, no event"])
+    def test_data_too_small_to_fit_exits_2(self, workspace, tmp_path, capsys, command, events,
+                                           message):
+        data = tmp_path / "d.csv"
+        data.write_text(rows_text(["duration", "event", "f0", "f1", "f2"],
+                                  [[1.0 + i, e, 0.1 * i, i % 3, -0.1 * i] for i, e in enumerate(events)]))
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"base": base_config(workspace / "schema.json"), "space": {
+            "learning_rate": {"type": "log_uniform", "low": 1e-4, "high": 1e-2}}}))
+        argv = {"evaluate": ["--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                             "--split", "1"],
+                "train": ["--config", str(workspace / "config.json"), "--out", str(tmp_path / "out")],
+                "hpo": ["--space", str(space), "--out", str(tmp_path / "out")]}[command]
+        assert main([command, *argv, "--data", str(data)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+
 
 class TestStratifyCommand:
     def test_outputs_parse_back(self, workspace, tmp_path):
@@ -1440,12 +1462,59 @@ def format2_checkpoint(tmp_path_factory):
 
 
 class TestCheckpointFormats:
-    def score(self, checkpoint, out):
-        assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(FORMAT1_CSV),
+    def score(self, checkpoint, out, data=FORMAT1_CSV):
+        assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
                      "--curves", str(out / "curves.csv"), "--out", str(out / "eval")]) == 0
-        assert main(["stratify", "--checkpoint", str(checkpoint), "--data", str(FORMAT1_CSV),
+        assert main(["stratify", "--checkpoint", str(checkpoint), "--data", str(data),
                      "--out", str(out / "strat")]) == 0
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_scores_from_a_sibling_directory(self, tmp_path, monkeypatch, capsys):
+        """A run trained with a relative ``schema_file`` scores the same from
+        another directory: its checkpoint names the time and event columns."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        b.mkdir()
+        a.mkdir()
+        write_toy_dataset(a / "toy.csv")
+        write_schema(a / "schema.json")
+        (a / "config.json").write_text(json.dumps(base_config("schema.json")))
+        monkeypatch.chdir(a)
+        assert main(["train", "--config", "config.json", "--data", "toy.csv", "--out", "run"]) == 0
+        capsys.readouterr()
+        scored = []
+        for where, run in [(a, ""), (b, "../a/")]:
+            monkeypatch.chdir(where)
+            files = self.score(run + "run/checkpoint.json", where / "scored", run + "toy.csv")
+            scored.append((files, capsys.readouterr().out))
+        assert len(scored[0][0]) == 6 and "c_index: " in scored[0][1]
+        assert scored[0] == scored[1]
+
+    def test_a_checkpoint_without_columns_gives_identical_outputs(self, workspace, tmp_path):
+        """A file as written before the columns were stored, with the copies
+        of the config and the transforms, scores the same as the current one."""
+        current = workspace / "run" / "checkpoint.json"
+        payload = json.loads(current.read_text())
+        assert payload.pop("columns") == {"time": "duration", "event": "event"}
+        for entry in payload["clusters"]:
+            entry.update(algorithm=payload["config"]["clustering"], nu=payload["config"]["nu"])
+        payload["feature_names"] = column_names(payload["transforms"])
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(payload))
+        (tmp_path / "current").mkdir()
+        (tmp_path / "older").mkdir()
+        assert (self.score(current, tmp_path / "current", workspace / "toy.csv")
+                == self.score(older, tmp_path / "older", workspace / "toy.csv"))
+
+    @pytest.mark.parametrize("columns", [{"time": 1, "event": "event"}, "duration"])
+    def test_malformed_columns_exit_1_naming_the_field(self, workspace, tmp_path, capsys, columns):
+        payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        payload["columns"] = columns
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["evaluate", "--checkpoint", str(path), "--data", str(workspace / "toy.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: checkpoint field 'columns' must map 'time' "
+                                           "and 'event' to column names\n")
 
     def test_format_one_and_two_give_identical_outputs(self, format2_checkpoint, tmp_path):
         assert json.loads(FORMAT1_CHECKPOINT.read_text())["version"] == 1

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 import tracemalloc
 import warnings
@@ -454,13 +455,14 @@ def _clean_cohort(path, n, ending):
     return str(path)
 
 
-def _blank_cohort(path, clean_path):
-    """The cohort at ``clean_path`` with one feature left blank in 1% of its rows."""
+def _blank_cohort(path, clean_path, marker=""):
+    """The cohort at ``clean_path`` with one feature given as the missing
+    ``marker`` (left blank by default) in 1% of its rows."""
     lines = Path(clean_path).read_text().split("\n")
     rng = np.random.default_rng(12)
     for i in rng.choice(np.arange(1, len(lines) - 1), size=(len(lines) - 2) // 100, replace=False):
         fields = lines[i].split(",")
-        fields[rng.integers(7)] = ""
+        fields[rng.integers(7)] = marker
         lines[i] = ",".join(fields)
     path.write_text("\n".join(lines))
     return str(path)
@@ -520,9 +522,10 @@ class TestCleanFiles:
         assert np.isnan(np.column_stack(list(table.features.values()))).sum() == 500
         assert peak - base <= 2 * (kept - base)
 
-    def test_blank_values_load_within_one_and_a_half_times_a_clean_file(self, tmp_path):
+    @pytest.mark.parametrize("marker", ["", "NA", " ? "], ids=["blank", "NA", "question mark"])
+    def test_blank_values_load_within_one_and_a_half_times_a_clean_file(self, tmp_path, marker):
         clean = _clean_cohort(tmp_path / "clean.csv", 50_000, "\n")
-        paths = [clean, _blank_cohort(tmp_path / "blank.csv", clean)]
+        paths = [clean, _blank_cohort(tmp_path / "blank.csv", clean, marker)]
         schema = Schema.from_preset("gbsg")
         seconds = [[], []]
         for _ in range(5):
@@ -531,6 +534,26 @@ class TestCleanFiles:
                 load_csv(path, schema)
                 times.append(time.perf_counter() - start)
         assert min(seconds[1]) <= 1.5 * min(seconds[0])
+
+    @pytest.mark.parametrize("marker", ["", "NA", "na", " nA\t", "None", "NULL", "?", " ? "])
+    def test_missing_markers_take_the_c_reader(self, tmp_path, monkeypatch, marker):
+        path = write_csv(tmp_path / "m.csv", ["t", "e", "x", "y"],
+                         [[5, 1, marker, 2.5], [3, 0, 1.5, marker], [marker, 1, 0.5, 1.0]])
+        results = self.spy(monkeypatch)
+        schema = Schema("t", "e", {"x": "numeric", "y": "numeric"})
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            table = load_csv(path, schema)
+        assert [values is not None for values in results] == [True]
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            assert_same_features(table.features, load_csv_rows(path, schema).features)
+        assert_same_features(table.features, {"x": np.array([np.nan, 1.5]),
+                                              "y": np.array([2.5, np.nan])})
+
+    @pytest.mark.parametrize("token", ["nab", "n a", "?!", "nulls", "-na"])
+    def test_a_near_marker_is_still_a_parse_error(self, tmp_path, token):
+        path = write_csv(tmp_path / "m.csv", ["t", "e", "x"], [[5, 1, 1.0], [3, 0, token]])
+        with pytest.raises(DataError, match=re.escape(f"row 3, column 'x': cannot parse '{token}'")):
+            load_csv(path, Schema("t", "e", {"x": "numeric"}))
 
     def test_a_pipe_is_parsed_without_rewinding(self, monkeypatch):
         results = self.spy(monkeypatch)
@@ -544,5 +567,5 @@ class TestCleanFiles:
             finally:
                 os.close(read)
             assert_same_features(table.features, {"age": np.array(ages)})
-        # the clean pipe is parsed by the C reader; the one with NA column by column
-        assert [values is not None for values in results] == [True, False]
+        # both pipes are parsed by the C reader, the one with NA given nan in its place
+        assert [values is not None for values in results] == [True, True]
