@@ -430,6 +430,10 @@ def cmd_hpo(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_trial, *trial_args))
     results.sort(key=lambda r: r["trial"])
+    # every trial failing on the same data fault is that fault, as ``train`` reports it
+    fault = results[0].get("error", "")
+    if fault.startswith("DataError: ") and all(r.get("error") == fault for r in results):
+        raise DataError(fault.removeprefix("DataError: "))
     board = rank_leaderboard(results, per_split=args.rank_per_split)
     winner = board[0]
     wr = winner["result"]

@@ -198,10 +198,12 @@ def _blocks(fh, path: str):
         raise DataError(f"data file {path}, line {done + reader.line_num}: {exc}") from None
 
 
-def _c_block(lines, width: int):
+def _c_block(lines, width: int, filled_first: bool):
     """The columns (one row each) of quote-free lines, one record each, as
     numpy's C reader parses them with nan for every missing marker; None if a
     line is blank, has not ``width`` fields or holds a token numpy rejects.
+    ``filled_first`` tries the lines with their markers filled first, as a
+    block with an n, N or ? always is; either order gives the same columns.
     numpy and ``float`` give the numerals both take the same doubles; numpy
     also strips ``\\x1c``-``\\x1f``, as ``_parse_column`` does after ``float``."""
     # np.loadtxt skips an empty line (see the shape check) and warns about a block of them
@@ -212,7 +214,7 @@ def _c_block(lines, width: int):
     words = any(map("".join(lines).__contains__, "nN?"))
     filled = (_MISSING_FIELD.sub("nan", s) if ",," in s or s[0] == "," or s.rstrip("\r\n").endswith(",")
               or words and ("n" in s or "N" in s or "?" in s) else s for s in lines)
-    for attempt in (filled, lines) if words else (lines, filled):
+    for attempt in (filled, lines) if words or filled_first else (lines, filled):
         with contextlib.suppress(ValueError):
             values = np.loadtxt(attempt, delimiter=",", comments=None, quotechar=None, ndmin=2)
             return values.T if values.shape == (len(lines), width) else None
@@ -243,12 +245,15 @@ def load_csv(path: str, schema: Schema) -> RawTable:
             words = {col: [] for col in kinds if kinds[col] != "numeric"}  # and tokens
             nonfinite = {}  # column -> its first non-finite value, raised once kinds are final
             first = dropped = 0  # the data rows before the block, and those dropped
+            # a block after one with a missing value is tried filled first; finding an empty
+            # field in a block's text would take five searches, which a clean block pays too
+            missing = False
             for block in blocks:
                 # rows of V (values), M (missing), F (unparsable): time, event, the features not categorical
                 names = [schema.time, schema.event, *(c for c in kinds if kinds[c] != "categorical")]
                 idx = [col_index[c] for c in names]
                 lines = isinstance(block[0], str)  # quote-free lines, one record each
-                values = _c_block(block, width) if lines and len(names) == len(kinds) + 2 else None
+                values = _c_block(block, width, missing) if lines and len(names) == len(kinds) + 2 else None
                 if values is not None:
                     n, V = len(block), values[idx]
                     M, F = np.zeros_like(V, dtype=bool), np.zeros_like(V, dtype=bool)
@@ -263,7 +268,7 @@ def load_csv(path: str, schema: Schema) -> RawTable:
                     n = next((i for i, row in enumerate(block) if len(row) != width), len(block))
                     columns = list(zip(*block[:n])) or [()] * width
                     V, M, F = map(np.array, zip(*[_parse_column(columns[j]) for j in idx]))
-                keep = ~(M[0] | M[1])
+                keep, missing = ~(M[0] | M[1]), M.any()
                 declared = [r for r, c in enumerate(names) if r > 1 and kinds[c] == "numeric"]
                 # (rows at fault) in the order one row's checks run; the first row at fault wins
                 checks = np.vstack([F[0], V[0] <= 0, F[1], (V[1] != 0) & (V[1] != 1), F[declared]]) & keep

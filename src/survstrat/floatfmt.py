@@ -2,17 +2,23 @@
 ``str``, as numpy ufuncs over blocks of values. The shortest round-trip digits
 come from Schubfach (Giulietti 2020; Java's ``Double.toString`` less its rule
 of at least two digits): three 126-bit products with a power of ten, in
-``uint64`` pieces. A field's layout depends only on its sign, decimal point
-and digit count: a block's text is one gather of template rows, one ``take``
-and one compress. Under numpy < 2, ``uint64`` with a signed integer promotes
-to float64, so ``uint64`` arrays meet ``uint64`` operands only."""
+``uint64`` pieces. An integer column skips that search: its digits are its
+absolute value. A block stacks its float columns and its integer columns
+apart, floats first, and lays both out in one buffer. A field's layout
+depends only on its sign, decimal point and digit count: a block's text is
+one gather of template rows, one ``take`` and one compress. Under numpy < 2,
+``uint64`` with a signed integer promotes to float64, so ``uint64`` arrays
+meet ``uint64`` operands only."""
 
 from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
 
-BLOCK_VALUES = 4096  # more raise the peak memory and gain little speed
+# a block peaks at about 200 bytes a value, in its float columns' digit search:
+# 8,192 values peak as 4,096 did when every column ran it; 16,384 raised the
+# fits' peak RSS by 2-3 MB, and 32k and 64k blocks were slower
+BLOCK_VALUES = 8192
 
 _U = np.uint64
 _0, _1, _2, _10, _32, _63 = _U(0), _U(1), _U(2), _U(10), _U(32), _U(63)
@@ -85,8 +91,10 @@ def _shortest(bits):
     q = np.maximum(biased, _1).view(np.int64) - 1075
     k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).view(_U)
+    del biased, q  # a block's peak memory is here, in its float columns' temporaries
     g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
     g1_halves, g0_halves = (g1 >> _32, g1 & _M32), (g0 >> _32, g0 & _M32)
+    del g0
 
     def mulhi(a, b):  # the high 64 bits of a * b, given as 32-bit halves; no sum overflows
         (ah, al), (bh, bl) = a, b
@@ -114,18 +122,24 @@ def _shortest(bits):
     return np.where(sp_in != tp_in, (s40 >> _2) + _10 * tp_in, s + np.where(s_in != t_in, t_in, up)), k
 
 
-def _text(values, is_int, src, base) -> str:
-    """The lines of ``values`` through ``src``, its fields' bytes starting at ``base``."""
-    bits = values.view(_U)
+def _float_digits(values):
+    """``(f, e)``: the shortest ``f * 10**e`` without trailing zeros in ``f`` that
+    reads back as each float64 of ``values``; ``(0, 0)`` for a zero."""
     finite, zero = np.isfinite(values), values == 0
-    f, e = _shortest(np.where(finite & ~zero, bits, _U(0x3FF0000000000000)))  # 1.0 for 0, inf, nan
+    f, e = _shortest(np.where(finite & ~zero, values.view(_U), _U(0x3FF0000000000000)))  # 1.0 for 0, inf, nan
     for p in (16, 8, 4, 2, 1):  # strip trailing zeros
         quotient = f // _POW10[p]
         whole = quotient * _POW10[p] == f
         f, e = np.where(whole, quotient, f), e + whole * p
-    f, e = np.where(zero, _0, f), np.where(zero, 0, e)
+    return np.where(zero, _0, f), np.where(zero, 0, e)
+
+
+def _keys(floats, ints, src):
+    """Write the digits of a block's float columns ``floats`` and integer columns
+    ``ints``, side by side in that order, into ``src``; return each field's template key."""
+    f, e = _float_digits(floats)
+    f = np.concatenate([f, np.abs(ints).view(_U)], axis=1)  # an integer's digits are its own
     digits = np.searchsorted(_POW10[1:], f, side="right") + 1
-    point = e + digits  # the decimal point follows digit `point`
     # 17 digits: the first, then two groups of 8 split into four words of 4
     f = f * _POW10[17 - digits]
     top = (f // _POW10[8]).view(np.int64)
@@ -134,30 +148,48 @@ def _text(values, is_int, src, base) -> str:
     four = eight // 10**4
     src[..., _DIGIT] = lead + 48
     words = src.view(np.uint32)
-    words[..., 1:5] = _WORDS[np.stack([four, eight - four * 10**4], axis=-1)].reshape(*values.shape, 4)
+    words[..., 1:5] = _WORDS[np.stack([four, eight - four * 10**4], axis=-1)].reshape(*f.shape, 4)
+    digits, int_digits = np.split(digits, [floats.shape[1]], axis=1)
+    point = e + digits  # the decimal point follows digit `point`
     exponent = np.abs(point - 1)
-    words[..., _EXP // 4] = _WORDS[exponent]
+    words[:, :floats.shape[1], _EXP // 4] = _WORDS[exponent]
     key = np.where((point >= -3) & (point <= 16), (point + 3) * 17 + digits - 1,
                    _EXPONENT + (point < 0) * 34 + (exponent >= 100) * 17 + digits - 1)
-    key = np.where(finite, np.where(is_int, _INT + point - 1, key), _INF_KEY)
-    key = np.where(np.isnan(values), _NAN_KEY, key + (bits >> _63).astype(np.intp) * _SIGNED)
-    fields = _TEMPLATES[key]
+    key = np.where(np.isfinite(floats), key, _INF_KEY)
+    key = np.where(np.isnan(floats), _NAN_KEY, key + (floats.view(_U) >> _63).astype(np.intp) * _SIGNED)
+    return np.concatenate([key, _INT - 1 + int_digits + (ints < 0) * _SIGNED], axis=1)
+
+
+def _text(keys, src, base) -> str:
+    """The lines of a block's fields, given by their template ``keys``, from
+    ``src``, whose fields' bytes start at ``base``."""
+    fields = _TEMPLATES[keys]
+    text, quarter = np.empty(fields.shape, np.uint8), -(-len(fields) // 4)
+    for at in range(0, len(fields), quarter):  # a quarter at a time: a byte's index takes 8 bytes
+        src.ravel().take(fields[at:at + quarter] + base[at:at + quarter], out=text[at:at + quarter])
     # a -1 past a field's end reads a byte of another field, which the mask drops
-    return src.ravel().take(fields + base)[fields >= 0].tobytes().decode("ascii")
+    return text[fields >= 0].tobytes().decode("ascii")
 
 
 def write_csv(fh, columns) -> None:
     """Write equal-length 1-D ``columns`` to the text file ``fh`` as comma-separated
     lines, ``BLOCK_VALUES`` values at a time: an integer column (within +-2**53) as
     ``str`` writes it, any other as ``repr`` writes its float64 values."""
-    is_int = np.array([col.dtype.kind in "iu" for col in columns])
+    is_int = [col.dtype.kind in "iu" for col in columns]
     if any(k and c.size and not -2**53 <= c.min() <= c.max() <= 2**53 for c, k in zip(columns, is_int)):
         raise ValueError("cannot format an integer beyond +-2**53")
+    groups = [[c for c, k in zip(columns, is_int) if k == kind] for kind in (False, True)]
+    # the file's column j is column place[j] of a block: the float columns, then the integer ones
+    place = np.argsort(np.argsort(is_int, kind="stable"))
     rows = max(min(BLOCK_VALUES // len(columns), len(columns[0])), 1)
+    blocks = np.empty((rows, len(groups[0]))), np.empty((rows, len(groups[1])), np.int64)
     src = np.tile(np.frombuffer(b"inf".ljust(_MINUS) + b"-.0e+a,".ljust(_WIDTH - _MINUS), np.uint8),
                   (rows, len(columns), 1))
-    src[:, -1, _SEP] = ord("\n")
-    base = (np.arange(src.size // _WIDTH) * _WIDTH).reshape(rows, len(columns), 1)
+    src[:, place[-1], _SEP] = ord("\n")
+    base = ((np.arange(rows)[:, None] * len(columns) + place) * _WIDTH)[..., None]
     for start in range(0, len(columns[0]), rows):
-        values = np.stack([col[start:start + rows] for col in columns], axis=1, dtype=np.float64)
-        fh.write(_text(values, is_int, src[:len(values)], base[:len(values)]))
+        n = min(rows, len(columns[0]) - start)
+        for block, group in zip(blocks, groups):
+            for j, col in enumerate(group):
+                block[:n, j] = col[start:start + n]
+        fh.write(_text(_keys(blocks[0][:n], blocks[1][:n], src[:n])[:, place], src[:n], base[:n]))

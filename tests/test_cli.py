@@ -875,6 +875,21 @@ class TestHpoCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_data_fault_in_every_trial_exits_2_as_train_does(self, workspace, tmp_path,
+                                                                  capsys, jobs):
+        data = tmp_path / "censored.csv"
+        data.write_text(rows_text(["duration", "event", "f0", "f1", "f2"],
+                                  [[1.0 + i, 0, 0.1 * i, i % 3, -0.1 * i] for i in range(40)]))
+        message = "error: cannot build a time grid without any uncensored events\n"
+        assert main(["train", "--config", str(workspace / "config.json"), "--data", str(data),
+                     "--out", str(tmp_path / "train")]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["hpo", "--space", str(self.space_file(tmp_path, workspace)), "--budget", "2",
+                     "--jobs", jobs, "--data", str(data), "--out", str(tmp_path / "hpo")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "hpo").exists()
+
     def test_winner_reproduces_through_train(self, workspace, tmp_path):
         rc = main([
             "hpo", "--space", str(self.space_file(tmp_path, workspace)), "--budget", "1",
