@@ -7,6 +7,7 @@ plain delimited or key-value text meant for external plotting tools.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by later ones:
+    a parse leaves no state on it, and the handlers are looked up in ``main``."""
     parser = _Parser(prog="survstrat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -452,12 +452,43 @@ def save_splits(split_set: SplitSet, path: str) -> None:
             fh.write(" ".join(parts) + "\n")
 
 
+# a role's indices as np.fromstring reads them whole: ASCII digits only, no
+# empty token, and at most 18 digits a token, so every value is below 2**63
+_PLAIN_INDICES = re.compile(r"[0-9]{1,18}(?:,[0-9]{1,18})*")
+
+
+def _parse_indices(path: str, role: str, idx: str, hi: int) -> np.ndarray:
+    if _PLAIN_INDICES.fullmatch(idx):
+        values = np.fromstring(idx, dtype=np.int64, sep=",")
+        if int(values.max()) < hi:
+            return values
+    # any other text, or an index out of range: token by token, naming the bad one
+    tokens = [x for x in idx.split(",") if x]
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        bad = next(x for x in tokens if not _is_int(x))
+        raise DataError(f"split file {path}: {role} index '{bad}' is not an integer")
+    if values and not (0 <= min(values) and max(values) < hi):
+        bad = next(i for i in values if not 0 <= i < hi)
+        raise DataError(f"split file {path}: {role} index {bad} is outside [0, {hi})")
+    return np.array(values, dtype=np.int64)
+
+
 def load_splits(path: str, n_rows: int | None = None) -> SplitSet:
     """Read a ``save_splits`` file. A token that is not an integer, or a
-    negative index, or one not below ``n_rows`` when given, is a DataError."""
+    negative index, or one not below ``n_rows`` when given, is a DataError.
+
+    A role whose text is plain ASCII digits and commas, with no empty token
+    and no token over 18 digits, is parsed in one numpy call and range-checked
+    at once. Every other text (a sign, spaces, ``_``, non-ASCII digits, empty
+    tokens, longer tokens), and one holding an index out of range, is read
+    token by token as ``int`` reads it, so the accepted files and every error
+    message are the same either way."""
     # universal newlines: a file with bare \r line endings splits into lines too
     text = read_text(path, "split file", DataError)
     lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    hi = 2 ** 63 if n_rows is None else n_rows
     seed = 0
     splits = []
     for ln in lines:
@@ -474,17 +505,7 @@ def load_splits(path: str, n_rows: int | None = None) -> SplitSet:
             role, _, idx = part.partition(":")
             if role not in ("train", "val", "test"):
                 raise DataError(f"split file {path}: unknown role '{role}'")
-            tokens = [x for x in idx.split(",") if x]
-            try:
-                values = list(map(int, tokens))
-            except ValueError:
-                bad = next(x for x in tokens if not _is_int(x))
-                raise DataError(f"split file {path}: {role} index '{bad}' is not an integer")
-            hi = 2 ** 63 if n_rows is None else n_rows
-            if values and not (0 <= min(values) and max(values) < hi):
-                bad = next(i for i in values if not 0 <= i < hi)
-                raise DataError(f"split file {path}: {role} index {bad} is outside [0, {hi})")
-            sp[role] = np.array(values, dtype=np.int64)
+            sp[role] = _parse_indices(path, role, idx, hi)
         if set(sp) != {"train", "val", "test"}:
             raise DataError(f"split file {path}: a line is missing a role")
         splits.append(sp)

@@ -5,8 +5,9 @@ paths (vectorization, sorting tricks, searchsorted) with the library. Two
 exceptions repeat the library's arithmetic so that it must match them
 exactly: the GMM's EM reference, which reproduces ``gmm_fit`` while keeping
 the per-iteration state the fit discards, ``ibs_where_blocks``, the IBS
-in its earlier layout, and ``average_ranks_loop``, the hpo ranks in their
-earlier loop. The composed tape graphs at the end are the
+in its earlier layout, ``average_ranks_loop``, the hpo ranks in their
+earlier loop, and ``load_splits_tokens``, the split-file reader that parses
+every index on its own. The composed tape graphs at the end are the
 references for the library's fused nodes: the same functions built from
 elementary tensor ops, with the same arithmetic in the same order.
 """
@@ -19,7 +20,7 @@ from bisect import bisect_left, bisect_right, insort
 import numpy as np
 
 from survstrat.clustering import _VAR_FLOOR, GMM_MAX_ITER, GMM_TOL, kmeans_fit
-from survstrat.data import RawTable
+from survstrat.data import RawTable, SplitSet
 from survstrat.errors import ConfigurationError, DataError
 from survstrat.losses import _paired_nce
 from survstrat.metrics import kaplan_meier
@@ -268,6 +269,50 @@ def average_ranks_loop(values, descending: bool) -> np.ndarray:
         ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def load_splits_tokens(path, n_rows=None):
+    """``survstrat.data.load_splits`` with each role's indices read token by
+    token through ``int``: empty tokens skipped, the first token ``int``
+    rejects or the first index outside ``[0, n_rows)`` named in the error."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    seed = 0
+    splits = []
+    for ln in lines:
+        if ln.startswith("#"):
+            tokens = ln[1:].split()
+            if len(tokens) == 2 and tokens[0] == "seed":
+                try:
+                    seed = int(tokens[1])
+                except ValueError:
+                    raise DataError(f"split file {path}: seed '{tokens[1]}' is not an integer")
+            continue
+        sp = {}
+        for part in ln.split():
+            role, _, idx = part.partition(":")
+            if role not in ("train", "val", "test"):
+                raise DataError(f"split file {path}: unknown role '{role}'")
+            values = []
+            for token in idx.split(","):
+                if not token:
+                    continue
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    raise DataError(f"split file {path}: {role} index '{token}' is not an integer")
+            hi = 2 ** 63 if n_rows is None else n_rows
+            for i in values:
+                if not 0 <= i < hi:
+                    raise DataError(f"split file {path}: {role} index {i} is outside [0, {hi})")
+            sp[role] = np.array(values, dtype=np.int64)
+        if set(sp) != {"train", "val", "test"}:
+            raise DataError(f"split file {path}: a line is missing a role")
+        splits.append(sp)
+    if not splits:
+        raise DataError(f"split file {path} contains no splits")
+    return SplitSet(splits=splits, seed=seed)
 
 
 def _parse_float_row(token: str, row: int, col: str) -> float:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from survstrat.cli import (
     average_ranks,
+    build_parser,
     format_report,
     load_search_space,
     main,
@@ -1458,6 +1459,58 @@ class TestSplitFiles:
             for sp in split_set.splits
         ]
         assert (tmp_path / "splits.txt").read_text() == "".join(lines)
+
+
+class TestParserBuiltOnce:
+    """``main`` parses with one parser per process; calls share no state."""
+
+    def run(self, workspace, cwd, capsys, monkeypatch, fresh):
+        """Six commands in a row from ``cwd``: (exit code, stdout, stderr) of
+        each and the bytes of every file they wrote. With ``fresh`` set, the
+        parser is built anew for each command."""
+        ck, data = str(workspace / "run" / "checkpoint.json"), str(workspace / "toy.csv")
+        split = ["evaluate", "--checkpoint", ck, "--data", data, "--split", "2", "--role", "val"]
+        commands = [
+            ["train", "--config", str(workspace / "config.json"), "--data", data, "--out", "run"],
+            split,
+            ["evaluate", "--checkpoint", ck, "--data", data],
+            ["stratify", "--checkpoint", ck, "--data", data, "--out", "strat"],
+            # sets --curves and --out before the bad --role stops the parse
+            ["evaluate", "--checkpoint", ck, "--data", data, "--curves", "leak.csv",
+             "--out", "leak", "--role", "nope"],
+            split,
+        ]
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        outputs = []
+        for argv in commands:
+            if fresh:
+                build_parser.cache_clear()
+            rc = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((rc, captured.out, captured.err))
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        return outputs, files
+
+    def test_repeated_calls_match_a_fresh_parser_each(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        build_parser.cache_clear()
+        shared, shared_files = self.run(workspace, tmp_path / "shared", capsys, monkeypatch,
+                                        fresh=False)
+        fresh, fresh_files = self.run(workspace, tmp_path / "fresh", capsys, monkeypatch,
+                                      fresh=True)
+        assert shared == fresh
+        assert shared_files == fresh_files
+        assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 1, 0]
+        rc, out, err = shared[4]
+        assert out == "" and err.startswith("error: argument --role: invalid choice: 'nope'")
+        assert err.count("\n") == 1
+        # the evaluate after the usage error neither writes the curves nor
+        # metrics.txt the failed parse had named, and prints what it did before
+        assert shared[5] == shared[1]
+        assert not any(f.startswith("leak") for f in shared_files)
+        assert {"run/checkpoint.json", "strat/latents.csv"} <= set(shared_files)
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
