@@ -41,7 +41,8 @@ def _sq_dists(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = (Z * Z).sum(axis=1)[:, None] - 2.0 * Z @ centers.T + (centers * centers).sum(axis=1)[None, :]
+        cross = np.einsum("nd,kd->nk", Z, centers)  # row by row, unlike a BLAS product
+        d = (Z * Z).sum(axis=1)[:, None] - 2.0 * cross + (centers * centers).sum(axis=1)[None, :]
     if not np.isfinite(d).all():
         raise NumericError("non-finite output in op 'sq_dists'")
     return np.maximum(d, 0.0)

@@ -25,11 +25,11 @@ def _is_number(v) -> bool:
 
 
 def _is_widths(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v)
+    return isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v)
 
 
 # what a field accepts, by its annotation; bool is never an int or a number,
-# and the only tuple fields are the hidden-layer widths
+# and the only tuple fields are the hidden-layer widths, shown as JSON lists
 _KINDS = {
     "int": ("an integer", _is_int),
     "float": ("a finite number", _is_number),
@@ -51,6 +51,7 @@ def _typed(obj, prefix: str, problems: list):
             continue
         kind, accepts = _KINDS[f.type]
         value = getattr(obj, f.name)
+        value = list(value) if isinstance(value, tuple) else value
         if not accepts(value):
             problems.append(
                 f"{prefix}{f.name} must be {kind}, got {type(value).__name__} {value!r}"

@@ -127,12 +127,10 @@ def expected_event_time(probs, grid: TimeGrid) -> np.ndarray:
     horizon contributes at tau_T.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-    if probs.shape[1] != grid.n_bins + 1:
+    if probs.ndim != 2 or probs.shape[1] != grid.n_bins + 1:
         raise UsageError("expected T+1 probabilities per row (bins plus tail)")
     supports = np.concatenate([grid.midpoints(), [grid.horizon]])
-    return probs @ supports
+    return np.einsum("nt,t->n", probs, supports)  # row by row, unlike a BLAS product
 
 
 def _same_length(**columns) -> None:

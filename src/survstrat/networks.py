@@ -69,12 +69,15 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: np.random.Generator,
     return Tensor._from_op(mu.values + std * eps, (mu, log_var), "reparameterize", backward_fn), eps
 
 
-def survival_curve(probs: Tensor, cum: np.ndarray) -> Tensor:
-    """``1 - probs @ cum`` as one node, for a constant ``cum``."""
+def survival_curve(probs: Tensor) -> Tensor:
+    """``1 - cumsum`` of each row's T bin masses (not its tail mass), as one node."""
     def backward_fn(grad):
-        probs._accumulate(-grad @ cum.T)
+        # the adjoint of a running sum is a reverse running sum; the tail gets 0
+        delta = np.zeros_like(probs.values)
+        np.cumsum(-grad[:, ::-1], axis=1, out=delta[:, -2::-1])
+        probs._accumulate(delta)
 
-    values = probs.values @ cum
+    values = np.cumsum(probs.values[:, :-1], axis=1)
     return Tensor._from_op(np.subtract(1.0, values, out=values), (probs,), "survival",
                            backward_fn)
 
@@ -134,8 +137,6 @@ class Model:
         head_widths = (config.latent_dim + input_dim, *config.head_hidden, n_bins + 1)
         n_heads = config.n_clusters if config.heads == "per-cluster" else 1
         self.heads = [Mlp(head_widths, f"head{k}") for k in range(n_heads)]
-        # constant cumulative-sum matrix: survival_t = 1 - sum_{s<=t} prob_s
-        self._cum = np.triu(np.ones((n_bins + 1, n_bins)))
         self.flat = np.zeros(sum(t.values.size for _, t in self.parameters()))
         self._bind()
 
@@ -206,7 +207,7 @@ class Model:
 
     def _distribution(self, logits: Tensor) -> "SurvivalDistribution":
         probs = softmax_rows(logits)
-        return SurvivalDistribution(probs=probs, survival=survival_curve(probs, self._cum))
+        return SurvivalDistribution(probs=probs, survival=survival_curve(probs))
 
     def latents(self, X: np.ndarray, view: int = 1) -> np.ndarray:
         """Eval-mode latent codes (mu for variational encoders) as numpy, untaped."""

@@ -172,7 +172,8 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
     too when ``relu_last``); a one-layer stack is named ``linear``."""
     last = len(layers) - 1
     op = "mlp" if last else "linear"
-    hs = [x.values]
+    # BLAS rounds a lone row's product its own way, so one row runs as two copies
+    hs = [np.repeat(x.values, 2, axis=0) if len(x.values) == 1 else x.values]
     # an overflow in any layer is an error, also where a relu would clip it
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -186,6 +187,7 @@ def mlp(x: Tensor, layers, relu_last: bool = False) -> Tensor:
                 hs.append(out)
     except FloatingPointError:
         raise NumericError(f"non-finite output in op '{op}'")
+    hs = [h[:len(x.values)] for h in hs]
 
     def backward_fn(grad):
         for i in range(last, -1, -1):

@@ -673,9 +673,11 @@ def reparameterize_composed(mu: Tensor, log_var: Tensor, rng, eps=None):
     return lift(mu) + (lift(log_var) * 0.5).exp() * RefTensor(eps), eps
 
 
-def survival_curve_composed(probs: Tensor, cum) -> Tensor:
-    """``networks.survival_curve``: a matmul node and a subtraction from 1."""
-    return 1.0 - lift(probs) @ RefTensor(cum)
+def survival_curve_composed(probs: Tensor) -> Tensor:
+    """``networks.survival_curve``: a matmul node with the (T+1) x T triangular
+    matrix of ones, and a subtraction from 1."""
+    n_bins = probs.values.shape[1] - 1
+    return 1.0 - lift(probs) @ RefTensor(np.triu(np.ones((n_bins + 1, n_bins))))
 
 
 def ivcw_transposed(q1: Tensor, q2: Tensor, tau: float) -> Tensor:

@@ -1305,6 +1305,53 @@ class TestOutputBytes:
         self.test_files_match_row_writer(workspace, tmp_path)
 
 
+def scoring_outputs(checkpoint, data, out):
+    """The report and every file that ``evaluate --curves`` and ``stratify``
+    write for one data file, by name."""
+    got = {}
+    for name, argv in (("evaluate", ["evaluate", "--curves", str(out / "curves.csv")]),
+                       ("stratify", ["stratify", "--out", str(out / "strat")])):
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            assert main([*argv, "--checkpoint", checkpoint, "--data", str(data)]) == 0
+        got[name] = report.getvalue()
+    for path in [out / "curves.csv", *sorted((out / "strat").iterdir())]:
+        got[path.name] = path.read_bytes()
+    return got
+
+
+class TestScoringInvariance:
+    """What a row scores does not depend on where its columns stand in the
+    file or on the rows scored with it."""
+
+    @pytest.mark.parametrize("order", [[4, 3, 2, 1, 0], [2, 4, 0, 3, 1]])
+    def test_column_order_leaves_every_output_unchanged(self, workspace, tmp_path, order):
+        checkpoint = str(workspace / "run" / "checkpoint.json")
+        lines = (workspace / "toy.csv").read_text().splitlines()
+        moved = [",".join(np.array(line.split(","))[order]) for line in lines]
+        # the report names the file's stem, so the moved file keeps it
+        (tmp_path / "moved").mkdir()
+        (tmp_path / "moved" / "toy.csv").write_text("\n".join(moved) + "\n")
+        (tmp_path / "a").mkdir()
+        want = scoring_outputs(checkpoint, workspace / "toy.csv", tmp_path / "a")
+        got = scoring_outputs(checkpoint, tmp_path / "moved" / "toy.csv", tmp_path / "moved")
+        assert got == want
+
+    def test_appended_row_leaves_the_latents_of_the_others_unchanged(self, workspace, tmp_path):
+        # 4,097 rows end in a one-row chunk, 4,098 rows in a two-row chunk
+        rows = trainer.CHUNK_ROWS + 1
+        write_toy_dataset(tmp_path / "longer.csv", n=rows + 1, seed=5)
+        lines = (tmp_path / "longer.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "file.csv").write_text("".join(lines[:rows + 1]))
+        latents = []
+        for name in ("file", "longer"):
+            assert main(["stratify", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                         "--data", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+            latents.append((tmp_path / name / "latents.csv").read_text().splitlines())
+        assert len(latents[0]) == rows + 1
+        assert latents[1][:rows + 1] == latents[0]
+
+
 # floats whose shortest repr takes every form: signed zero, subnormal,
 # exponent and positional notation
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.1, 1.0, 1e16, 1e300]

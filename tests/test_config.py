@@ -90,6 +90,13 @@ class TestValidate:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(weights=weights).validate()
 
+    def test_widths_are_reported_as_the_list_the_file_held(self):
+        config = ExperimentConfig.from_dict({"encoder_hidden": [0]})
+        with pytest.raises(ConfigurationError) as err:
+            config.validate()
+        assert str(err.value) == ("invalid configuration: encoder_hidden must be "
+                                  "a list of positive integers, got list [0]")
+
     def test_types_checked_with_values_in_one_error(self):
         config = ExperimentConfig.from_dict({
             "n_clusters": "2", "batch_size": 2.5, "early_stopping": "yes",

@@ -545,10 +545,9 @@ def _step_node_and_composed(kind, rng):
         return (lambda: weighted(lambda: soft_assign_tensor(a, centers, nu)),
                 lambda: weighted(lambda: soft_assign_composed(a, centers, nu)), [a])
     if kind == "survival_curve":
-        cum = np.triu(np.ones((d + 1, d)))
         logits = leaf((n, d + 1), 2.0)
-        return (lambda: weighted(lambda: survival_curve(softmax_rows(logits), cum)),
-                lambda: weighted(lambda: survival_curve_composed(softmax_rows(logits), cum)),
+        return (lambda: weighted(lambda: survival_curve(softmax_rows(logits))),
+                lambda: weighted(lambda: survival_curve_composed(softmax_rows(logits))),
                 [logits])
     if kind == "weighted_sum":
         terms = [(leaf((n, 1)), float(rng.choice([0.0, 0.5, 1.0, 2.5])))

@@ -395,7 +395,7 @@ class TestBrierScore:
 
     @pytest.mark.parametrize("budget", [1, metrics.BUDGET])
     def test_one_rounding_step_outside_the_unit_interval_matches_the_where_blocks(self, budget):
-        # 1 - probs @ cum can land one step outside [0, 1]; a product with a
+        # 1 - cumsum(probs) can land one step outside [0, 1]; a product with a
         # 0/1 mask must still give each term the masked copy's value
         rng = np.random.default_rng(16)
         n = 80

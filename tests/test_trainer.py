@@ -3,9 +3,12 @@
 import copy
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survstrat import clustering, losses, networks, tensor, trainer
 from survstrat.config import ExperimentConfig
@@ -524,6 +527,54 @@ class TestChunkedInference:
 
         one = peak_above_outputs(trainer.CHUNK_ROWS)
         assert peak_above_outputs(len(X)) <= 2.5 * one
+
+
+# a shared variational head, a deterministic encoder, and Siamese encoders
+# routing to one of K = 3 heads
+ROW_LOCAL_MODELS = {
+    "shared": {},
+    "deterministic": {"variational": False},
+    "per-cluster": {"siamese": True, "heads": "per-cluster", "n_clusters": 3},
+}
+FILE_ROWS = 600
+
+
+@pytest.fixture(scope="module")
+def scored_file():
+    """A 600-row file and, for each model of ``ROW_LOCAL_MODELS`` trained
+    once, ``(state, predict, encode)`` of the whole file in one call."""
+    X = np.random.default_rng(11).normal(size=(FILE_ROWS, 5))
+    models = {}
+    for name, overrides in ROW_LOCAL_MODELS.items():
+        state = trainer.fit(make_data(), small_config(**overrides))
+        models[name] = (state, trainer.predict(state, X), trainer.encode(state, X))
+    assert len(np.unique(models["per-cluster"][1]["labels"])) == 3
+    return X, models
+
+
+class TestRowLocality:
+    """Every per-row output of ``predict`` and ``encode`` is a function of its
+    row alone: not of the rows scored with it, their order, or the chunks
+    that ``CHUNK_ROWS`` cuts them into."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(ROW_LOCAL_MODELS)),
+           chunk=st.sampled_from([1, 2, 3, 7, trainer.CHUNK_ROWS]),
+           rows=st.one_of(
+               st.lists(st.integers(0, FILE_ROWS - 1), min_size=1, max_size=30, unique=True),
+               st.permutations(range(FILE_ROWS))))
+    # the whole file in 7-row chunks puts rows alone in their cluster's group
+    @example(name="per-cluster", chunk=7, rows=list(range(FILE_ROWS)))
+    @example(name="shared", chunk=1, rows=[FILE_ROWS - 1])
+    def test_any_rows_in_any_order_and_chunks_give_the_file_outputs(
+            self, scored_file, name, chunk, rows):
+        X, models = scored_file
+        state, pred, enc = models[name]
+        rows = np.asarray(rows)
+        with mock.patch.object(trainer, "CHUNK_ROWS", chunk):
+            got_pred, got_enc = trainer.predict(state, X[rows]), trainer.encode(state, X[rows])
+        assert_same_arrays(got_pred, {k: v[rows] for k, v in pred.items()})
+        assert_same_arrays(got_enc, {k: v[rows] for k, v in enc.items()})
 
 
 class TestEpochLog:
