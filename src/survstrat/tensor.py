@@ -11,9 +11,14 @@ has no general elementwise or matrix algebra; the elementary graphs these
 nodes replaced are composed in the tests, on a reference tape that
 subclasses ``Tensor``.
 
-``backward()`` must be called on a 1x1 (scalar) tensor; gradients accumulate
-into ``.grad`` buffers until they are explicitly reset (the optimizer's
-``zero_grad`` clears them before each backward pass).
+``backward()`` must be called on a 1x1 (scalar) tensor, and it consumes the
+graph: once a node's backward has run, the node drops its backward closure,
+its parents and its gradient, so the activations they held are freed during
+the sweep rather than after it. Every node keeps its ``values``. Only leaves
+accumulate gradients across calls, into ``.grad`` buffers, until they are
+explicitly reset (the optimizer's ``zero_grad`` clears them before each
+training step); a second ``backward()`` from a consumed node raises
+:class:`UsageError`.
 
 Every node validates that its output is finite; a NaN/Inf result is
 reported as a :class:`NumericError` naming the op. Under ``no_tape()`` a
@@ -103,9 +108,14 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar; accumulates into .grad buffers."""
+        """Reverse-mode sweep from this scalar; accumulates into the leaves'
+        .grad buffers and consumes the graph it walks."""
         if self.shape != (1, 1):
             raise UsageError(f"backward requires a scalar (1x1) loss, got {self.shape}")
+        # an op node that needs gradients but has no parents left was consumed
+        if self._op != "leaf" and self.requires_grad and not self._parents:
+            raise UsageError(f"backward from a consumed '{self._op}' node: its graph was "
+                             "freed by an earlier backward")
         # Iterative topological sort: each recorded node visited exactly once.
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -127,6 +137,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+            # consumed: the activations its closure captured are freed now, not at step end
+            node._backward_fn = None
+            node._parents = ()
+            node.grad = None
 
     # -- reduction -----------------------------------------------------------
 

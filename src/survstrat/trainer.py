@@ -128,6 +128,24 @@ def _scalar(v) -> float:
     return float(v.values[0, 0]) if isinstance(v, Tensor) else float(v or 0.0)
 
 
+def _run_step(state: TrainState, data: TrainData, rng, idx, step) -> dict:
+    """One optimizer step on the rows ``idx``; returns the logged terms as floats.
+
+    A function of its own so that the step's graph (values, gradients and the
+    backward closures with the activations they hold) is freed when it
+    returns, before the next step's forward runs.
+    """
+    # the previous step's parameter gradients go before this step's forward
+    state.optimizer.zero_grad()
+    x = Tensor(data.X[idx])
+    outs = _encode_views(state.model, x, train=True, rng=rng)
+    total, terms = step(idx, x, outs)
+    total.backward()
+    state.optimizer.step()
+    terms["loss_total"] = total
+    return {k: _scalar(v) for k, v in terms.items()}
+
+
 def _run_epoch(state: TrainState, data: TrainData, rng, epoch: int, stage: int, step) -> dict:
     """One optimizer pass over shuffled batches; appends and returns the log row.
 
@@ -138,17 +156,11 @@ def _run_epoch(state: TrainState, data: TrainData, rng, epoch: int, stage: int, 
     n_batches = 0
     for idx in _batches(data.X.shape[0], state.config.batch_size, rng):
         try:
-            x = Tensor(data.X[idx])
-            outs = _encode_views(state.model, x, train=True, rng=rng)
-            total, terms = step(idx, x, outs)
-            state.optimizer.zero_grad()
-            total.backward()
-            state.optimizer.step()
+            terms = _run_step(state, data, rng, idx, step)
         except NumericError as exc:
             raise NumericError(f"{_STAGE_NAMES[stage]} aborted at epoch {epoch}: {exc}")
-        terms["loss_total"] = total
-        for k in terms:
-            sums[k] = sums.get(k, 0.0) + _scalar(terms[k])
+        for k, v in terms.items():
+            sums[k] = sums.get(k, 0.0) + v
         n_batches += 1
     row = {c: "" for c in LOG_COLUMNS}
     row.update(epoch=epoch, stage=stage)
@@ -182,6 +194,10 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
     """Stage 1: minimize rec + KL + survival for pretrain_epochs epochs;
     every per-cluster head trains on the whole batch and their losses are averaged."""
     config.validate()
+    n = data.X.shape[0]
+    if n < config.n_clusters:
+        # stage 2 would refuse it, after every pretraining epoch had run
+        raise UsageError(f"need at least K={config.n_clusters} points, got {n}")
     state = _new_state(config, data.X.shape[1], data.grid)
     state.train_times, state.train_events = data.t.copy(), data.e.copy()
     model = state.model

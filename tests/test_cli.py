@@ -453,6 +453,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("heads", ["shared", "per-cluster"])
+    def test_more_clusters_than_training_rows_exit_1_before_a_model_is_built(
+            self, workspace, tmp_path, capsys, monkeypatch, heads):
+        # 150 rows split 90/30/30: K = 91 cannot be clustered from the 90 training rows
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            base_config(workspace / "schema.json", n_clusters=91, heads=heads)))
+
+        def no_model(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(trainer, "_new_state", no_model)
+        rc = main([
+            "train", "--config", str(path),
+            "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least K=91 points, got 90\n"
+
     def test_overflowing_column_exit_2_without_numpy_warnings(self, workspace, tmp_path,
                                                               capsys):
         rows = [line.split(",") for line in (workspace / "toy.csv").read_text().splitlines()]

@@ -315,6 +315,44 @@ class TestNoTape:
             assert t.grad is not None and np.any(t.grad), name
 
 
+class TestConsumedGraph:
+    """``backward`` frees each node's closure, parents and gradient once it
+    has run; leaves keep their gradients and every node its values."""
+
+    @staticmethod
+    def layers():
+        rng = np.random.default_rng(3)
+        return [(Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                 Tensor(rng.standard_normal((1, 4)), requires_grad=True))]
+
+    @staticmethod
+    def graph(layers):
+        x = Tensor(np.random.default_rng(4).standard_normal((5, 3)))
+        hidden = softmax_rows(mlp(x, layers))
+        return hidden, hidden.mean(axis=1).mean()
+
+    def test_backward_keeps_leaf_gradients_and_every_value(self):
+        layers = self.layers()
+        hidden, loss = self.graph(layers)
+        values = (hidden.values.copy(), loss.values.copy())
+        loss.backward()
+        for leaf in layers[0]:
+            assert leaf.grad is not None and np.any(leaf.grad)
+        for node in (hidden, loss):
+            assert (node._parents, node._backward_fn, node.grad) == ((), None, None)
+        np.testing.assert_array_equal(hidden.values, values[0])
+        np.testing.assert_array_equal(loss.values, values[1])
+
+    def test_second_backward_from_a_consumed_root_raises(self):
+        layers = self.layers()
+        _, loss = self.graph(layers)
+        loss.backward()
+        grad = layers[0][0].grad.copy()
+        with pytest.raises(UsageError, match=r"^backward from a consumed 'mean' node"):
+            loss.backward()
+        np.testing.assert_array_equal(layers[0][0].grad, grad)
+
+
 class TestPackageSurface:
     """The package tensor carries the fused nodes only; the generic algebra
     lives on the tests' reference tape and is never added to it."""

@@ -529,6 +529,46 @@ class TestChunkedInference:
         assert peak_above_outputs(len(X)) <= 2.5 * one
 
 
+class TestStepMemory:
+    """A training step's graph is freed before the next step's forward."""
+
+    BATCH = 128
+
+    def epoch_peaks(self, n_batches):
+        """Tracemalloc peak of each stage's one epoch above its entry, for a
+        Siamese per-cluster model with every InfoNCE loss on."""
+        config = small_config(
+            siamese=True, heads="per-cluster", n_clusters=3, pretrain_epochs=1, max_epochs=1,
+            batch_size=self.BATCH, weights=LossWeights(alpha_iviw=0.1, alpha_ivcw=0.1))
+        data = make_data(n=n_batches * self.BATCH)
+        run_epoch = trainer._run_epoch
+        peaks = {}
+
+        def traced_epoch(state, data, rng, epoch, stage, step):
+            tracemalloc.start()
+            try:
+                entry, _ = tracemalloc.get_traced_memory()
+                row = run_epoch(state, data, rng, epoch, stage, step)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[stage] = peak - entry
+            return row
+
+        with mock.patch.object(trainer, "_run_epoch", traced_epoch):
+            trainer.fit(data, config)
+        return peaks
+
+    def test_epoch_peak_does_not_grow_with_its_batches(self):
+        # 4 equal batches against 1, per stage. Measured (Python 3.11, numpy
+        # 2.4, 2 cores; the test takes about 0.1 s): 1.01 in pretraining and
+        # 1.04 in stage 3, the rest being the epoch's row permutation; with
+        # the previous step's graph held through the next forward, 1.57 and 1.82.
+        one, four = self.epoch_peaks(1), self.epoch_peaks(4)
+        for stage in (1, 3):
+            assert four[stage] <= 1.1 * one[stage], stage
+
+
 # a shared variational head, a deterministic encoder, and Siamese encoders
 # routing to one of K = 3 heads
 ROW_LOCAL_MODELS = {
