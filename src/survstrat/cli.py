@@ -410,6 +410,10 @@ def rank_leaderboard(results: list, per_split: bool = False) -> list:
     return board
 
 
+# a failed trial records its error as "<class name>: <message>"
+_ERRORS = {cls.__name__: cls for cls in (SurvstratError, *SurvstratError.__subclasses__())}
+
+
 def cmd_hpo(args) -> int:
     space = load_search_space(args.space)
     budget = args.budget if args.budget is not None else space.get("budget", DEFAULT_BUDGET)
@@ -434,10 +438,11 @@ def cmd_hpo(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_trial, *trial_args))
     results.sort(key=lambda r: r["trial"])
-    # every trial failing on the same data fault is that fault, as ``train`` reports it
-    fault = results[0].get("error", "")
-    if fault.startswith("DataError: ") and all(r.get("error") == fault for r in results):
-        raise DataError(fault.removeprefix("DataError: "))
+    # every trial failing with the same fault is that fault, as ``train`` reports it
+    fault = results[0].get("error")
+    if fault and all(r.get("error") == fault for r in results):
+        name, _, message = fault.partition(": ")
+        raise _ERRORS[name](message)
     board = rank_leaderboard(results, per_split=args.rank_per_split)
     winner = board[0]
     wr = winner["result"]

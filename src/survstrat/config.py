@@ -1,4 +1,4 @@
-"""Experiment configuration: loading, exhaustive validation, hashing."""
+"""Experiment configuration and its loss weights: loading, exhaustive validation, hashing."""
 
 from __future__ import annotations
 
@@ -9,9 +9,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .clustering import SUPPORTED_ALGORITHMS
 from .errors import ConfigurationError, read_json
-from .losses import LossWeights
 
 HEAD_MODES = ("shared", "per-cluster")
+# the most time bins a grid may have: its quantile levels are allocated from
+# n_bins before any model exists
+MAX_BINS = 10**6
 
 
 def _is_int(v) -> bool:
@@ -58,6 +60,25 @@ def _typed(obj, prefix: str, problems: list):
             )
             bad[f.name] = getattr(defaults, f.name)
     return replace(obj, **bad) if bad else obj
+
+
+@dataclass
+class LossWeights:
+    """Objective weights plus the contrastive and ranking scales; their
+    values are checked by ``ExperimentConfig.validate``."""
+
+    alpha_rec: float = 1.0
+    alpha_kld: float = 1.0
+    alpha_clus: float = 1.0
+    alpha_spl: float = 1.0
+    alpha_cl: float = 1.0
+    alpha_surv: float = 1.0
+    alpha_ivcg: float = 1.0
+    alpha_iviw: float = 0.0
+    alpha_ivcw: float = 0.0
+    beta: float = 1.0
+    tau: float = 0.5
+    sigma_rank: float = 0.1
 
 
 @dataclass
@@ -122,6 +143,8 @@ class ExperimentConfig:
             problems.append(f"latent_dim must be >= 1, got {checked.latent_dim}")
         if checked.n_bins < 1:
             problems.append(f"n_bins must be >= 1, got {checked.n_bins}")
+        if checked.n_bins > MAX_BINS:
+            problems.append(f"n_bins must be at most {MAX_BINS}, got {checked.n_bins}")
         if checked.nu <= 0:
             problems.append(f"nu must be positive, got {checked.nu}")
         if checked.routing_view not in (1, 2):

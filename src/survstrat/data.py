@@ -93,13 +93,12 @@ class Schema:
 class RawTable:
     """Parsed but untransformed survival records. ``features`` maps each
     feature column, in schema or header order, to a float64 array with nan
-    exactly at its missing rows ("numeric" in ``kinds``) or to a list of
-    stripped tokens with None for a missing one ("categorical")."""
+    exactly at its missing rows (a numeric column) or to a list of stripped
+    tokens with None for a missing one (a categorical column)."""
 
     time: np.ndarray
     event: np.ndarray
     features: dict
-    kinds: dict
 
     @property
     def n_rows(self) -> int:
@@ -316,7 +315,7 @@ def load_csv(path: str, schema: Schema) -> RawTable:
                 [None if s.lower() in _MISSING_TOKENS else s
                  for s in map(str.strip, itertools.chain.from_iterable(words[col]))]
                 for col, kind in kinds.items()}
-    return RawTable(time=np.concatenate(times), event=np.concatenate(events), features=features, kinds=kinds)
+    return RawTable(time=np.concatenate(times), event=np.concatenate(events), features=features)
 
 
 def fit_transforms(table: RawTable, train_idx) -> dict:
@@ -331,7 +330,7 @@ def fit_transforms(table: RawTable, train_idx) -> dict:
         raise UsageError("cannot fit transforms on an empty training split")
     transforms = {}
     for col, values in table.features.items():
-        if table.kinds[col] == "numeric":
+        if isinstance(values, np.ndarray):
             vals = values[train_idx]
             missing = np.isnan(vals)
             # values near the float limit overflow these sums; that is a data error

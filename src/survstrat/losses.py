@@ -5,39 +5,19 @@ and per-instance form (the per-instance vectors feed self-paced filtering).
 The three contrastive losses follow the InfoNCE pattern with cosine
 similarity and temperature tau; denominators include the anchor term.
 Survival losses cover calibration (negative log-likelihood over time bins)
-and discrimination (exponential ranking penalty). Every loss, weighted sum
-and soft assignment is one tape node with a closed-form backward.
+and discrimination (exponential ranking penalty). Every loss and soft
+assignment is one tape node with a closed-form backward; the weights that
+combine them into the objective are applied by the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, weighted_sum
+from .tensor import Tensor
 
 _CLAMP = 1e-12
-
-
-@dataclass
-class LossWeights:
-    """Objective weights plus the contrastive and ranking scales; their
-    values are checked by ``ExperimentConfig.validate``."""
-
-    alpha_rec: float = 1.0
-    alpha_kld: float = 1.0
-    alpha_clus: float = 1.0
-    alpha_spl: float = 1.0
-    alpha_cl: float = 1.0
-    alpha_surv: float = 1.0
-    alpha_ivcg: float = 1.0
-    alpha_iviw: float = 0.0
-    alpha_ivcw: float = 0.0
-    beta: float = 1.0
-    tau: float = 0.5
-    sigma_rank: float = 0.1
 
 
 def _squared_error(a: Tensor, target: np.ndarray, op: str) -> tuple[Tensor, Tensor]:
@@ -86,11 +66,6 @@ def loss_clus(z: Tensor, centers: np.ndarray, assignments) -> tuple[Tensor, Tens
     """Squared distance from each latent to its assigned (frozen) center."""
     assigned = np.asarray(centers, dtype=np.float64)[np.asarray(assignments, dtype=np.int64)]
     return _squared_error(z, assigned, "loss_clus")
-
-
-def average_views(parts):
-    """Mean of per-view loss tensors (scalars or per-instance vectors)."""
-    return weighted_sum([(p, 1.0) for p in parts], 1.0 / len(parts))
 
 
 def _unit_rows(x: np.ndarray):
@@ -305,23 +280,3 @@ def loss_rank(dist, bins, events, sigma_rank: float) -> Tensor:
         dist.survival._accumulate(delta)
 
     return Tensor._from_op(values, (dist.survival,), "loss_rank", backward_fn)
-
-
-def combine_cl(weights: LossWeights, l_ivcg=None, l_iviw=None, l_ivcw=None) -> Tensor:
-    """Weighted contrastive total: alpha_ivcg*IVCG + alpha_iviw*IVIW + alpha_ivcw*IVCW."""
-    terms = [(loss, alpha) for loss, alpha in ((l_ivcg, weights.alpha_ivcg),
-                                               (l_iviw, weights.alpha_iviw),
-                                               (l_ivcw, weights.alpha_ivcw))
-             if alpha and loss is not None]
-    return weighted_sum(terms) if terms else Tensor(np.zeros((1, 1)))
-
-
-def combine_surv(weights: LossWeights, l_nll: Tensor, l_rank: Tensor) -> Tensor:
-    """Survival total: NLL + beta * ranking."""
-    return weighted_sum([(l_nll, 1.0), (l_rank, weights.beta)])
-
-
-def combine_instance(weights: LossWeights, rec_i: Tensor, kld_i, clus_i: Tensor) -> Tensor:
-    """Per-instance curriculum loss; the KLD part is dropped when None."""
-    kld_term = [] if kld_i is None else [(kld_i, weights.alpha_kld)]
-    return weighted_sum([(rec_i, weights.alpha_rec), (clus_i, weights.alpha_clus)] + kld_term)

@@ -18,6 +18,16 @@ from .config import ExperimentConfig
 from .errors import ConfigurationError, UsageError
 from .tensor import Tensor, concat_cols, mlp, no_tape, scatter_rows, softmax_rows, take_rows, weighted_sum
 
+# the most parameters a model may have; it is refused before any is allocated.
+# Training one at the cap takes about 56 bytes a parameter, 5.6 GB: the flat
+# store, its gradients and Adam's five buffers
+MAX_PARAMETERS = 10**8
+
+
+def _mlp_size(widths) -> int:
+    """Weights and biases of an MLP with these layer widths."""
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:]))
+
 
 @dataclass
 class EncoderOutput:
@@ -127,15 +137,26 @@ class Model:
     def __init__(self, config: ExperimentConfig, input_dim: int, n_bins: int):
         if input_dim < 1:
             raise ConfigurationError("the model needs at least one feature column")
+        dec_widths = (config.latent_dim, *reversed(config.encoder_hidden), input_dim)
+        head_widths = (config.latent_dim + input_dim, *config.head_hidden, n_bins + 1)
+        n_heads = config.n_clusters if config.heads == "per-cluster" else 1
+        # a variational encoder has a log-variance layer beside its mean layer
+        log_var = (config.encoder_hidden[-1] + 1) * config.latent_dim if config.variational else 0
+        view = _mlp_size((input_dim, *config.encoder_hidden, config.latent_dim)) + log_var
+        size = ((2 if config.siamese else 1) * (view + _mlp_size(dec_widths))
+                + n_heads * _mlp_size(head_widths))
+        if size > MAX_PARAMETERS:
+            # Python prints no integer of more than 4,300 digits
+            count = size if size < 10**100 else "over 10**100"
+            raise ConfigurationError(
+                f"the model would have {count} parameters, more than the cap of {MAX_PARAMETERS}"
+            )
         self.config = config
         self.encoders = [Encoder(config, input_dim, "enc1")]
-        dec_widths = (config.latent_dim, *reversed(config.encoder_hidden), input_dim)
         self.decoders = [Mlp(dec_widths, "dec1")]
         if config.siamese:
             self.encoders.append(Encoder(config, input_dim, "enc2"))
             self.decoders.append(Mlp(dec_widths, "dec2"))
-        head_widths = (config.latent_dim + input_dim, *config.head_hidden, n_bins + 1)
-        n_heads = config.n_clusters if config.heads == "per-cluster" else 1
         self.heads = [Mlp(head_widths, f"head{k}") for k in range(n_heads)]
         self.flat = np.zeros(sum(t.values.size for _, t in self.parameters()))
         self._bind()

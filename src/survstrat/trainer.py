@@ -171,7 +171,7 @@ def _run_epoch(state: TrainState, data: TrainData, rng, epoch: int, stage: int, 
 
 def _view_mean(pairs):
     """Average (scalar, per-instance) loss pairs over the views."""
-    return tuple(losses.average_views(list(parts)) for parts in zip(*pairs))
+    return tuple(weighted_sum([(p, 1.0) for p in parts], 1.0 / len(parts)) for parts in zip(*pairs))
 
 
 def _rec_and_kld(model: Model, x: Tensor, outs):
@@ -185,9 +185,10 @@ def _rec_and_kld(model: Model, x: Tensor, outs):
 
 
 def _survival_loss(dist, bins, events, weights) -> Tensor:
+    """NLL + beta * ranking."""
     nll = losses.loss_nll(dist, bins, events)
     rank = losses.loss_rank(dist, bins, events, weights.sigma_rank)
-    return losses.combine_surv(weights, nll, rank)
+    return weighted_sum([(nll, 1.0), (rank, weights.beta)])
 
 
 def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
@@ -209,9 +210,8 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
         rec, _, kld, _ = _rec_and_kld(model, x, outs)
         h = model.survival_input(x, outs)
         dists = [model.survival_forward(h, np.full(len(idx), k)) for k in range(len(model.heads))]
-        surv = losses.average_views(
-            [_survival_loss(d, data.bins[idx], data.e[idx], w) for d in dists]
-        )
+        survs = [_survival_loss(d, data.bins[idx], data.e[idx], w) for d in dists]
+        surv = weighted_sum([(s, 1.0) for s in survs], 1.0 / len(survs))
         kld_term = [] if kld is None else [(kld, w.alpha_kld)]
         total = weighted_sum([(rec, w.alpha_rec), (surv, w.alpha_surv)] + kld_term)
         return total, {"loss_rec": rec, "loss_kld": kld, "loss_surv": surv}
@@ -240,25 +240,23 @@ def init_clusters(state: TrainState, data: TrainData) -> TrainState:
     return state
 
 
-def _contrastive_loss(model, outs, events, batch_assignments, centers, config):
+def _contrastive_loss(outs, events, batch_assignments, centers, config) -> Tensor:
+    """alpha_ivcg * IVCG (summed over the views) + alpha_iviw * IVIW +
+    alpha_ivcw * IVCW, over the terms of nonzero weight; zero without one."""
     w = config.weights
-    l_ivcg = None
+    terms = []
     if w.alpha_ivcg:
-        parts = [
-            losses.loss_ivcg(out.z, events, batch_assignments[v], w.tau)
-            for v, out in enumerate(outs)
-        ]
-        l_ivcg = weighted_sum([(p, 1.0) for p in parts])
-    l_iviw = None
-    l_ivcw = None
+        parts = [(losses.loss_ivcg(out.z, events, batch_assignments[v], w.tau), 1.0)
+                 for v, out in enumerate(outs)]
+        terms.append((weighted_sum(parts), w.alpha_ivcg))
     if len(outs) == 2:
         if w.alpha_iviw:
-            l_iviw = losses.loss_iviw(outs[0].z, outs[1].z, w.tau)
+            terms.append((losses.loss_iviw(outs[0].z, outs[1].z, w.tau), w.alpha_iviw))
         if w.alpha_ivcw:
             q1 = losses.soft_assign_tensor(outs[0].z, centers[0], config.nu)
             q2 = losses.soft_assign_tensor(outs[1].z, centers[1], config.nu)
-            l_ivcw = losses.loss_ivcw(q1, q2, w.tau)
-    return losses.combine_cl(w, l_ivcg, l_iviw, l_ivcw)
+            terms.append((losses.loss_ivcw(q1, q2, w.tau), w.alpha_ivcw))
+    return weighted_sum(terms) if terms else Tensor(np.zeros((1, 1)))
 
 
 def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weights):
@@ -267,7 +265,9 @@ def _curriculum_losses(model: Model, x: Tensor, outs, assignments, centers, weig
     clus, clus_i = _view_mean(
         [losses.loss_clus(out.z, centers[v], assignments[v]) for v, out in enumerate(outs)]
     )
-    return rec, kld, clus, losses.combine_instance(weights, rec_i, kld_i, clus_i)
+    kld_term = [] if kld_i is None else [(kld_i, weights.alpha_kld)]
+    per_instance = weighted_sum([(rec_i, weights.alpha_rec), (clus_i, weights.alpha_clus)] + kld_term)
+    return rec, kld, clus, per_instance
 
 
 def _dataset_spl_threshold(state, data, epoch, max_epochs):
@@ -322,7 +322,7 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
         )
         mask = spl_filter(per_instance.values, lam)
         l_spl = per_instance.mean(mask=mask.astype(np.float64)[:, None])
-        l_cl = _contrastive_loss(model, outs, data.e[idx], batch_assign, state.centers, config)
+        l_cl = _contrastive_loss(outs, data.e[idx], batch_assign, state.centers, config)
         ids = batch_assign[config.routing_view - 1]
         dist = model.survival_forward(model.survival_input(x, outs), cluster_ids=ids)
         l_surv = _survival_loss(dist, data.bins[idx], data.e[idx], w)

@@ -9,14 +9,12 @@ and the acceptance gate.
 """
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
+from survstrat.config import ExperimentConfig, LossWeights
 from survstrat.losses import (
-    LossWeights,
-    combine_cl,
-    combine_instance,
-    combine_surv,
     loss_clus,
     loss_ivcg,
     loss_ivcw,
@@ -27,8 +25,9 @@ from survstrat.losses import (
     loss_rec,
     soft_assign_tensor,
 )
-from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
+from survstrat.networks import EncoderOutput, SurvivalDistribution, reparameterize, survival_curve
 from survstrat.tensor import Tensor, mlp, scatter_rows, softmax_rows, take_rows, weighted_sum
+from survstrat.trainer import _contrastive_loss, _curriculum_losses, _survival_loss
 
 from reftape import RefTensor, lift
 
@@ -41,6 +40,12 @@ def dist_from_logits(logits: Tensor) -> SurvivalDistribution:
     probs = softmax_rows(logits)
     survival = RefTensor(np.ones((1, 1))) - lift(probs) @ RefTensor(cum)
     return SurvivalDistribution(probs=probs, survival=survival)
+
+
+def decoding_to(x_hat: Tensor, variational: bool = True):
+    """A stand-in model for the trainer's loss helpers: every view decodes to ``x_hat``."""
+    return SimpleNamespace(config=SimpleNamespace(variational=variational),
+                           decode=lambda z, view: x_hat)
 
 
 def _survival_batch(rng, n, n_bins):
@@ -176,15 +181,13 @@ def case_combined_cl(seed):
     centers = rng.standard_normal((2, 3))
     events = np.array([0, 1, 1, 0, 1, 1])
     assign = np.array([0, 0, 1, 1, 0, 1])
-    weights = LossWeights(alpha_ivcg=0.8, alpha_iviw=0.5, alpha_ivcw=0.4, tau=0.6)
+    config = ExperimentConfig(
+        siamese=True, weights=LossWeights(alpha_ivcg=0.8, alpha_iviw=0.5, alpha_ivcw=0.4, tau=0.6)
+    )
+    outs = [EncoderOutput(mu=z, log_var=None, z=z) for z in (z1, z2)]
 
     def build():
-        cg = loss_ivcg(z1, events, assign, weights.tau)
-        iw = loss_iviw(z1, z2, weights.tau)
-        cw = loss_ivcw(
-            soft_assign_tensor(z1, centers), soft_assign_tensor(z2, centers), weights.tau
-        )
-        return combine_cl(weights, cg, iw, cw)
+        return _contrastive_loss(outs, events, [assign, assign], [centers, centers], config)
 
     return build, [z1, z2]
 
@@ -192,13 +195,10 @@ def case_combined_cl(seed):
 def case_combined_surv(seed):
     rng = np.random.default_rng(seed)
     logits, bins, events = _survival_batch(rng, 6, 4)
-    weights = LossWeights(beta=0.7)
+    weights = LossWeights(beta=0.7, sigma_rank=0.3)
 
     def build():
-        dist = dist_from_logits(logits)
-        return combine_surv(
-            weights, loss_nll(dist, bins, events), loss_rank(dist, bins, events, 0.3)
-        )
+        return _survival_loss(dist_from_logits(logits), bins, events, weights)
 
     return build, [logits]
 
@@ -213,14 +213,10 @@ def case_combined_instance(seed):
     centers = rng.standard_normal((2, 3))
     assign = rng.integers(0, 2, size=4)
     weights = LossWeights(alpha_rec=0.9, alpha_kld=0.6, alpha_clus=1.3)
+    out = EncoderOutput(mu=mu, log_var=log_var, z=z)
 
     def build():
-        per = combine_instance(
-            weights,
-            loss_rec(x, x_hat)[1],
-            loss_kld(mu, log_var)[1],
-            loss_clus(z, centers, assign)[1],
-        )
+        *_, per = _curriculum_losses(decoding_to(x_hat), Tensor(x), [out], [assign], [centers], weights)
         return per.mean()
 
     return build, [x_hat, mu, log_var, z]

@@ -414,7 +414,6 @@ def load_csv_rows(path, schema):
         time=time,
         event=np.asarray(events, dtype=np.int64),
         features=features,
-        kinds=kinds,
     )
 
 

@@ -20,10 +20,9 @@ from oracles import cindex_bruteforce, ibs_direct, km_scan, reg_upper_gamma_half
 from survstrat import data as data_mod
 from survstrat import trainer
 from survstrat.cli import _fit_one_split, main
-from survstrat.config import ExperimentConfig
+from survstrat.config import ExperimentConfig, LossWeights
 from survstrat.errors import ConfigurationError
 from survstrat.losses import (
-    LossWeights,
     loss_ivcg,
     loss_ivcw,
     loss_iviw,

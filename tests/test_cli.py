@@ -895,19 +895,38 @@ class TestHpoCommand:
         ])
         assert rc == 1
 
+    # fault: (config sizes, whether the 40 rows have events, exit code, message)
+    SHARED_FAULTS = {
+        "DataError": ({}, False, 2, "cannot build a time grid without any uncensored events"),
+        # 40 rows split 24/8/8
+        "UsageError": ({"n_clusters": 30}, True, 1, "need at least K=30 points, got 24"),
+        # a size no allocation could hold, so a missed cap fails without allocating
+        "ConfigurationError": ({"latent_dim": 10**30}, True, 1,
+                               "the model would have 34000000000000000000000000000144 "
+                               "parameters, more than the cap of 100000000"),
+    }
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_one_data_fault_in_every_trial_exits_2_as_train_does(self, workspace, tmp_path,
-                                                                  capsys, jobs):
-        data = tmp_path / "censored.csv"
+    @pytest.mark.parametrize("fault", list(SHARED_FAULTS))
+    def test_one_fault_in_every_trial_exits_as_train_does(self, workspace, tmp_path, capsys,
+                                                          fault, jobs):
+        sizes, events, code, message = self.SHARED_FAULTS[fault]
+        data = tmp_path / "cohort.csv"
         data.write_text(rows_text(["duration", "event", "f0", "f1", "f2"],
-                                  [[1.0 + i, 0, 0.1 * i, i % 3, -0.1 * i] for i in range(40)]))
-        message = "error: cannot build a time grid without any uncensored events\n"
-        assert main(["train", "--config", str(workspace / "config.json"), "--data", str(data),
-                     "--out", str(tmp_path / "train")]) == 2
-        assert capsys.readouterr().err == message
-        assert main(["hpo", "--space", str(self.space_file(tmp_path, workspace)), "--budget", "2",
-                     "--jobs", jobs, "--data", str(data), "--out", str(tmp_path / "hpo")]) == 2
-        assert capsys.readouterr().err == message
+                                  [[1.0 + i, int(events) * (i % 2), 0.1 * i, i % 3, -0.1 * i]
+                                   for i in range(40)]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_config(workspace / "schema.json", **sizes)))
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "train")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        base = base_config(workspace / "schema.json", pretrain_epochs=1, max_epochs=1, seed=0,
+                           **sizes)
+        space = self.space_file(tmp_path, workspace, base=base, space={
+            "learning_rate": {"type": "log_uniform", "low": 1e-4, "high": 1e-2}})
+        assert main(["hpo", "--space", str(space), "--budget", "2", "--jobs", jobs,
+                     "--data", str(data), "--out", str(tmp_path / "hpo")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "hpo").exists()
 
     def test_winner_reproduces_through_train(self, workspace, tmp_path):
@@ -1667,9 +1686,71 @@ def test_cli_import_leaves_out_the_process_pool():
     code = ("import sys, survstrat.cli; "
             "print('concurrent.futures.process' in sys.modules or 'subprocess' in sys.modules)")
     src = str(pathlib.Path(trainer.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # -B: the stripped environment drops a caller's PYTHONDONTWRITEBYTECODE
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+# runs each command line of argv[1] through ``main`` under a 3 GB address-space
+# limit and prints, per line, its exit code (or the exception that escaped) and stderr
+_CAPPED_RUNNER = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from survstrat.cli import main
+results = []
+for argv in json.load(open(sys.argv[1])):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            code = type(exc).__name__
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+OVERSIZED = {
+    "latent_dim_1e30": {"latent_dim": 10**30},
+    "latent_dim_1e8": {"latent_dim": 10**8},
+    "n_bins_1e30": {"n_bins": 10**30},
+    "encoder_hidden_1e30": {"encoder_hidden": [10**30]},
+    "head_hidden_1e30": {"head_hidden": [10**30]},
+    # a count too long for Python to print
+    "latent_dim_and_encoder_hidden_1e2200": {"latent_dim": 10**2200, "encoder_hidden": [10**2200]},
+}
+
+
+def test_oversized_models_exit_1_one_line_before_allocating(workspace, tmp_path):
+    """A size no host could hold, in a config or a checkpoint's config, is one
+    error line and exit 1 from train, evaluate and stratify; the cases run in a
+    child whose address space is capped, so a missed bound cannot exhaust the host."""
+    payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+    data = str(workspace / "toy.csv")
+    cases = {}
+    for name, sizes in OVERSIZED.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(base_config(workspace / "schema.json", **sizes)))
+        cases[f"train {name}"] = ["train", "--config", str(config), "--data", data,
+                                  "--out", str(tmp_path / name)]
+    per_cluster = {"per_cluster_n_clusters_1e30": {"heads": "per-cluster", "n_clusters": 10**30}}
+    for name, sizes in {**OVERSIZED, **per_cluster}.items():
+        checkpoint = tmp_path / f"{name}.checkpoint.json"
+        checkpoint.write_text(json.dumps({**payload, "config": {**payload["config"], **sizes}}))
+        cases[f"evaluate {name}"] = ["evaluate", "--checkpoint", str(checkpoint), "--data", data]
+        cases[f"stratify {name}"] = ["stratify", "--checkpoint", str(checkpoint), "--data", data,
+                                     "--out", str(tmp_path / f"strat_{name}")]
+    argvs = tmp_path / "argvs.json"
+    argvs.write_text(json.dumps(list(cases.values())))
+    src = str(pathlib.Path(trainer.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-B", "-c", _CAPPED_RUNNER, str(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    results = dict(zip(cases, json.loads(out.stdout)))
+    bad = {case: r for case, r in results.items()
+           if r[0] != 1 or not (r[1].startswith("error: ") and r[1].count("\n") == 1)}
+    assert bad == {}
 
 
 ARRAY_MUTATIONS = ("wrong_type", "ragged", "wrong_length", "non_numeric",

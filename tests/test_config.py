@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survstrat.config import _KINDS, ExperimentConfig
+from survstrat.config import _KINDS, ExperimentConfig, LossWeights
 from survstrat.errors import ConfigurationError
-from survstrat.losses import LossWeights
 
 
 def expect_rejection(match, **overrides):

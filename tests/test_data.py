@@ -106,7 +106,8 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "d.csv", ["t", "e", "age", "grade"],
                       [[5, 1, 60, "II"], [3, 0, 41, "I"]])
         table = load_csv(p, Schema(time="t", event="e", features=None))
-        assert table.kinds == {"age": "numeric", "grade": "categorical"}
+        assert table.features["age"].dtype == np.float64
+        assert table.features["grade"] == ["II", "I"]
 
     def test_missing_file(self):
         with pytest.raises(DataError, match="not found"):
@@ -470,7 +471,6 @@ class TestLoadCsvMatchesRowReader:
             a, b = getattr(new, name), getattr(old, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert_same_features(new.features, old.features)
-        assert new.kinds == old.kinds
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     @settings(max_examples=400, deadline=None)
@@ -558,7 +558,6 @@ class TestCleanFiles:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert a.flags.c_contiguous
         assert_same_features(new.features, old.features)
-        assert new.kinds == old.kinds
 
     def test_peak_memory_is_at_most_twice_what_is_kept(self, tmp_path):
         path = _clean_cohort(tmp_path / "cohort.csv", 20_000, "\n")

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survstrat.config import ExperimentConfig
+from survstrat.config import ExperimentConfig, LossWeights
 from survstrat.errors import ConfigurationError
 from survstrat.losses import (
-    LossWeights,
     _paired_nce,
-    average_views,
-    combine_cl,
-    combine_instance,
-    combine_surv,
     loss_clus,
     loss_ivcg,
     loss_ivcw,
@@ -24,10 +19,11 @@ from survstrat.losses import (
     loss_rec,
     soft_assign_tensor,
 )
-from survstrat.networks import SurvivalDistribution, reparameterize, survival_curve
+from survstrat.networks import EncoderOutput, SurvivalDistribution, reparameterize, survival_curve
 from survstrat.tensor import Tensor, mlp, softmax_rows, weighted_sum
+from survstrat.trainer import _contrastive_loss, _curriculum_losses, _survival_loss, _view_mean
 
-from gradcases import dist_from_logits
+from gradcases import decoding_to, dist_from_logits
 from reftape import RefTensor, lift, zero_grad
 from oracles import (
     clus_composed,
@@ -113,7 +109,7 @@ class TestClusterDistance:
     def test_siamese_view_average(self):
         per_view_a = Tensor(np.array([[4.0]]))
         per_view_b = Tensor(np.array([[0.0]]))
-        avg = average_views([per_view_a, per_view_b])
+        (avg,) = _view_mean([(per_view_a,), (per_view_b,)])
         assert scalar(avg) == pytest.approx(2.0, abs=TOL)
 
 
@@ -388,40 +384,73 @@ class TestRankOracle:
         assert scalar(out) == rank_pairwise(survival, bins, events, 0.001)[0] == want
 
 
+# the three-point batch of TestIvcg: its IVCG at tau = 1 is 0.86199
+THREE_POINTS = Tensor(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]]))
+THREE_EVENTS = np.array([0, 1, 1])
+THREE_ASSIGN = np.array([0, 0, 1])
+THREE_CENTERS = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+
+def contrastive(weights, views, siamese=False):
+    """The trainer's contrastive total of the three-point batch, one view per latent."""
+    outs = [EncoderOutput(mu=z, log_var=None, z=z) for z in views]
+    config = ExperimentConfig(siamese=siamese, weights=weights)
+    return _contrastive_loss(outs, THREE_EVENTS, [THREE_ASSIGN] * len(outs),
+                             [THREE_CENTERS] * len(outs), config)
+
+
+def curriculum_per_instance(weights, variational):
+    """The trainer's per-instance curriculum loss of one row with rec 2, KL 0.5
+    and cluster distance 4."""
+    z = Tensor(np.array([[2.0]]))
+    out = EncoderOutput(mu=Tensor(np.array([[1.0]])), log_var=Tensor(np.zeros((1, 1))), z=z)
+    model = decoding_to(Tensor(np.ones((1, 2))), variational)
+    *_, per = _curriculum_losses(model, Tensor(np.zeros((1, 2))), [out], [np.array([0])],
+                                 [np.zeros((1, 1))], weights)
+    return per
+
+
 class TestCombine:
     def test_all_weights_zero(self):
         w = LossWeights(alpha_ivcg=0.0, alpha_iviw=0.0, alpha_ivcw=0.0)
-        out = combine_cl(w, Tensor(np.array([[5.0]])))
+        out = contrastive(w, [THREE_POINTS])
         assert scalar(out) == 0.0
 
     def test_projection_to_ivcg(self):
-        w = LossWeights(alpha_ivcg=1.0, alpha_iviw=0.0, alpha_ivcw=0.0)
-        out = combine_cl(w, Tensor(np.array([[0.37]])))
-        assert scalar(out) == pytest.approx(0.37, abs=TOL)
+        w = LossWeights(alpha_ivcg=1.0, alpha_iviw=0.0, alpha_ivcw=0.0, tau=1.0)
+        out = contrastive(w, [THREE_POINTS])
+        assert scalar(out) == pytest.approx(0.86199, abs=TOL)
 
     def test_instance_hand_sum(self):
         w = LossWeights(alpha_rec=1.0, alpha_kld=1.0, alpha_clus=1.0)
-        out = combine_instance(
-            w, Tensor(np.array([[2.0]])), Tensor(np.array([[0.5]])), Tensor(np.array([[4.0]]))
-        )
+        out = curriculum_per_instance(w, variational=True)
         assert scalar(out) == pytest.approx(6.5, abs=TOL)
 
     def test_instance_without_kld(self):
         w = LossWeights(alpha_rec=2.0, alpha_clus=0.5)
-        out = combine_instance(w, Tensor(np.array([[1.0]])), None, Tensor(np.array([[4.0]])))
-        assert scalar(out) == pytest.approx(4.0, abs=TOL)
+        out = curriculum_per_instance(w, variational=False)
+        assert scalar(out) == pytest.approx(6.0, abs=TOL)
 
     def test_surv_total(self):
         w = LossWeights(beta=0.5)
-        out = combine_surv(w, Tensor(np.array([[1.0]])), Tensor(np.array([[0.4]])))
-        assert scalar(out) == pytest.approx(1.2, abs=TOL)
+        dist = make_dist([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        bins, events = np.array([0, 1, 1]), np.array([1, 1, 0])
+        nll = scalar(loss_nll(dist, bins, events))
+        rank = scalar(loss_rank(dist, bins, events, w.sigma_rank))
+        out = _survival_loss(dist, bins, events, w)
+        assert scalar(out) == pytest.approx(nll + 0.5 * rank, abs=TOL)
 
     def test_siamese_mode_accepts_cross_view_weights(self):
         w = LossWeights(alpha_ivcg=1.0, alpha_iviw=0.5, alpha_ivcw=0.5)
         ExperimentConfig(siamese=True, weights=w).validate()
-        out = combine_cl(w, Tensor(np.array([[1.0]])), Tensor(np.array([[2.0]])),
-                         Tensor(np.array([[4.0]])))
-        assert scalar(out) == pytest.approx(4.0, abs=TOL)
+        z2 = Tensor(np.array([[0.0, 1.0], [1.0, 1.0], [3.0, 0.0]]))
+        out = contrastive(w, [THREE_POINTS, z2], siamese=True)
+        want = (scalar(loss_ivcg(THREE_POINTS, THREE_EVENTS, THREE_ASSIGN, w.tau))
+                + scalar(loss_ivcg(z2, THREE_EVENTS, THREE_ASSIGN, w.tau))
+                + 0.5 * scalar(loss_iviw(THREE_POINTS, z2, w.tau))
+                + 0.5 * scalar(loss_ivcw(soft_assign_tensor(THREE_POINTS, THREE_CENTERS),
+                                         soft_assign_tensor(z2, THREE_CENTERS), w.tau)))
+        assert scalar(out) == pytest.approx(want, abs=TOL)
 
 
 class TestNllReference:

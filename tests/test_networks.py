@@ -7,6 +7,7 @@ from conftest import assert_step_moves_parameters, check_gradients
 from reftape import RefTensor, lift
 from survstrat.config import ExperimentConfig
 from survstrat.errors import ConfigurationError, UsageError
+from survstrat import networks
 from survstrat.networks import Mlp, Model, reparameterize
 from survstrat.tensor import Adam, Tensor
 
@@ -284,6 +285,33 @@ class TestEnsembleRouting:
         assert scatter._op == "scatter_rows" and len(scatter._parents) == 3
         assert [p._op for p in scatter._parents] == ["mlp"] * 3
         assert [q._op for p in scatter._parents for q in p._parents[:1]] == ["take_rows"] * 3
+
+
+class TestParameterCap:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"variational": False}, {"siamese": True},
+        {"heads": "per-cluster", "n_clusters": 3}, {"encoder_hidden": (4,), "head_hidden": (2, 3)},
+        {"siamese": True, "variational": False, "heads": "per-cluster", "n_clusters": 2},
+    ])
+    def test_count_is_the_size_of_the_store(self, overrides, monkeypatch):
+        size = small_model(**overrides).flat.size
+        monkeypatch.setattr(networks, "MAX_PARAMETERS", size)
+        small_model(**overrides)
+        monkeypatch.setattr(networks, "MAX_PARAMETERS", size - 1)
+        with pytest.raises(ConfigurationError, match=f"would have {size} parameters"):
+            small_model(**overrides)
+
+    def test_refused_before_any_layer_exists(self, monkeypatch):
+        def no_layer(*args):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(networks.Linear, "__init__", no_layer)
+        with pytest.raises(ConfigurationError, match="more than the cap of 100000000"):
+            Model(ExperimentConfig(latent_dim=10**30), 5, 4)
+
+    def test_siamese_per_cluster_model_on_20k_features_fits_the_cap(self):
+        config = ExperimentConfig(siamese=True, heads="per-cluster", n_clusters=3)
+        assert 8_000_000 < Model(config, 20_000, 20).flat.size < networks.MAX_PARAMETERS
 
 
 class TestStatePersistence:

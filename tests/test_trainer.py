@@ -11,9 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survstrat import clustering, losses, networks, tensor, trainer
-from survstrat.config import ExperimentConfig
+from survstrat.config import ExperimentConfig, LossWeights
 from survstrat.errors import UsageError
-from survstrat.losses import LossWeights
 from survstrat.metrics import expected_event_time
 from survstrat.networks import Model
 
@@ -396,7 +395,6 @@ class TestFusedStepNodes:
             (losses, "loss_ivcw", oracles.ivcw_transposed),
             (networks, "reparameterize", oracles.reparameterize_composed),
             (networks, "survival_curve", oracles.survival_curve_composed),
-            (losses, "weighted_sum", oracles.weighted_sum_composed),
             (networks, "weighted_sum", oracles.weighted_sum_composed),
             (trainer, "weighted_sum", oracles.weighted_sum_composed),
             (tensor.Tensor, "mean", oracles.mean_composed),
