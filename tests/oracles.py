@@ -673,10 +673,20 @@ def reparameterize_composed(mu: Tensor, log_var: Tensor, rng, eps=None):
 
 
 def survival_curve_composed(probs: Tensor) -> Tensor:
-    """``networks.survival_curve``: a matmul node with the (T+1) x T triangular
-    matrix of ones, and a subtraction from 1."""
-    n_bins = probs.values.shape[1] - 1
-    return 1.0 - lift(probs) @ RefTensor(np.triu(np.ones((n_bins + 1, n_bins))))
+    """``networks.survival_curve``: a chain of column additions, each of the
+    T bin columns picked out and put back in place by a matmul with a one-hot
+    vector, and a subtraction from 1. Its backward sums each suffix of the
+    output gradient from the last bin down, as the fused node does."""
+    p = lift(probs)
+    eye = np.eye(p.shape[1])
+    n_bins = p.shape[1] - 1
+    running = curve = None
+    for j in range(n_bins):
+        column = p @ RefTensor(eye[:, j:j + 1])
+        running = column if running is None else running + column
+        placed = running @ RefTensor(eye[j:j + 1, :n_bins])
+        curve = placed if curve is None else curve + placed
+    return 1.0 - curve
 
 
 def ivcw_transposed(q1: Tensor, q2: Tensor, tau: float) -> Tensor:

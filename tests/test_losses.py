@@ -647,6 +647,9 @@ class TestFusedNodes:
     @given(st.sampled_from(["reparameterize", "rec", "kld", "clus", "soft_assign",
                             "survival_curve", "weighted_sum", "mean", "ivcw"]),
            st.integers(0, 2 ** 32 - 1))
+    # a seed whose softmax backward cancels to 1e-5 of the gradient's scale, where
+    # a suffix summed in another order than the fused node's differs at 1.4e-12
+    @example("survival_curve", 616722)
     def test_step_node_matches_composed_graph(self, kind, seed):
         fused, composed, leaves = _step_node_and_composed(kind, np.random.default_rng(seed))
         got, got_grads = _value_and_grads(fused, leaves)
