@@ -1,10 +1,13 @@
-"""Versioned JSON checkpoints: model weights, cluster state, preprocessing.
+"""Versioned JSON checkpoints of a fitted model: weights, frozen cluster
+centers, time grid, training distribution and preprocessing.
 
-Format 2 stores every numeric array as one JSON object,
+Formats 2 and 3 store every numeric array as one JSON object,
 ``{"dtype": "float64" | "int64", "shape": [...], "data": "<base64>"}``,
 whose data is the array's little-endian bytes in C order, so values
 round-trip bit-exactly and load without parsing float literals. Format 1
-stored nested JSON lists; it is still read, through the same decoder.
+stored nested JSON lists. Format 3 drops the training assignments and the
+stage counter, which no scorer reads; all three are read by one decoder,
+which ignores those fields of older files.
 """
 
 from __future__ import annotations
@@ -21,17 +24,18 @@ from .config import ExperimentConfig, _is_number
 from .data import column_names
 from .errors import ConfigurationError, read_json
 from .metrics import TimeGrid
-from .trainer import TrainState, _new_state
+from .networks import Model
+from .trainer import TrainState
 
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
 
 @dataclass
 class Checkpoint:
-    """A restored training state plus the preprocessing it was fitted with."""
+    """A fitted model, ready to score, plus the preprocessing it was fitted with."""
 
     state: TrainState
     transforms: dict
@@ -105,13 +109,11 @@ def save_checkpoint(state: TrainState, path: str, transforms: dict | None = None
             for name, values in state.model.state_dict().items()
         },
         "clusters": [{"centers": _encode(centers, "float64")} for centers in state.centers],
-        "assignments": [_encode(a, "int64") for a in state.assignments],
         "grid_edges": _encode(state.grid.edges, "float64"),
         "train_times": optional(state.train_times, "float64"),
         "train_events": optional(state.train_events, "int64"),
         "transforms": transforms or {},
         "columns": columns,
-        "stage": state.stage,
     }
     # dumps uses the C encoder, json.dump the pure-Python one; the bytes are equal
     with open(path, "w") as fh:
@@ -144,12 +146,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ConfigurationError(
             f"checkpoint field 'grid_edges' has shape {edges.shape}, expected 1-D"
         )
-    state = _new_state(config, width := _infer_input_dim(params, config), TimeGrid(edges))
+    width, grid = _infer_input_dim(params, config), TimeGrid(edges)
+    state = TrainState(model=Model(config, width, grid.n_bins), config=config, grid=grid)
     state.model.load_state_dict(params)
-    stage = payload.get("stage", 0)
-    if type(stage) is not int:
-        raise ConfigurationError(f"checkpoint field 'stage' must be an integer, got {stage!r}")
-    state.stage = stage
     times, events = payload.get("train_times"), payload.get("train_events")
     if (times is None) != (events is None):
         raise ConfigurationError(
@@ -164,9 +163,9 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{state.train_times.shape} and {state.train_events.shape}, "
                 "expected two 1-D arrays of one length"
             )
-    n_train = None if state.train_times is None else state.train_times.size
-    state.centers, state.assignments = _read_clusters(payload, config, n_train)
-    # older files' copies are ignored: "feature_names", each cluster's "algorithm", "nu", "assignments"
+    state.centers = _read_centers(payload, config)
+    # older files' fields are ignored: "assignments", "stage", "feature_names" and
+    # each cluster's "algorithm", "nu" and "assignments"
     transforms = payload.get("transforms", {})
     if not isinstance(transforms, dict):
         raise ConfigurationError("checkpoint field 'transforms' must be an object")
@@ -202,21 +201,17 @@ def _check_transform(col: str, tr) -> None:
     raise ConfigurationError(f"checkpoint transform for column {col!r} {why}")
 
 
-def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None) -> tuple:
-    """Each view's cluster centers and assignments, from the "clusters" and
-    "assignments" fields, which hold one entry per view."""
-    assignments = payload.get("assignments", [])
+def _read_centers(payload: dict, config: ExperimentConfig) -> list:
+    """Each view's frozen cluster centers, from the "clusters" field, which
+    holds one entry per view."""
     clusters = payload.get("clusters", [])
-    if not isinstance(assignments, list) or not isinstance(clusters, list):
-        raise ConfigurationError("checkpoint fields 'clusters' and 'assignments' must be lists")
     n_views = 2 if config.siamese else 1
-    if len(clusters) != n_views or len(assignments) != n_views:
+    if not isinstance(clusters, list) or len(clusters) != n_views:
         raise ConfigurationError(
-            f"checkpoint needs one cluster entry and one assignment list per view ({n_views}), "
-            f"got {len(clusters)} and {len(assignments)}"
+            f"checkpoint field 'clusters' must be a list of one entry per view ({n_views})"
         )
-    all_centers, all_labels = [], []
-    for v, (entry, value) in enumerate(zip(clusters, assignments)):
+    all_centers = []
+    for v, entry in enumerate(clusters):
         if not isinstance(entry, dict) or "centers" not in entry:
             raise ConfigurationError(f"checkpoint cluster entry {v} needs 'centers'")
         centers = _decode(entry["centers"], "float64", f"clusters.{v}.centers")
@@ -225,20 +220,8 @@ def _read_clusters(payload: dict, config: ExperimentConfig, n_train: int | None)
                 f"cluster centers have shape {centers.shape}, expected "
                 f"({config.n_clusters}, {config.latent_dim})"
             )
-        labels = _decode(value, "int64", f"assignments.{v}")
-        if labels.ndim != 1 or (n_train is not None and labels.size != n_train):
-            raise ConfigurationError(
-                f"checkpoint field 'assignments.{v}' has shape {labels.shape}, "
-                f"expected one id per training row ({n_train})"
-            )
-        if labels.size and (labels.min() < 0 or labels.max() >= config.n_clusters):
-            raise ConfigurationError(
-                f"checkpoint field 'assignments.{v}' holds cluster ids outside "
-                f"[0, {config.n_clusters - 1}]"
-            )
         all_centers.append(centers)
-        all_labels.append(labels)
-    return all_centers, all_labels
+    return all_centers
 
 
 def _infer_input_dim(params: dict, config: ExperimentConfig) -> int:

@@ -421,6 +421,8 @@ def cmd_hpo(args) -> int:
         raise UsageError(f"budget must be >= 1, got {budget}")
     if args.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     base = ExperimentConfig.from_dict(space.get("base", {}))
     base.validate()
     schema = _resolve_schema(base)

@@ -161,6 +161,8 @@ class ExperimentConfig:
             problems.append("epoch counts cannot be negative")
         if checked.patience < 1:
             problems.append(f"patience must be >= 1, got {checked.patience}")
+        if checked.seed < 0:
+            problems.append(f"seed must be non-negative, got {checked.seed}")
         if checked.spl_scope not in ("batch", "dataset"):
             problems.append(f"spl_scope must be 'batch' or 'dataset', got '{checked.spl_scope}'")
         for f in fields(weights):

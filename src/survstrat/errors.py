@@ -71,6 +71,7 @@ def read_json(path: str, what: str):
     text = read_text(path, what, ConfigurationError, expected="valid JSON")
     try:
         return json.loads(text)
-    # json raises RecursionError on arrays or objects nested too deeply
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # JSONDecodeError is a ValueError, as is an integer literal over Python's
+    # digit limit; json raises RecursionError on arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}")

@@ -48,16 +48,17 @@ class TrainData:
 
 @dataclass
 class TrainState:
-    """Everything produced by training, enough to checkpoint and predict."""
+    """A fitted model: what scoring reads (model, config, grid, centers and
+    the training distribution), plus what only training reads (optimizer,
+    assignments, logs), which a loaded checkpoint leaves empty."""
 
     model: Model
-    optimizer: Adam
     config: ExperimentConfig
     grid: TimeGrid
+    optimizer: Adam | None = None
     centers: list = field(default_factory=list)       # frozen (K, d) centers, one per view
     assignments: list = field(default_factory=list)   # current cluster ids, one per view
     logs: list = field(default_factory=list)
-    stage: int = 0
     train_times: np.ndarray | None = None
     train_events: np.ndarray | None = None
 
@@ -107,13 +108,6 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
-
-
-def _new_state(config: ExperimentConfig, input_dim: int, grid: TimeGrid) -> TrainState:
-    """Untrained state: a zero model sized from the fitted grid and a fresh optimizer."""
-    model = Model(config, input_dim, grid.n_bins)
-    optimizer = Adam(model.flat, [t for _, t in model.parameters()], lr=config.learning_rate)
-    return TrainState(model=model, optimizer=optimizer, config=config, grid=grid)
 
 
 def _encode_views(model: Model, x: Tensor, train: bool, rng, views: int = 2):
@@ -199,10 +193,13 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
     if n < config.n_clusters:
         # stage 2 would refuse it, after every pretraining epoch had run
         raise UsageError(f"need at least K={config.n_clusters} points, got {n}")
-    state = _new_state(config, data.X.shape[1], data.grid)
-    state.train_times, state.train_events = data.t.copy(), data.e.copy()
-    model = state.model
+    model = Model(config, data.X.shape[1], data.grid.n_bins)
     model.initialize()
+    state = TrainState(
+        model=model, config=config, grid=data.grid,
+        optimizer=Adam(model.flat, [t for _, t in model.parameters()], lr=config.learning_rate),
+        train_times=data.t.copy(), train_events=data.e.copy(),
+    )
     rng = _training_rng(config.seed)
     w = config.weights
 
@@ -218,14 +215,11 @@ def pretrain(data: TrainData, config: ExperimentConfig) -> TrainState:
 
     for epoch in range(1, config.pretrain_epochs + 1):
         _run_epoch(state, data, rng, epoch, 1, step)
-    state.stage = 1
     return state
 
 
 def init_clusters(state: TrainState, data: TrainData) -> TrainState:
     """Stage 2: cluster eval-mode latents per view and freeze the centers."""
-    if state.stage < 1:
-        raise UsageError("init_clusters requires a pretrained state")
     config = state.config
     state.centers = []
     state.assignments = []
@@ -236,7 +230,6 @@ def init_clusters(state: TrainState, data: TrainData) -> TrainState:
                                               seed=config.seed)
         state.centers.append(centers)
         state.assignments.append(assignments)
-    state.stage = 2
     return state
 
 
@@ -301,9 +294,10 @@ def validation_c_index(state: TrainState, data: TrainData) -> float | None:
 
 def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     """Stage 3: SPL + contrastive + survival, with per-epoch reassignment."""
-    if state.stage < 2:
-        raise UsageError("train_stage3 requires initialized clusters")
     config = state.config
+    if state.optimizer is None or len(state.assignments) != (2 if config.siamese else 1):
+        raise UsageError("train_stage3 needs an optimizer and one assignment list per view: "
+                         "a state from pretrain and init_clusters, not a loaded checkpoint")
     w = config.weights
     model = state.model
     rng = _training_rng(config.seed + 1)
@@ -362,7 +356,6 @@ def train_stage3(state: TrainState, data: TrainData) -> TrainState:
     if best_flat is not None:
         model.flat[...] = best_flat
         _reassign(state, data)
-    state.stage = 3
     return state
 
 

@@ -14,9 +14,10 @@ from survstrat.checkpoint import _decode, _encode, load_checkpoint, save_checkpo
 from survstrat.cli import main
 from survstrat.config import ExperimentConfig
 from survstrat.data import column_names
-from survstrat.errors import ConfigurationError
+from survstrat.errors import ConfigurationError, UsageError
 from survstrat.metrics import TimeGrid
 from survstrat.networks import Model
+from survstrat.tensor import Adam
 
 from conftest import assert_step_moves_parameters
 
@@ -130,14 +131,25 @@ class TestRoundTrip:
             json.dump(json.loads(path.read_text()), fh)
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
-    def test_assignments_written_once(self, tmp_path):
-        state, _ = fitted_state()
+    def test_writes_a_fitted_model_only(self, tmp_path):
+        state, _ = fitted_state(siamese=True)
         path = tmp_path / "ck.json"
         save_checkpoint(state, str(path))
         payload = json.loads(path.read_text())
-        assert all("assignments" not in entry for entry in payload["clusters"])
+        assert set(payload) == {"version", "config", "state", "clusters", "grid_edges",
+                                "train_times", "train_events", "transforms", "columns"}
+        assert all(set(entry) == {"centers"} for entry in payload["clusters"])
         restored = load_checkpoint(str(path)).state
-        assert np.array_equal(restored.assignments[0], state.assignments[0])
+        assert restored.optimizer is None and restored.assignments == [] and restored.logs == []
+
+    def test_a_loaded_state_does_not_resume_training(self, tmp_path):
+        state, _ = fitted_state()
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        restored = load_checkpoint(str(path)).state
+        data = trainer.prepare_training_data(np.zeros((4, 5)), np.arange(1.0, 5.0), np.ones(4), 2)
+        with pytest.raises(UsageError, match="not a loaded checkpoint"):
+            trainer.train_stage3(restored, data)
 
     def test_loads_format_one_per_cluster_assignments(self, tmp_path):
         state, X = fitted_state(siamese=True, heads="per-cluster")
@@ -149,8 +161,6 @@ class TestRoundTrip:
             entry["assignments"] = labels[::-1].tolist()
         path.write_text(json.dumps(payload))
         restored = load_checkpoint(str(path)).state
-        for got, want in zip(restored.assignments, state.assignments):
-            assert np.array_equal(got, want)
         a = trainer.predict(state, X[:10])
         b = trainer.predict(restored, X[:10])
         assert np.array_equal(a["survival"], b["survival"])
@@ -224,8 +234,8 @@ class TestParameterNames:
             latent_dim=3, encoder_hidden=(8, 6), head_hidden=(7,), **overrides
         )
         config.validate()
-        state = trainer._new_state(config, 5, TimeGrid([1.0, 2.0, 3.0, 4.0]))
-        got = [(name, arr.shape) for name, arr in state.model.state_dict().items()]
+        model = Model(config, 5, TimeGrid([1.0, 2.0, 3.0, 4.0]).n_bins)
+        got = [(name, arr.shape) for name, arr in model.state_dict().items()]
         assert got == expected
 
 
@@ -372,13 +382,12 @@ class TestFormatTwo:
         path = tmp_path / "ck.json"
         save_checkpoint(state, str(path))
         payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        blobs = list(payload["state"].values()) + payload["assignments"] + [
+        assert payload["version"] == 3
+        blobs = list(payload["state"].values()) + [
             payload["grid_edges"], payload["train_times"], payload["train_events"],
         ] + [entry["centers"] for entry in payload["clusters"]]
         assert all(set(b) == {"dtype", "shape", "data"} for b in blobs)
         assert payload["train_events"]["dtype"] == "int64"
-        assert all(b["dtype"] == "int64" for b in payload["assignments"])
 
     def test_weights_restore_bit_exactly(self, tmp_path):
         state, _ = fitted_state(siamese=True, heads="per-cluster")
@@ -401,7 +410,8 @@ class TestFormatTwo:
         monkeypatch.setattr(Model, "initialize", initialize)
         restored = load_checkpoint(str(path)).state
         assert bits(restored.model.flat) == bits(state.model.flat)
-        assert_step_moves_parameters(restored.optimizer, restored.model)
+        model = restored.model
+        assert_step_moves_parameters(Adam(model.flat, [t for _, t in model.parameters()]), model)
 
     def test_format_one_lists_load_to_the_same_state(self, tmp_path):
         state, X = fitted_state(siamese=True, heads="per-cluster")
@@ -431,12 +441,12 @@ class TestFormatTwo:
         ("grid_edges", [[1.0, 2.0]], "grid_edges"),
         ("train_times", [1.0], "train_times"),
         ("train_events", None, "both be arrays or both null"),
-        ("assignments", "abc", "'clusters' and 'assignments'"),
-        ("stage", "3", "stage"),
+        ("clusters", "abc", "'clusters' must be a list"),
+        ("version", "3", "version"),
         ("state", [1.0], "state"),
         ("columns", 5, "columns"),
         ("transforms", [], "transforms"),
-        ("assignments", [], "one assignment list per view"),
+        ("clusters", [], "one entry per view"),
         ("columns", {"time": "t"}, "columns"),
         ("columns", {"time": "t", "event": 1}, "columns"),
         ("columns", {"time": "t", "event": "e", "id": "i"}, "columns"),
@@ -488,18 +498,6 @@ class TestFormatTwo:
         assert main(["evaluate", "--checkpoint", str(path), "--data", "unread.csv"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "feature mismatch" in err
-
-    def test_out_of_range_assignment_rejected(self, tmp_path):
-        state, _ = fitted_state()
-        path = tmp_path / "ck.json"
-        save_checkpoint(state, str(path))
-        payload = json.loads(path.read_text())
-        labels = state.assignments[0].copy()
-        labels[0] = state.config.n_clusters
-        payload["assignments"][0] = labels.tolist()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="cluster ids outside"):
-            load_checkpoint(str(path))
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = tmp_path / "ck.json"

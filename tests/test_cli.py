@@ -464,7 +464,7 @@ class TestTrainCommand:
         def no_model(*args):
             raise AssertionError("a model was built")
 
-        monkeypatch.setattr(trainer, "_new_state", no_model)
+        monkeypatch.setattr(trainer, "Model", no_model)
         rc = main([
             "train", "--config", str(path),
             "--data", str(workspace / "toy.csv"), "--out", str(tmp_path / "o"),
@@ -1002,10 +1002,42 @@ _JSON_INPUTS = ("config", "schema", "search space", "checkpoint")
 # for "directory" (no permission case: tests may run as root)
 _FAULTS = {"missing": None, "not UTF-8": b"\xff", "not JSON": b"{not json",
            "nested too deeply": b"[" * 100_000, "directory": None,
+           # json.loads refuses an integer literal over Python's 4,300-digit limit
+           "integer over the digit limit": b'{"latent_dim": 1' + b"0" * 5000 + b"}",
            "field over the csv limit": b"t,e\n" + b"1" * 200_000 + b",1\n"}
 # fault -> the inputs it applies to, when not every input
 _FAULT_INPUTS = {"not JSON": _JSON_INPUTS, "nested too deeply": _JSON_INPUTS,
+                 "integer over the digit limit": _JSON_INPUTS,
                  "field over the csv limit": ("data CSV",)}
+
+
+@pytest.mark.parametrize("where", ["config", "train --seed", "hpo --seed", "checkpoint"])
+def test_negative_seed_exits_1_with_one_line(workspace, tmp_path, capsys, where):
+    """A seed below 0 is refused with one line, wherever it comes from; hpo
+    refuses it before it reads the data, here a file that does not exist."""
+    config, data = str(workspace / "config.json"), str(workspace / "toy.csv")
+    out = ["--out", str(tmp_path / "out")]
+    if where == "config":
+        (tmp_path / "c.json").write_text(json.dumps(base_config(workspace / "schema.json", seed=-1)))
+        argv = ["train", "--config", str(tmp_path / "c.json"), "--data", data, *out]
+    elif where == "train --seed":
+        argv = ["train", "--config", config, "--data", data, "--seed", "-1", *out]
+    elif where == "hpo --seed":
+        (tmp_path / "space.json").write_text(json.dumps({
+            "base": base_config(workspace / "schema.json"),
+            "space": {"learning_rate": {"type": "log_uniform", "low": 0.001, "high": 0.01}},
+        }))
+        argv = ["hpo", "--space", str(tmp_path / "space.json"), "--data",
+                str(tmp_path / "absent.csv"), "--seed", "-1", *out]
+    else:
+        payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        payload["config"]["seed"] = -1
+        (tmp_path / "ck.json").write_text(json.dumps(payload))
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "ck.json"), "--data", data]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be non-negative, got -1" in err
 
 
 class TestInputFiles:
@@ -1606,10 +1638,10 @@ FORMAT1_CSV = FIXTURES / "format1_siamese.csv"
 
 
 @pytest.fixture(scope="module")
-def format2_checkpoint(tmp_path_factory):
-    """The format-1 fixture's state re-saved in the current format."""
+def current_checkpoint(tmp_path_factory):
+    """The format-1 fixture's model re-saved in the current format."""
     ck = load_checkpoint(str(FORMAT1_CHECKPOINT))
-    path = tmp_path_factory.mktemp("format2") / "checkpoint.json"
+    path = tmp_path_factory.mktemp("current") / "checkpoint.json"
     save_checkpoint(ck.state, str(path), ck.transforms)
     return path
 
@@ -1669,15 +1701,53 @@ class TestCheckpointFormats:
         assert capsys.readouterr().err == ("error: checkpoint field 'columns' must map 'time' "
                                            "and 'event' to column names\n")
 
-    def test_format_one_and_two_give_identical_outputs(self, format2_checkpoint, tmp_path):
+    def version_two(self, current_checkpoint, path, **old_fields):
+        """The current file as format 2 wrote it, with the training assignments
+        and stage of the format-1 fixture unless ``old_fields`` replace them."""
+        older = json.loads(FORMAT1_CHECKPOINT.read_text())
+        payload = json.loads(current_checkpoint.read_text())
+        payload.update({"version": 2, "stage": older["stage"],
+                        "assignments": [_blob(np.array(a), "int64") for a in older["assignments"]],
+                        **old_fields})
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_format_one_and_two_give_identical_outputs(self, current_checkpoint, tmp_path):
         assert json.loads(FORMAT1_CHECKPOINT.read_text())["version"] == 1
-        assert json.loads(format2_checkpoint.read_text())["version"] == 2
-        (tmp_path / "v1").mkdir()
+        assert json.loads(current_checkpoint.read_text())["version"] == 3
+        v2 = self.version_two(current_checkpoint, tmp_path / "v2.json")
+        outputs = []
+        for version, path in [(1, FORMAT1_CHECKPOINT), (2, v2), (3, current_checkpoint)]:
+            (tmp_path / f"v{version}").mkdir()
+            outputs.append(self.score(path, tmp_path / f"v{version}"))
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("old_fields", [
+        {"stage": "3"},
+        {"assignments": "abc"},
+        {"assignments": []},
+        {"assignments": [[5, -1]], "stage": None},
+        {"assignments": [{"dtype": "int64", "shape": [1], "data": "!"}, None]},
+    ], ids=["stage-string", "assignments-string", "assignments-empty", "assignments-out-of-range",
+            "assignments-bad-blob"])
+    def test_malformed_format_two_training_fields_are_ignored(self, current_checkpoint, tmp_path,
+                                                              old_fields):
+        """Format 3 reads no training assignments or stage, so a format-2
+        file's, even malformed, change no output byte."""
+        v2 = self.version_two(current_checkpoint, tmp_path / "v2.json", **old_fields)
         (tmp_path / "v2").mkdir()
-        v1 = self.score(FORMAT1_CHECKPOINT, tmp_path / "v1")
-        v2 = self.score(format2_checkpoint, tmp_path / "v2")
-        assert len(v1) == 6
-        assert v1 == v2
+        (tmp_path / "v3").mkdir()
+        assert self.score(v2, tmp_path / "v2") == self.score(current_checkpoint, tmp_path / "v3")
+
+    def test_a_later_format_exits_1_with_one_line(self, current_checkpoint, tmp_path, capsys):
+        payload = {**json.loads(current_checkpoint.read_text()), "version": 4}
+        path = tmp_path / "v4.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["evaluate", "--checkpoint", str(path), "--data", str(FORMAT1_CSV)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: checkpoint format version 4 is not supported "
+                                           "(expected one of 1, 2, 3)\n")
 
 
 def test_cli_import_leaves_out_the_process_pool():
@@ -1831,8 +1901,8 @@ def broken_transform(draw, entry):
 def broken_payloads(draw, payload):
     """``payload`` (a parsed checkpoint) with one array field or one
     column's transform broken."""
-    field = draw(st.sampled_from(["state", "centers", "assignments", "grid_edges",
-                                  "train_times", "train_events", "transforms"]))
+    field = draw(st.sampled_from(["state", "centers", "grid_edges", "train_times",
+                                  "train_events", "transforms"]))
     if field == "transforms":
         col = draw(st.sampled_from(sorted(payload["transforms"])))
         payload["transforms"][col] = draw(broken_transform(payload["transforms"][col]))
@@ -1841,11 +1911,9 @@ def broken_payloads(draw, payload):
         holder, key = payload["state"], draw(st.sampled_from(sorted(payload["state"])))
     elif field == "centers":
         holder, key = draw(st.sampled_from(payload["clusters"])), "centers"
-    elif field == "assignments":
-        holder, key = payload["assignments"], draw(st.integers(0, len(payload["assignments"]) - 1))
     else:
         holder, key = payload, field
-    dtype = "int64" if field in ("assignments", "train_events") else "float64"
+    dtype = "int64" if field == "train_events" else "float64"
     holder[key] = draw(mutated_array(holder[key], dtype))
     return payload
 
@@ -1853,30 +1921,29 @@ def broken_payloads(draw, payload):
 class TestMalformedCheckpoints:
     @pytest.mark.parametrize("command", ["evaluate", "stratify"])
     @pytest.mark.parametrize("views", ["none", "one_of_two"])
-    def test_cluster_state_of_each_view_required(self, format2_checkpoint, tmp_path, capsys,
+    def test_cluster_state_of_each_view_required(self, current_checkpoint, tmp_path, capsys,
                                                  command, views):
-        """A Siamese checkpoint needs one cluster entry and one assignment
-        list per view, also where routing reads view 2."""
-        payload = json.loads(format2_checkpoint.read_text())
+        """A Siamese checkpoint needs one cluster entry per view, also where
+        routing reads view 2."""
+        payload = json.loads(current_checkpoint.read_text())
         keep = 0 if views == "none" else 1
         payload["config"]["routing_view"] = 2
-        del payload["clusters"][keep:], payload["assignments"][keep:]
+        del payload["clusters"][keep:]
         path = tmp_path / "ck.json"
         path.write_text(json.dumps(payload))
         rc = main([command, "--checkpoint", str(path), "--data", str(FORMAT1_CSV),
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1
-        assert err.startswith("error: checkpoint needs one cluster entry and one assignment "
-                              f"list per view (2), got {keep} and {keep}")
+        assert err == "error: checkpoint field 'clusters' must be a list of one entry per view (2)\n"
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_evaluate_exits_1_with_one_line(self, format2_checkpoint, tmp_path_factory, data):
-        """Every broken array or transform in a format-1 or format-2
+    def test_evaluate_exits_1_with_one_line(self, current_checkpoint, tmp_path_factory, data):
+        """Every broken array or transform in a format-1 or format-3
         checkpoint is a configuration error: exit 1 and one ``error:`` line,
         no traceback."""
-        source = data.draw(st.sampled_from([FORMAT1_CHECKPOINT, format2_checkpoint]))
+        source = data.draw(st.sampled_from([FORMAT1_CHECKPOINT, current_checkpoint]))
         payload = data.draw(broken_payloads(json.loads(source.read_text())))
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(json.dumps(payload))

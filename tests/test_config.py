@@ -138,6 +138,12 @@ class TestValidate:
     def test_zero_epochs_allowed(self):
         ExperimentConfig(pretrain_epochs=0, max_epochs=0).validate()
 
+    def test_negative_seed_rejected(self):
+        # np.random.SeedSequence takes non-negative entropy only
+        ExperimentConfig(seed=0).validate()
+        with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+            ExperimentConfig(seed=-1).validate()
+
 
 class TestSerialization:
     def test_round_trip(self):

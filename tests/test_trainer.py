@@ -44,6 +44,18 @@ def make_data(n=120, n_features=5, seed=7, n_bins=5, val=False):
     return trainer.prepare_training_data(X, t, e, n_bins)
 
 
+def assert_assignments_recomputed(state, X):
+    """``state.assignments`` equal, bit for bit, the routing view's labels of
+    ``encode`` and each view's nearest centers of its latents."""
+    view = state.config.routing_view
+    assert np.array_equal(trainer.encode(state, X)["labels"], state.assignments[view - 1])
+    assert len(state.assignments) == len(state.centers)
+    for v, centers in enumerate(state.centers, start=1):
+        want = clustering.assign_nearest(state.model.latents(X, view=v), centers)
+        assert want.dtype == state.assignments[v - 1].dtype
+        assert np.array_equal(want, state.assignments[v - 1])
+
+
 def one_taped_forward(state, X):
     """The model's own distribution by the unchunked path: one taped
     eval-mode forward over every row, with the probabilities and latents
@@ -135,7 +147,6 @@ class TestPretrain:
         for (_, got), (_, want) in zip(state.model.parameters(), fresh.parameters()):
             assert np.array_equal(got.values, want.values)
         assert state.logs == []
-        assert state.stage == 1
 
     def test_loss_decreases(self):
         config = small_config(pretrain_epochs=8)
@@ -182,18 +193,6 @@ class TestPretrain:
 
 
 class TestInitClusters:
-    def test_requires_pretrained_state(self):
-        config = small_config()
-        data = make_data()
-        model = Model(config, data.X.shape[1], data.grid.n_bins)
-        from survstrat.tensor import Adam
-        bare = trainer.TrainState(
-            model=model, optimizer=Adam(model.flat, [t for _, t in model.parameters()]),
-            config=config, grid=data.grid,
-        )
-        with pytest.raises(UsageError):
-            trainer.init_clusters(bare, data)
-
     def test_both_clusters_populated(self):
         data = make_data()
         state = trainer.pretrain(data, small_config())
@@ -201,7 +200,6 @@ class TestInitClusters:
         assert len(state.centers) == 1
         counts = np.bincount(state.assignments[0], minlength=2)
         assert (counts > 0).all()
-        assert state.stage == 2
 
     def test_idempotent(self):
         data = make_data()
@@ -241,6 +239,30 @@ class TestStage3:
         with pytest.raises(UsageError):
             trainer.train_stage3(state, data)
 
+    def test_requires_an_optimizer(self):
+        state, data = self.fitted()
+        state.optimizer = None
+        with pytest.raises(UsageError, match="optimizer"):
+            trainer.train_stage3(state, data)
+
+    def test_requires_assignments_of_every_view(self):
+        state, data = self.fitted(small_config(siamese=True))
+        del state.assignments[1]
+        with pytest.raises(UsageError, match="one assignment list per view"):
+            trainer.train_stage3(state, data)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"siamese": True, "heads": "per-cluster", "routing_view": 1},
+        {"siamese": True, "heads": "per-cluster", "routing_view": 2},
+    ], ids=["shared", "siamese-route-1", "siamese-route-2"])
+    def test_final_assignments_are_what_scoring_recomputes(self, overrides):
+        """The assignments training ends with are not stored in a checkpoint:
+        scoring recomputes them, bit for bit, from the model and the centers."""
+        data = make_data()
+        state = trainer.fit(data, small_config(n_clusters=3, **overrides))
+        assert_assignments_recomputed(state, data.X)
+
     def test_centers_bitwise_frozen(self):
         state, data = self.fitted()
         before = [c.tobytes() for c in state.centers]
@@ -264,7 +286,6 @@ class TestStage3:
         state = trainer.train_stage3(state, data)
         for k, v in state.model.parameters():
             assert np.array_equal(before[k], v.values)
-        assert state.stage == 3
 
     def test_admitted_fraction_positive_every_epoch(self):
         state, data = self.fitted(small_config(max_epochs=6))
@@ -321,6 +342,7 @@ class TestStage3:
         best = max(range(len(scored)), key=lambda i: scored[i][0])
         assert not np.array_equal(scored[-1][1], scored[best][1])  # a later epoch moved them
         np.testing.assert_array_equal(state.model.flat, scored[best][1])
+        assert_assignments_recomputed(state, data.X)
         assert_step_moves_parameters(state.optimizer, state.model)
 
     @pytest.mark.parametrize("route", ["deepcopy", "pickle"])
